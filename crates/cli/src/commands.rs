@@ -409,9 +409,16 @@ const EXPLAIN_QUERIES: [&str; 4] = [
     "regex:excel.*",
 ];
 
-fn explain_report(store: &DataStore) -> Result<String, String> {
+/// An inverted index over every stored entity, built as one batch in id
+/// order.
+fn index_store(store: &DataStore) -> Indexer {
     let indexer = Indexer::new();
-    store.for_each(|e| indexer.index_entity(e));
+    indexer.index_batch(store.ids().into_iter().filter_map(|id| store.get(id).ok()));
+    indexer
+}
+
+fn explain_report(store: &DataStore) -> Result<String, String> {
+    let indexer = index_store(store);
     let mut out = String::from("\nQUERY PROFILES (EXPLAIN)\n");
     for text in EXPLAIN_QUERIES {
         let query = parse_query(text).map_err(|e| e.to_string())?;
@@ -458,8 +465,7 @@ fn query(args: &ParsedArgs) -> Result<String, String> {
         }
     };
     let store = load_store(Path::new(snapshot), 4).map_err(|e| e.to_string())?;
-    let indexer = Indexer::new();
-    store.for_each(|e| indexer.index_entity(e));
+    let indexer = index_store(&store);
     let hits = SentimentQueryService::query(&indexer, &store, subject, polarity)
         .map_err(|e| e.to_string())?;
     let mut out = String::new();
@@ -478,8 +484,7 @@ fn search(args: &ParsedArgs) -> Result<String, String> {
     let query_text = args.require("query")?;
     let query = parse_query(query_text).map_err(|e| e.to_string())?;
     let store = load_store(Path::new(snapshot), 4).map_err(|e| e.to_string())?;
-    let indexer = Indexer::new();
-    store.for_each(|e| indexer.index_entity(e));
+    let indexer = index_store(&store);
     let (docs, profile) = indexer.query_explained(&query).map_err(|e| e.to_string())?;
     let mut out = String::new();
     for doc in &docs {

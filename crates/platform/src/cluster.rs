@@ -410,13 +410,12 @@ impl Cluster {
                 shard_outcomes.push((shard, true, false));
                 span.event(format!("failover:node:{executor}"));
             }
-            let mut indexed_here = 0usize;
-            for id in self.store.shard_ids(NodeId(shard as u32)) {
-                if let Ok(entity) = self.store.get(id) {
-                    self.indexer.index_entity(&entity);
-                    indexed_here += 1;
-                }
-            }
+            let indexed_here = self.indexer.index_batch(
+                self.store
+                    .shard_ids(NodeId(shard as u32))
+                    .into_iter()
+                    .filter_map(|id| self.store.get(id).ok()),
+            );
             stats.indexed += indexed_here;
             span.attr("indexed", indexed_here.to_string());
             span.finish();
@@ -530,13 +529,11 @@ impl Cluster {
         // the shard holds exactly what the durable state says it should
         self.store.drop_shard(node);
         let mut rebuild = root.child("recover.rebuild");
-        let mut reindexed = 0usize;
         for entity in &recovery.entities {
             self.store.restore_entity(entity.clone());
-            self.indexer.index_entity(entity);
             on_entity(entity);
-            reindexed += 1;
         }
+        let reindexed = self.indexer.index_batch(&recovery.entities);
         rebuild.attr("reindexed", reindexed.to_string());
         rebuild.advance(reindexed as u64 * crate::durable::REPLAY_COST_MS);
         root.advance(rebuild.finish());
