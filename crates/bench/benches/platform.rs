@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use wf_platform::{
-    DataStore, Entity, EntityMiner, Indexer, MinerPipeline, Query, Regex, SourceKind,
+    DataStore, Entity, EntityMiner, Indexer, MinerPipeline, Query, Regex, RunOpts, SourceKind,
 };
 use wf_spotter::{AhoCorasickBuilder, Spotter, SubjectList};
 use wf_types::{DocId, Result};
@@ -186,7 +186,7 @@ fn bench_pipeline_parallelism(c: &mut Criterion) {
                     store.insert(sample_entity(i));
                 }
                 let pipeline = MinerPipeline::new().add(Box::new(NoopMiner));
-                b.iter(|| pipeline.run(&store))
+                b.iter(|| pipeline.run(&store, RunOpts::default(), None))
             },
         );
     }

@@ -9,8 +9,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 use wf_platform::{
-    DataStore, Entity, EntityMiner, FaultContext, FaultPlan, MinerPipeline, SourceKind, Telemetry,
-    DEFAULT_TRACE_CAPACITY,
+    DataStore, Entity, EntityMiner, FaultContext, FaultPlan, MinerPipeline, RunOpts, SourceKind,
+    Telemetry, DEFAULT_TRACE_CAPACITY,
 };
 use wf_types::{Result, RetryPolicy};
 
@@ -45,16 +45,19 @@ fn workload(capacity: usize, export: bool) -> (u64, u64, u64, u64) {
         ));
     }
     let plan = FaultPlan::new(SEED);
-    let ctx = FaultContext {
-        plan: Some(&plan),
-        retry: RetryPolicy::default(),
-        health: &[],
+    let opts = RunOpts {
+        batch: 1,
+        faults: FaultContext {
+            plan: Some(&plan),
+            retry: RetryPolicy::default(),
+            health: &[],
+        },
     };
     let pipeline = MinerPipeline::new().add(Box::new(TouchMiner));
     let mut exported_bytes = 0u64;
     let t0 = Instant::now();
     for _ in 0..RUNS {
-        pipeline.run_with(&store, &ctx);
+        pipeline.run(&store, opts, None);
         if export {
             let rec = telemetry.recorder();
             exported_bytes += rec.export_json_string(8).len() as u64;

@@ -11,9 +11,10 @@ use std::sync::Arc;
 use wf_features::{FeatureExtractor, Selection, CHI2_95};
 use wf_platform::{
     default_slos, load_store, parse_query, render_scoreboard, save_store, Cluster, DataStore,
-    DoctorReport, DurableStorage, FaultPlan, HealthEngine, Indexer, Ingestor, Level, LogFilter,
-    MinerPipeline, NodeHealth, PipelineStats, Profile, RawDocument, RunDiff, SourceKind, Telemetry,
-    TelemetrySnapshot, TimeSeriesStore, DEFAULT_SCRAPE_INTERVAL_MS, DEFAULT_TIMELINE_CAPACITY,
+    DoctorReport, DurableStorage, FaultContext, FaultPlan, HealthEngine, Indexer, Ingestor, Level,
+    LogFilter, MinerPipeline, NodeHealth, PipelineStats, Profile, RawDocument, RunDiff, RunOpts,
+    SourceKind, Telemetry, TelemetrySnapshot, TimeSeriesStore, DEFAULT_SCRAPE_INTERVAL_MS,
+    DEFAULT_TIMELINE_CAPACITY,
 };
 use wf_sentiment::{
     mention_polarities, AdhocSentimentMiner, SentimentEntityMiner, SentimentMiner,
@@ -284,6 +285,20 @@ fn features(args: &ParsedArgs) -> Result<String, String> {
     Ok(out)
 }
 
+/// Pipeline options for a CLI mining run in batches of `batch`: the
+/// `--chaos-seed` / `--fail-rate` plan, if any, with the default retry
+/// policy on an all-up cluster.
+fn chaos_opts(plan: Option<&FaultPlan>, batch: usize) -> RunOpts<'_> {
+    RunOpts {
+        batch,
+        faults: FaultContext {
+            plan,
+            retry: RetryPolicy::default(),
+            health: &[],
+        },
+    }
+}
+
 /// The mining-run core shared by `mine` and `metrics --input`: parses the
 /// chaos flags, loads the documents, runs the pipeline, and returns the
 /// mined store (whose telemetry registry holds the run's instruments).
@@ -344,18 +359,8 @@ fn run_mine_pipeline(
     } else {
         MinerPipeline::new().add(Box::new(SentimentEntityMiner::new(subject_list(&names))))
     };
-    let stats = match chaos_seed {
-        Some(seed) => {
-            let plan = wf_platform::FaultPlan::uniform(seed, fail_rate);
-            let ctx = wf_platform::FaultContext {
-                plan: Some(&plan),
-                retry: wf_types::RetryPolicy::default(),
-                health: &[],
-            };
-            pipeline.run_traced(&store, &ctx, &mut root)
-        }
-        None => pipeline.run_traced(&store, &wf_platform::FaultContext::none(), &mut root),
-    };
+    let plan = chaos_seed.map(|seed| FaultPlan::uniform(seed, fail_rate));
+    let stats = pipeline.run(&store, chaos_opts(plan.as_ref(), 1), Some(&mut root));
     root.attr("documents", docs.len().to_string());
     root.finish();
     Ok((store, stats, chaos_seed, fail_rate))
@@ -1063,21 +1068,15 @@ fn observed_workload(args: &ParsedArgs) -> Result<(Arc<Telemetry>, Arc<TimeSerie
             Ingestor::new(cluster.store()).ingest_batch_traced(raw, &mut root);
             cluster.advance_clock(root.elapsed_sim_ms());
             let pipeline = MinerPipeline::new().add(Box::new(AdhocSentimentMiner::new()));
-            match chaos_seed {
-                Some(seed) => {
-                    // chaos runs take the fault-aware per-entity path
-                    root.finish();
-                    cluster.set_fault_plan(Some(FaultPlan::uniform(seed, fail_rate)));
-                    cluster.run_pipeline(&pipeline);
-                }
-                None => {
-                    // batched hot path: per-stage nlp.* attribution
-                    let ingest_ms = root.elapsed_sim_ms();
-                    pipeline.run_batched_traced(cluster.store(), 8, &mut root);
-                    cluster.advance_clock(root.elapsed_sim_ms() - ingest_ms);
-                    root.finish();
-                }
-            }
+            let plan = chaos_seed.map(|seed| FaultPlan::uniform(seed, fail_rate));
+            let ingest_ms = root.elapsed_sim_ms();
+            pipeline.run(
+                cluster.store(),
+                chaos_opts(plan.as_ref(), 8),
+                Some(&mut root),
+            );
+            cluster.advance_clock(root.elapsed_sim_ms() - ingest_ms);
+            root.finish();
             cluster.flush_timeline();
             Ok((telemetry, timeline))
         }

@@ -101,15 +101,6 @@ impl StageCosts {
         self.ner += doc.entities.len() as u64;
     }
 
-    /// Folds a whole batch.
-    pub fn from_annotations(docs: &[DocAnnotations]) -> StageCosts {
-        let mut costs = StageCosts::default();
-        for doc in docs {
-            costs.absorb(doc);
-        }
-        costs
-    }
-
     /// `(stage name, units)` pairs in pipeline order.
     pub fn stages(&self) -> [(&'static str, u64); 5] {
         [
@@ -246,17 +237,6 @@ impl Pipeline {
             .map(|t| self.analyze_doc(t.as_ref(), &mut scratch))
             .collect()
     }
-
-    /// [`Pipeline::annotate_batch`] plus the batch's per-stage unit
-    /// costs, for callers that attribute the work to profiler spans.
-    pub fn annotate_batch_costed<S: AsRef<str>>(
-        &self,
-        texts: &[S],
-    ) -> (Vec<DocAnnotations>, StageCosts) {
-        let docs = self.annotate_batch(texts);
-        let costs = StageCosts::from_annotations(&docs);
-        (docs, costs)
-    }
 }
 
 #[cfg(test)]
@@ -308,12 +288,9 @@ mod tests {
     fn stage_costs_follow_annotation_output() {
         let p = Pipeline::new();
         let texts = ["Canon makes cameras. Nikon competes.", ""];
-        let (docs, costs) = p.annotate_batch_costed(&texts);
-        assert_eq!(
-            docs,
-            p.annotate_batch(&texts),
-            "costing never changes output"
-        );
+        let docs = p.annotate_batch(&texts);
+        let mut costs = StageCosts::default();
+        docs.iter().for_each(|d| costs.absorb(d));
         let tokens: u64 = docs
             .iter()
             .flat_map(|d| &d.sentences)

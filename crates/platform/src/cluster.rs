@@ -13,7 +13,7 @@ use crate::durable::{DurableStorage, ShardRecoveryStats, SnapshotStats, StopReas
 use crate::entity::Entity;
 use crate::faults::{FaultPlan, NodeHealth};
 use crate::index::Indexer;
-use crate::miner::{FaultContext, MinerPipeline, PipelineStats};
+use crate::miner::{FaultContext, MinerPipeline, PipelineStats, RunOpts};
 use crate::store::DataStore;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use crate::timeseries::TimeSeriesStore;
@@ -338,19 +338,22 @@ impl Cluster {
 
     /// Runs a miner pipeline across all nodes in parallel, honoring node
     /// health (Down shards fail over; a fully-down cluster skips shards
-    /// rather than panicking) and the installed fault plan. Each run is one
-    /// trace in the flight recorder: `cluster.run_pipeline` wrapping the
-    /// pipeline's per-shard span tree.
+    /// rather than panicking) and the installed fault plan, one entity per
+    /// batch. Each run is one trace in the flight recorder:
+    /// `cluster.run_pipeline` wrapping the pipeline's per-shard span tree.
     pub fn run_pipeline(&self, pipeline: &MinerPipeline) -> PipelineStats {
         let plan = self.fault_plan.read().clone();
         let health = self.healths();
-        let ctx = FaultContext {
-            plan: plan.as_ref(),
-            retry: self.retry_policy(),
-            health: &health,
+        let opts = RunOpts {
+            batch: 1,
+            faults: FaultContext {
+                plan: plan.as_ref(),
+                retry: self.retry_policy(),
+                health: &health,
+            },
         };
         let mut root = self.telemetry.trace_root("cluster.run_pipeline");
-        let stats = pipeline.run_traced(&self.store, &ctx, &mut root);
+        let stats = pipeline.run(&self.store, opts, Some(&mut root));
         root.attr("processed", stats.processed.to_string());
         root.attr("failed", stats.failed.to_string());
         self.advance_sim(root.elapsed_sim_ms());

@@ -110,6 +110,24 @@ impl Entity {
         self
     }
 
+    /// Makes `self` equal to `other`, keeping `self`'s own buffers for the
+    /// text, uri and metadata when `other` holds the same values. Writing
+    /// a mined copy back this way leaves the fields a miner did not touch
+    /// where ingest allocated them; taking the copy's buffers scatters
+    /// them, and later scans over the store (index builds) slow down.
+    pub(crate) fn assign(&mut self, mut other: Entity) {
+        if self.text == other.text {
+            other.text = std::mem::take(&mut self.text);
+        }
+        if self.uri == other.uri {
+            other.uri = std::mem::take(&mut self.uri);
+        }
+        if self.metadata == other.metadata {
+            other.metadata = std::mem::take(&mut self.metadata);
+        }
+        *self = other;
+    }
+
     /// Adds an annotation.
     pub fn annotate(&mut self, annotation: Annotation) {
         self.annotations.push(annotation);
@@ -231,6 +249,26 @@ mod tests {
         let json = serde_json::to_string(&e).unwrap();
         let back: Entity = serde_json::from_str(&json).unwrap();
         assert_eq!(e, back);
+    }
+
+    #[test]
+    fn assign_keeps_buffers_of_unchanged_fields() {
+        let mut stored = sample();
+        let text = stored.text.as_ptr();
+        let mut mined = stored.clone();
+        mined.annotate(Annotation::new("sentiment", Span::new(0, 13)));
+        mined.metadata.insert("lang".into(), "en".into());
+        stored.assign(mined.clone());
+        assert_eq!(stored, mined);
+        assert_eq!(
+            stored.text.as_ptr(),
+            text,
+            "unchanged text keeps its buffer"
+        );
+        let mut rewritten = mined.clone();
+        rewritten.text = "Poor camera.".into();
+        stored.assign(rewritten.clone());
+        assert_eq!(stored, rewritten);
     }
 
     #[test]

@@ -109,7 +109,7 @@ pub use health::{
 pub use index::{IndexConfig, Indexer, Query, QueryProfile};
 pub use ingest::{IngestStats, Ingestor, RawDocument};
 pub use miner::{
-    CorpusMiner, EntityMiner, FaultContext, MinerPipeline, PipelineStats, ShardOutcome,
+    CorpusMiner, EntityMiner, FaultContext, MinerPipeline, PipelineStats, RunOpts, ShardOutcome,
 };
 pub use pagerank::{pagerank, PageRankConfig, PageRankMiner};
 pub use persist::{load_store, save_store};
@@ -125,7 +125,7 @@ pub use serving::{
 pub use stats::{corpus_stats, CorpusStats};
 pub use store::DataStore;
 pub use telemetry::{
-    Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, Span, Telemetry, TelemetrySnapshot,
+    Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, Telemetry, TelemetrySnapshot,
 };
 pub use timeseries::{
     CounterWindow, GaugeWindow, HistogramWindow, TimeSeriesStore, Timeline,

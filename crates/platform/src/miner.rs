@@ -6,20 +6,25 @@
 //! augment processed entities with the results. [...] corpus-level miners
 //! require all or part of the entire data in store."
 //!
-//! [`MinerPipeline`] runs a chain of entity miners over every shard of a
-//! [`DataStore`], one scoped worker thread per shard — the in-process
+//! [`MinerPipeline::run`] runs a chain of entity miners over every shard
+//! of a [`DataStore`], one scoped worker thread per shard — the in-process
 //! equivalent of WebFountain's per-node parallelism. Workers capture
 //! panics (a crashed shard becomes counted failures, never a crashed
 //! cluster) and, when run under a [`FaultPlan`], weather injected faults
-//! by retrying with exponential backoff on a simulated clock.
+//! by retrying with exponential backoff on a simulated clock. Entities
+//! that survive their fault draws reach the chain in batches, so
+//! batch-aware miners amortize per-document setup.
 
 use crate::entity::Entity;
-use crate::evlog::Level;
-use crate::faults::{FaultKind, FaultPlan, NodeHealth};
+use crate::evlog::{EvLog, Level};
+use crate::faults::{FaultKind, FaultPlan, FaultStream, NodeHealth};
 use crate::store::DataStore;
 use crate::trace::TraceSpan;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use wf_types::{NodeId, Result, RetryPolicy};
+use wf_types::{DocId, NodeId, Result, RetryPolicy};
+
+/// Metadata key naming the miner that failed on an entity.
+const MINER_ERROR: &str = "miner-error";
 
 /// An entity-level miner: sees one entity at a time and augments it.
 pub trait EntityMiner: Send + Sync {
@@ -29,24 +34,19 @@ pub trait EntityMiner: Send + Sync {
     /// Processes one entity in place.
     fn process(&self, entity: &mut Entity) -> Result<()>;
 
-    /// Processes a batch of entities, returning one result per entity in
-    /// order. The default delegates to [`EntityMiner::process`] per
-    /// entity; miners with a batch-aware hot path (shared scratch
-    /// buffers, one-pass document analysis) override this to amortize
-    /// per-document setup. Implementations must leave each entity exactly
-    /// as `process` would have.
-    fn process_batch(&self, batch: &mut [Entity]) -> Vec<Result<()>> {
-        batch.iter_mut().map(|e| self.process(e)).collect()
-    }
-
-    /// [`EntityMiner::process_batch`] under a trace span. Miners that can
-    /// attribute their work to stages (e.g. the NLP chain) override this
-    /// to record per-stage child spans and advance `span` by the batch's
-    /// simulated cost; the default delegates untraced and leaves the span
-    /// untouched. Entity outcomes must match `process_batch` exactly.
-    fn process_batch_traced(&self, batch: &mut [Entity], span: &mut TraceSpan) -> Vec<Result<()>> {
+    /// Processes a batch of entities under the shard's trace span,
+    /// returning one result per entity in order. The default delegates
+    /// to [`EntityMiner::process`] per entity and leaves the span alone.
+    /// Miners with a batch-aware hot path (shared scratch buffers,
+    /// one-pass document analysis) override this to amortize
+    /// per-document setup, and may charge their work to the span as
+    /// per-stage child spans, advancing it by the batch's simulated
+    /// cost. Implementations must leave each entity exactly as `process`
+    /// would have, and the charge must not depend on how the entities
+    /// are split into batches.
+    fn process_batch(&self, batch: &mut [Entity], span: &mut TraceSpan) -> Vec<Result<()>> {
         let _ = span;
-        self.process_batch(batch)
+        batch.iter_mut().map(|e| self.process(e)).collect()
     }
 }
 
@@ -81,14 +81,17 @@ pub struct PipelineStats {
 }
 
 impl PipelineStats {
-    fn absorb(&mut self, other: PipelineStats) {
-        self.processed += other.processed;
-        self.failed += other.failed;
-        self.retries += other.retries;
-        self.skipped_shards += other.skipped_shards;
-        self.failed_over += other.failed_over;
-        self.shard_sim_ms.extend(other.shard_sim_ms);
-        self.shards.extend(other.shards);
+    /// Totals over per-shard outcomes given in shard order.
+    fn from_shards(shards: Vec<ShardOutcome>) -> Self {
+        PipelineStats {
+            processed: shards.iter().map(|s| s.processed).sum(),
+            failed: shards.iter().map(|s| s.failed).sum(),
+            retries: shards.iter().map(|s| s.retries).sum(),
+            skipped_shards: shards.iter().filter(|s| s.skipped).count(),
+            failed_over: shards.iter().filter(|s| s.failed_over).count(),
+            shard_sim_ms: shards.iter().map(|s| s.sim_ms).collect(),
+            shards,
+        }
     }
 }
 
@@ -155,6 +158,26 @@ impl FaultContext<'_> {
     }
 }
 
+/// How one [`MinerPipeline::run`] goes.
+#[derive(Debug, Clone, Copy)]
+pub struct RunOpts<'a> {
+    /// Entities handed to [`EntityMiner::process_batch`] together, per
+    /// shard (0 counts as 1). Outcomes and stats do not depend on it.
+    pub batch: usize,
+    /// Injected faults, retry policy and node health.
+    pub faults: FaultContext<'a>,
+}
+
+impl Default for RunOpts<'_> {
+    /// One entity at a time, fault-free.
+    fn default() -> Self {
+        RunOpts {
+            batch: 1,
+            faults: FaultContext::none(),
+        }
+    }
+}
+
 /// A chain of entity miners executed in order over each entity.
 #[derive(Default)]
 pub struct MinerPipeline {
@@ -178,356 +201,53 @@ impl MinerPipeline {
         self.miners.iter().map(|m| m.name()).collect()
     }
 
-    /// Runs the chain over every entity of the store, one worker thread per
-    /// shard, fault-free. Errors from individual entities are counted, not
-    /// propagated: a malformed page must not stall the cluster.
-    pub fn run(&self, store: &DataStore) -> PipelineStats {
-        self.run_with(store, &FaultContext::none())
-    }
-
-    /// Runs the chain over every entity of the store in document batches
-    /// of `batch_size` per shard (one worker thread per shard,
-    /// fault-free), routing each batch through
-    /// [`EntityMiner::process_batch`] so batch-aware miners amortize
-    /// per-document setup. Per-entity semantics match [`MinerPipeline::run`]
-    /// exactly: the chain stops at the first failing miner (which marks
-    /// `miner-error`), every surviving entity gets exactly one version
-    /// bump, and `processed + failed == store.len()`.
-    pub fn run_batched(&self, store: &DataStore, batch_size: usize) -> PipelineStats {
-        let batch_size = batch_size.max(1);
-        let shard_count = store.shard_count();
-        let entities_in = store.len() as u64;
-        let results: Vec<PipelineStats> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shard_count)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            self.run_shard_batched(store, shard, batch_size)
-                        }))
-                        .unwrap_or_else(|_| {
-                            let shard_len = store.shard_ids(NodeId(shard as u32)).len();
-                            PipelineStats {
-                                failed: shard_len,
-                                skipped_shards: 1,
-                                shard_sim_ms: vec![0],
-                                shards: vec![ShardOutcome {
-                                    shard,
-                                    executor: Some(shard),
-                                    failed: shard_len,
-                                    skipped: true,
-                                    last_error: Some("panicked".to_string()),
-                                    ..ShardOutcome::default()
-                                }],
-                                ..PipelineStats::default()
-                            }
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker wrapper never panics"))
-                .collect()
-        });
-        let mut total = PipelineStats::default();
-        for r in results {
-            total.absorb(r);
-        }
-        let tele = store.telemetry();
-        tele.counter("pipeline.runs").inc();
-        tele.counter("pipeline.entities_in").add(entities_in);
-        tele.counter("pipeline.processed")
-            .add(total.processed as u64);
-        tele.counter("pipeline.failed").add(total.failed as u64);
-        tele.counter("pipeline.skipped_shards")
-            .add(total.skipped_shards as u64);
-        total
-    }
-
-    /// One shard of [`MinerPipeline::run_batched`]: fetch a batch, run the
-    /// chain (batch calls while every entity is still healthy, per-entity
-    /// for the stragglers once one has failed), then write back with one
-    /// update per entity.
-    fn run_shard_batched(
-        &self,
-        store: &DataStore,
-        shard: usize,
-        batch_size: usize,
-    ) -> PipelineStats {
-        let mut stats = PipelineStats::default();
-        for chunk in store.shard_ids(NodeId(shard as u32)).chunks(batch_size) {
-            let mut ids = Vec::with_capacity(chunk.len());
-            let mut batch = Vec::with_capacity(chunk.len());
-            for &id in chunk {
-                match store.get(id) {
-                    Ok(e) => {
-                        ids.push(id);
-                        batch.push(e);
-                    }
-                    Err(_) => stats.failed += 1,
-                }
-            }
-            let mut active = vec![true; batch.len()];
-            for miner in &self.miners {
-                if active.iter().all(|&a| a) {
-                    for (i, res) in miner.process_batch(&mut batch).into_iter().enumerate() {
-                        if res.is_err() {
-                            batch[i]
-                                .metadata
-                                .insert("miner-error".into(), miner.name().to_string());
-                            active[i] = false;
-                        }
-                    }
-                } else {
-                    for (i, entity) in batch.iter_mut().enumerate() {
-                        if active[i] && miner.process(entity).is_err() {
-                            entity
-                                .metadata
-                                .insert("miner-error".into(), miner.name().to_string());
-                            active[i] = false;
-                        }
-                    }
-                }
-            }
-            for ((id, mined), ok) in ids.into_iter().zip(batch).zip(active) {
-                let written = store.update(id, |slot| *slot = mined).is_ok();
-                if written && ok {
-                    stats.processed += 1;
-                } else {
-                    stats.failed += 1;
-                }
-            }
-        }
-        stats.shard_sim_ms = vec![0];
-        stats.shards = vec![ShardOutcome {
-            shard,
-            executor: Some(shard),
-            processed: stats.processed,
-            failed: stats.failed,
-            ..ShardOutcome::default()
-        }];
-        stats
-    }
-
-    /// [`MinerPipeline::run_batched`] as a child span of `parent`: one
-    /// `shard:<n>` span per shard forked at the same instant, batches
-    /// routed through [`EntityMiner::process_batch_traced`] so stage-aware
-    /// miners attribute their work (the sentiment chain records
-    /// `nlp.tokenize` … `nlp.ner` children), and the parent clock advanced
-    /// by the slowest shard. Entity outcomes match `run_batched` exactly.
-    pub fn run_batched_traced(
-        &self,
-        store: &DataStore,
-        batch_size: usize,
-        parent: &mut TraceSpan,
-    ) -> PipelineStats {
-        let batch_size = batch_size.max(1);
-        let shard_count = store.shard_count();
-        let entities_in = store.len() as u64;
-        let mut span = parent.child("pipeline.run");
-        let fork_start = span.start_sim_ms() + span.elapsed_sim_ms();
-        let shard_spans: Vec<TraceSpan> = (0..shard_count)
-            .map(|s| span.child(format!("shard:{s}")))
-            .collect();
-        let results: Vec<(PipelineStats, u64)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shard_spans
-                .into_iter()
-                .enumerate()
-                .map(|(shard, mut sp)| {
-                    scope.spawn(move || {
-                        let stats = match catch_unwind(AssertUnwindSafe(|| {
-                            self.run_shard_batched_traced(store, shard, batch_size, &mut sp)
-                        })) {
-                            Ok(stats) => stats,
-                            Err(_) => {
-                                sp.event("panicked");
-                                let shard_len = store.shard_ids(NodeId(shard as u32)).len();
-                                store.telemetry().evlog().event_in(
-                                    Level::Error,
-                                    &sp,
-                                    &format!("miner.shard:{shard}"),
-                                    "shard worker panicked",
-                                    &[("docs", shard_len.to_string())],
-                                );
-                                PipelineStats {
-                                    failed: shard_len,
-                                    skipped_shards: 1,
-                                    shard_sim_ms: vec![sp.elapsed_sim_ms()],
-                                    shards: vec![ShardOutcome {
-                                        shard,
-                                        executor: Some(shard),
-                                        failed: shard_len,
-                                        skipped: true,
-                                        sim_ms: sp.elapsed_sim_ms(),
-                                        last_error: Some("panicked".to_string()),
-                                        ..ShardOutcome::default()
-                                    }],
-                                    ..PipelineStats::default()
-                                }
-                            }
-                        };
-                        sp.attr("processed", stats.processed.to_string());
-                        sp.attr("failed", stats.failed.to_string());
-                        let elapsed = sp.elapsed_sim_ms();
-                        sp.finish();
-                        (stats, elapsed)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker wrapper never panics"))
-                .collect()
-        });
-        // merged in shard order, independent of worker interleaving
-        let mut total = PipelineStats::default();
-        let mut slowest = 0u64;
-        for (r, elapsed) in results {
-            total.absorb(r);
-            slowest = slowest.max(elapsed);
-        }
-        span.advance_to(fork_start + slowest);
-        let elapsed = span.elapsed_sim_ms();
-        span.finish();
-        parent.advance(elapsed);
-        let tele = store.telemetry();
-        tele.counter("pipeline.runs").inc();
-        tele.counter("pipeline.entities_in").add(entities_in);
-        tele.counter("pipeline.processed")
-            .add(total.processed as u64);
-        tele.counter("pipeline.failed").add(total.failed as u64);
-        tele.counter("pipeline.skipped_shards")
-            .add(total.skipped_shards as u64);
-        total
-    }
-
-    /// One shard of [`MinerPipeline::run_batched_traced`]: identical
-    /// entity semantics to [`MinerPipeline::run_shard_batched`], but each
-    /// batch runs under the shard's span so stage-aware miners charge it.
-    fn run_shard_batched_traced(
-        &self,
-        store: &DataStore,
-        shard: usize,
-        batch_size: usize,
-        span: &mut TraceSpan,
-    ) -> PipelineStats {
-        let mut stats = PipelineStats::default();
-        for chunk in store.shard_ids(NodeId(shard as u32)).chunks(batch_size) {
-            let mut ids = Vec::with_capacity(chunk.len());
-            let mut batch = Vec::with_capacity(chunk.len());
-            for &id in chunk {
-                match store.get(id) {
-                    Ok(e) => {
-                        ids.push(id);
-                        batch.push(e);
-                    }
-                    Err(_) => stats.failed += 1,
-                }
-            }
-            let mut active = vec![true; batch.len()];
-            for miner in &self.miners {
-                if active.iter().all(|&a| a) {
-                    let results = miner.process_batch_traced(&mut batch, span);
-                    for (i, res) in results.into_iter().enumerate() {
-                        if res.is_err() {
-                            batch[i]
-                                .metadata
-                                .insert("miner-error".into(), miner.name().to_string());
-                            active[i] = false;
-                        }
-                    }
-                } else {
-                    for (i, entity) in batch.iter_mut().enumerate() {
-                        if active[i] && miner.process(entity).is_err() {
-                            entity
-                                .metadata
-                                .insert("miner-error".into(), miner.name().to_string());
-                            active[i] = false;
-                        }
-                    }
-                }
-            }
-            for ((id, mined), ok) in ids.into_iter().zip(batch).zip(active) {
-                let written = store.update(id, |slot| *slot = mined).is_ok();
-                if written && ok {
-                    stats.processed += 1;
-                } else {
-                    stats.failed += 1;
-                }
-            }
-        }
-        stats.shard_sim_ms = vec![span.elapsed_sim_ms()];
-        stats.shards = vec![ShardOutcome {
-            shard,
-            executor: Some(shard),
-            processed: stats.processed,
-            failed: stats.failed,
-            sim_ms: span.elapsed_sim_ms(),
-            ..ShardOutcome::default()
-        }];
-        stats
-    }
-
-    /// Runs the chain under a fault context: injected faults are retried
-    /// per the policy, Down nodes fail over, and worker panics are
-    /// captured — the aggregate stats always satisfy
-    /// `processed + failed == store.len()`.
+    /// Runs the chain over every entity of the store, one worker thread
+    /// per shard. Each entity first draws its injected faults (transient
+    /// ones are retried per the policy, Down nodes fail over); the
+    /// survivors are fetched, mined in batches of `opts.batch` and
+    /// written back with one update each. Errors from individual
+    /// entities are counted, not propagated — a malformed page must not
+    /// stall the cluster — and worker panics are captured, so
+    /// `processed + failed == store.len()` always holds.
     ///
-    /// The run records into the store's telemetry registry: `pipeline.*`
-    /// counters mirror the returned [`PipelineStats`] exactly, and each
-    /// shard's simulated time lands in `span.pipeline.shard.sim_ms` (in
-    /// shard order, so same-seed runs snapshot identically).
-    pub fn run_with(&self, store: &DataStore, ctx: &FaultContext<'_>) -> PipelineStats {
-        let mut root = store.telemetry().trace_root("pipeline.run");
-        let stats = self.run_traced_inner(store, ctx, &mut root);
-        root.finish();
-        stats
-    }
-
-    /// [`MinerPipeline::run_with`] as a child span of `parent`, advancing
-    /// the parent's simulated clock by the run's elapsed time. The trace
-    /// tree gains one `shard:<n>` span per shard; injected faults, retries
-    /// and timeouts become events on their shard's span.
-    pub fn run_traced(
+    /// The run is a `pipeline.run` span with one `shard:<n>` child per
+    /// shard, forked at the same instant: a child of `parent` (whose
+    /// clock then advances by the run's elapsed time) or, without one, a
+    /// trace of its own. Injected faults, retries and timeouts become
+    /// events on their shard's span. The run records into the store's
+    /// telemetry registry: `pipeline.*` counters mirror the returned
+    /// [`PipelineStats`] exactly, and each shard's simulated time lands in
+    /// `span.pipeline.shard.sim_ms` (in shard order, so same-seed runs
+    /// snapshot identically).
+    pub fn run(
         &self,
         store: &DataStore,
-        ctx: &FaultContext<'_>,
-        parent: &mut TraceSpan,
+        opts: RunOpts<'_>,
+        parent: Option<&mut TraceSpan>,
     ) -> PipelineStats {
-        let mut span = parent.child("pipeline.run");
-        let stats = self.run_traced_inner(store, ctx, &mut span);
-        let elapsed = span.elapsed_sim_ms();
-        span.finish();
-        parent.advance(elapsed);
-        stats
-    }
-
-    fn run_traced_inner(
-        &self,
-        store: &DataStore,
-        ctx: &FaultContext<'_>,
-        span: &mut TraceSpan,
-    ) -> PipelineStats {
-        let shard_count = store.shard_count();
+        let tele = store.telemetry();
+        let mut span = match &parent {
+            Some(parent) => parent.child("pipeline.run"),
+            None => tele.trace_root("pipeline.run"),
+        };
         let entities_in = store.len() as u64;
         // every shard span forks from the same instant; the workers run in
-        // parallel, so afterwards the parent clock jumps to the slowest one
+        // parallel, so afterwards the run's clock jumps to the slowest one
         let fork_start = span.start_sim_ms() + span.elapsed_sim_ms();
-        let shard_spans: Vec<TraceSpan> = (0..shard_count)
+        let shard_spans: Vec<TraceSpan> = (0..store.shard_count())
             .map(|s| span.child(format!("shard:{s}")))
             .collect();
-        let results: Vec<(PipelineStats, u64)> = std::thread::scope(|scope| {
+        let shards: Vec<ShardOutcome> = std::thread::scope(|scope| {
             let handles: Vec<_> = shard_spans
                 .into_iter()
                 .enumerate()
                 .map(|(shard, mut sp)| {
                     scope.spawn(move || {
-                        let stats = self.run_shard_guarded(store, shard, ctx, &mut sp);
-                        sp.attr("processed", stats.processed.to_string());
-                        sp.attr("failed", stats.failed.to_string());
-                        let elapsed = sp.elapsed_sim_ms();
+                        let outcome = self.run_shard(store, shard, &opts, &mut sp);
+                        sp.attr("processed", outcome.processed.to_string());
+                        sp.attr("failed", outcome.failed.to_string());
                         sp.finish();
-                        (stats, elapsed)
+                        outcome
                     })
                 })
                 .collect();
@@ -538,14 +258,9 @@ impl MinerPipeline {
         });
         // merged in shard order: identical fault seeds give byte-identical
         // stats no matter how the workers interleaved
-        let mut total = PipelineStats::default();
-        let mut slowest = 0u64;
-        for (r, elapsed) in results {
-            total.absorb(r);
-            slowest = slowest.max(elapsed);
-        }
+        let total = PipelineStats::from_shards(shards);
+        let slowest = total.shard_sim_ms.iter().copied().max().unwrap_or(0);
         span.advance_to(fork_start + slowest);
-        let tele = store.telemetry();
         tele.counter("pipeline.runs").inc();
         tele.counter("pipeline.entities_in").add(entities_in);
         tele.counter("pipeline.processed")
@@ -563,289 +278,305 @@ impl MinerPipeline {
         for &sim_ms in &total.shard_sim_ms {
             shard_hist.record_exemplar(sim_ms, trace);
         }
+        let elapsed = span.elapsed_sim_ms();
+        span.finish();
+        if let Some(parent) = parent {
+            parent.advance(elapsed);
+        }
         total
     }
 
-    /// One shard, panic-safe: a crash inside a miner converts the whole
-    /// shard into counted failures instead of poisoning the run — and
-    /// leaves a `panicked` event on the shard's span, which keeps the
-    /// simulated time it had accrued up to the crash (it used to be lost,
-    /// reported as 0).
-    fn run_shard_guarded(
+    /// One shard, placed and panic-safe: a Down owner fails over (or, with
+    /// no healthy node left, the shard is skipped), and a crash inside a
+    /// miner converts the whole shard into counted failures instead of
+    /// poisoning the run — leaving a `panicked` event on the shard's span,
+    /// which keeps the simulated time it had accrued up to the crash.
+    fn run_shard(
         &self,
         store: &DataStore,
         shard: usize,
-        ctx: &FaultContext<'_>,
+        opts: &RunOpts<'_>,
         span: &mut TraceSpan,
-    ) -> PipelineStats {
-        let shard_len = store.shard_ids(NodeId(shard as u32)).len();
-        let Some(executor) = ctx.executor_for(shard, store.shard_count()) else {
-            // whole cluster down: shard cannot be placed
+    ) -> ShardOutcome {
+        let ids = store.shard_ids(NodeId(shard as u32));
+        let log = store.telemetry().evlog();
+        let target = format!("miner.shard:{shard}");
+        let docs = [("docs", ids.len().to_string())];
+        let Some(executor) = opts.faults.executor_for(shard, store.shard_count()) else {
             span.event("unplaced");
-            store.telemetry().evlog().event_in(
+            log.event_in(
                 Level::Error,
                 span,
-                &format!("miner.shard:{shard}"),
+                &target,
                 "shard unplaced: no healthy node",
-                &[("docs", shard_len.to_string())],
+                &docs,
             );
-            return PipelineStats {
-                failed: shard_len,
-                skipped_shards: 1,
-                shard_sim_ms: vec![0],
-                shards: vec![ShardOutcome {
-                    shard,
-                    executor: None,
-                    failed: shard_len,
-                    skipped: true,
-                    last_error: Some("unplaced".to_string()),
-                    ..ShardOutcome::default()
-                }],
-                ..PipelineStats::default()
+            return ShardOutcome {
+                shard,
+                failed: ids.len(),
+                skipped: true,
+                last_error: Some("unplaced".to_string()),
+                ..ShardOutcome::default()
             };
         };
         let failed_over = executor != shard;
         if failed_over {
             span.event(format!("failover:node:{executor}"));
-            store.telemetry().evlog().event_in(
+            log.event_in(
                 Level::Warn,
                 span,
-                &format!("miner.shard:{shard}"),
+                &target,
                 "shard failed over",
                 &[("executor", executor.to_string())],
             );
         }
-        match catch_unwind(AssertUnwindSafe(|| {
-            self.run_shard(store, shard, executor, ctx, span)
-        })) {
-            Ok(mut stats) => {
-                stats.failed_over = usize::from(failed_over);
-                if let Some(outcome) = stats.shards.first_mut() {
-                    outcome.failed_over = failed_over;
-                }
-                stats
-            }
-            Err(_) => {
-                span.event("panicked");
-                store.telemetry().evlog().event_in(
-                    Level::Error,
-                    span,
-                    &format!("miner.shard:{shard}"),
-                    "shard worker panicked",
-                    &[("docs", shard_len.to_string())],
-                );
-                PipelineStats {
-                    // conservative accounting: a crashed worker forfeits the
-                    // shard, so every entity in it counts as failed
-                    failed: shard_len,
-                    skipped_shards: 1,
-                    failed_over: usize::from(failed_over),
-                    shard_sim_ms: vec![span.elapsed_sim_ms()],
-                    shards: vec![ShardOutcome {
-                        shard,
-                        executor: Some(executor),
-                        failed: shard_len,
-                        failed_over,
-                        skipped: true,
-                        sim_ms: span.elapsed_sim_ms(),
-                        last_error: Some("panicked".to_string()),
-                        ..ShardOutcome::default()
-                    }],
-                    ..PipelineStats::default()
-                }
-            }
-        }
-    }
-
-    /// Runs the chain over one shard (sequentially within the shard),
-    /// drawing faults from the shard's own deterministic stream.
-    fn run_shard(
-        &self,
-        store: &DataStore,
-        shard: usize,
-        executor: usize,
-        ctx: &FaultContext<'_>,
-        span: &mut TraceSpan,
-    ) -> PipelineStats {
-        let mut stats = PipelineStats::default();
-        let mut sim_ms = 0u64;
-        let mut faults = 0u64;
-        let mut last_error: Option<String> = None;
-        let log = store.telemetry().evlog();
-        let target = format!("miner.shard:{shard}");
-        let mut stream = ctx.plan.map(|p| p.stream(&format!("shard:{shard}")));
+        let mut stream = opts
+            .faults
+            .plan
+            .map(|p| p.stream(&format!("shard:{shard}")));
         if let Some(s) = stream.as_mut() {
-            if ctx.health_of(executor) == NodeHealth::Degraded {
+            if opts.faults.health_of(executor) == NodeHealth::Degraded {
                 s.degrade();
             }
         }
-        for id in store.shard_ids(NodeId(shard as u32)) {
-            // retry loop per entity: injected transient faults (node blip,
-            // store conflict) back off and try again on the simulated
-            // clock; terminal faults and exhausted budgets count as failed.
-            // The shard span's clock advances in lockstep with
-            // `entity_elapsed`, so span duration == shard_sim_ms.
-            let mut entity_elapsed = 0u64;
-            let mut outcome: Option<bool> = None; // Some(ok) once decided
-            let mut entity_error: Option<String> = None;
-            for attempt in 0..=ctx.retry.max_retries {
-                let fault = stream.as_mut().and_then(|s| s.draw());
-                let latency = stream.as_ref().map(|s| s.latency_ms(fault)).unwrap_or(0);
-                entity_elapsed += latency;
-                span.advance(latency);
-                if entity_elapsed > ctx.retry.timeout_budget_ms {
-                    span.event(format!("timeout doc={}", id.0));
-                    log.event_in(
-                        Level::Error,
-                        span,
-                        &target,
-                        "entity timeout",
-                        &[
-                            ("budget_ms", ctx.retry.timeout_budget_ms.to_string()),
-                            ("doc", id.0.to_string()),
-                        ],
-                    );
-                    entity_error = Some(format!("timeout doc={}", id.0));
-                    outcome = Some(false); // budget exhausted: timeout
-                    break;
-                }
-                if let Some(kind) = fault {
-                    faults += 1;
-                    span.event(format!("fault:{} doc={}", kind.label(), id.0));
-                    log.event_in(
-                        Level::Warn,
-                        span,
-                        &target,
-                        "fault injected",
-                        &[
-                            ("doc", id.0.to_string()),
-                            ("kind", kind.label().to_string()),
-                        ],
-                    );
-                }
-                match fault {
-                    Some(FaultKind::ServiceError) => {
-                        entity_error = Some(format!("fault:service_error doc={}", id.0));
-                        outcome = Some(false); // application error: terminal
-                        break;
-                    }
-                    Some(kind @ (FaultKind::NodeDown | FaultKind::StoreConflict)) => {
-                        // transient: injected *before* the store mutation,
-                        // so a later successful attempt bumps the entity
-                        // version exactly once
-                        if attempt == ctx.retry.max_retries {
-                            log.event_in(
-                                Level::Error,
-                                span,
-                                &target,
-                                "retries exhausted",
-                                &[
-                                    ("doc", id.0.to_string()),
-                                    ("kind", kind.label().to_string()),
-                                ],
-                            );
-                            entity_error = Some(format!(
-                                "fault:{} doc={} retries exhausted",
-                                kind.label(),
-                                id.0
-                            ));
-                            outcome = Some(false);
-                            break;
-                        }
-                        stats.retries += 1;
-                        let backoff = ctx.retry.backoff_for(attempt + 1);
-                        entity_elapsed += backoff;
-                        span.advance(backoff);
-                        span.event(format!(
-                            "retry:{} doc={} backoff:{backoff}ms",
-                            attempt + 1,
-                            id.0
-                        ));
-                        log.event_in(
-                            Level::Info,
-                            span,
-                            &target,
-                            "retrying entity",
-                            &[
-                                ("backoff_ms", backoff.to_string()),
-                                ("doc", id.0.to_string()),
-                                ("retry", (attempt + 1).to_string()),
-                            ],
-                        );
-                        if entity_elapsed > ctx.retry.timeout_budget_ms {
-                            span.event(format!("timeout doc={}", id.0));
-                            log.event_in(
-                                Level::Error,
-                                span,
-                                &target,
-                                "entity timeout",
-                                &[
-                                    ("budget_ms", ctx.retry.timeout_budget_ms.to_string()),
-                                    ("doc", id.0.to_string()),
-                                ],
-                            );
-                            entity_error = Some(format!("timeout doc={}", id.0));
-                            outcome = Some(false);
-                            break;
-                        }
-                        continue;
-                    }
-                    Some(FaultKind::SlowResponse) | None => {
-                        outcome = Some(self.mine_one(store, id, span));
-                        break;
-                    }
+        let mut draws = FaultDraws {
+            stream,
+            retry: opts.faults.retry,
+            log,
+            target: &target,
+            retries: 0,
+            faults: 0,
+        };
+        let mined = catch_unwind(AssertUnwindSafe(|| {
+            self.mine_shard(store, &ids, opts.batch.max(1), &mut draws, span)
+        }));
+        let mut outcome = match mined {
+            Ok((processed, failed, last_error)) => ShardOutcome {
+                processed,
+                failed,
+                retries: draws.retries,
+                faults: draws.faults,
+                last_error,
+                ..ShardOutcome::default()
+            },
+            Err(_) => {
+                span.event("panicked");
+                log.event_in(Level::Error, span, &target, "shard worker panicked", &docs);
+                // conservative accounting: a crashed worker forfeits the
+                // shard, so every entity in it counts as failed
+                ShardOutcome {
+                    failed: ids.len(),
+                    skipped: true,
+                    last_error: Some("panicked".to_string()),
+                    ..ShardOutcome::default()
                 }
             }
-            match outcome {
-                Some(true) => stats.processed += 1,
-                _ => {
-                    stats.failed += 1;
-                    last_error =
-                        Some(entity_error.unwrap_or_else(|| format!("miner-error doc={}", id.0)));
-                }
-            }
-            sim_ms += entity_elapsed;
-        }
-        stats.shard_sim_ms = vec![sim_ms];
-        stats.shards = vec![ShardOutcome {
-            shard,
-            executor: Some(executor),
-            processed: stats.processed,
-            failed: stats.failed,
-            retries: stats.retries,
-            faults,
-            failed_over: false, // the caller fills this in
-            skipped: false,
-            sim_ms,
-            last_error,
-        }];
-        stats
+        };
+        outcome.shard = shard;
+        outcome.executor = Some(executor);
+        outcome.failed_over = failed_over;
+        outcome.sim_ms = span.elapsed_sim_ms();
+        outcome
     }
 
-    /// Applies the miner chain to one entity; true on clean success. Store
-    /// round-trips appear as `store.update:<id>` / `store.get:<id>` child
-    /// spans — if a miner panics mid-update, the in-flight span still
-    /// records on unwind (via Drop), so the flight recorder keeps the
-    /// partial trace.
-    fn mine_one(&self, store: &DataStore, id: wf_types::DocId, span: &mut TraceSpan) -> bool {
-        let updated = store.update_traced(id, span, |entity| {
-            for miner in &self.miners {
-                if miner.process(entity).is_err() {
-                    // mark and stop the chain for this entity
-                    entity
-                        .metadata
-                        .insert("miner-error".into(), miner.name().to_string());
-                    break;
+    /// Mines one shard's entities in chunks of `batch`: each entity draws
+    /// its faults, the survivors are fetched, the chain runs over them
+    /// and each is written back. Returns (processed, failed, the last
+    /// failure in shard order). With `batch == 1` each entity is fetched,
+    /// mined and written back right after its own fault draws.
+    fn mine_shard(
+        &self,
+        store: &DataStore,
+        ids: &[DocId],
+        batch: usize,
+        draws: &mut FaultDraws<'_>,
+        span: &mut TraceSpan,
+    ) -> (usize, usize, Option<String>) {
+        let (mut processed, mut failed, mut last_error) = (0, 0, None);
+        for chunk in ids.chunks(batch) {
+            // one slot per entity of the chunk: Some(reason) once it failed
+            let mut errors: Vec<Option<String>> =
+                chunk.iter().map(|&id| draws.draw(id, span)).collect();
+            let mut positions = Vec::with_capacity(chunk.len());
+            let mut entities = Vec::with_capacity(chunk.len());
+            for (i, &id) in chunk.iter().enumerate() {
+                if errors[i].is_some() {
+                    continue;
+                }
+                match store.get_traced(id, span) {
+                    Ok(mut entity) => {
+                        // this run decides the outcome: drop an earlier
+                        // run's failure marker before the chain runs
+                        entity.metadata.remove(MINER_ERROR);
+                        positions.push(i);
+                        entities.push(entity);
+                    }
+                    Err(_) => errors[i] = Some(format!("{MINER_ERROR} doc={}", id.0)),
                 }
             }
-        });
-        match updated {
-            Ok(()) => store
-                .get_traced(id, span)
-                .ok()
-                .is_none_or(|e| !e.metadata.contains_key("miner-error")),
-            Err(_) => false,
+            let ok = self.apply_chain(&mut entities, span);
+            for ((i, mined), ok) in positions.into_iter().zip(entities).zip(ok) {
+                let id = chunk[i];
+                let written = store
+                    .update_traced(id, span, |slot| slot.assign(mined))
+                    .is_ok();
+                if !(written && ok) {
+                    errors[i] = Some(format!("{MINER_ERROR} doc={}", id.0));
+                }
+            }
+            for error in errors {
+                match error {
+                    None => processed += 1,
+                    Some(error) => {
+                        failed += 1;
+                        last_error = Some(error);
+                    }
+                }
+            }
         }
+        (processed, failed, last_error)
+    }
+
+    /// Runs the chain over `batch`: one `process_batch` call per miner
+    /// while every entity is still healthy, then one-entity batches for
+    /// the survivors once one has failed (so stage charges do not depend
+    /// on the batch size). An entity's chain stops at its first failing
+    /// miner, whose name lands in `miner-error`. Returns one success
+    /// flag per entity.
+    fn apply_chain(&self, batch: &mut [Entity], span: &mut TraceSpan) -> Vec<bool> {
+        let mut ok = vec![true; batch.len()];
+        for miner in &self.miners {
+            let results = if ok.iter().all(|&o| o) {
+                miner.process_batch(batch, span)
+            } else {
+                batch
+                    .iter_mut()
+                    .zip(&ok)
+                    .map(|(entity, &live)| {
+                        if live {
+                            miner
+                                .process_batch(std::slice::from_mut(entity), span)
+                                .remove(0)
+                        } else {
+                            Ok(())
+                        }
+                    })
+                    .collect()
+            };
+            for ((entity, ok), result) in batch.iter_mut().zip(&mut ok).zip(results) {
+                if *ok && result.is_err() {
+                    entity
+                        .metadata
+                        .insert(MINER_ERROR.into(), miner.name().to_string());
+                    *ok = false;
+                }
+            }
+        }
+        ok
+    }
+}
+
+/// One shard's fault draws: its deterministic stream (none when the run
+/// is fault-free), the retry policy, and what the draws cost.
+struct FaultDraws<'a> {
+    stream: Option<FaultStream>,
+    retry: RetryPolicy,
+    log: &'a EvLog,
+    target: &'a str,
+    retries: u64,
+    faults: u64,
+}
+
+impl FaultDraws<'_> {
+    /// Draws `id`'s injected faults on the span's simulated clock:
+    /// transient ones (node blip, store conflict) back off and retry,
+    /// terminal ones and exhausted budgets fail the entity. `None`
+    /// admits the entity to the chain; `Some(reason)` fails it before
+    /// the store is touched, so a later successful attempt bumps the
+    /// entity version exactly once.
+    fn draw(&mut self, id: DocId, span: &mut TraceSpan) -> Option<String> {
+        let stream = self.stream.as_mut()?;
+        let doc = || ("doc", id.0.to_string());
+        let mut elapsed = 0u64;
+        let mut attempt = 0;
+        loop {
+            let fault = stream.draw();
+            let latency = stream.latency_ms(fault);
+            elapsed += latency;
+            span.advance(latency);
+            if elapsed > self.retry.timeout_budget_ms {
+                return Some(self.timeout(id, span));
+            }
+            let kind = fault?;
+            self.faults += 1;
+            span.event(format!("fault:{} doc={}", kind.label(), id.0));
+            let kind_field = ("kind", kind.label().to_string());
+            self.log.event_in(
+                Level::Warn,
+                span,
+                self.target,
+                "fault injected",
+                &[doc(), kind_field.clone()],
+            );
+            match kind {
+                FaultKind::SlowResponse => return None,
+                FaultKind::ServiceError => {
+                    return Some(format!("fault:service_error doc={}", id.0));
+                }
+                FaultKind::NodeDown | FaultKind::StoreConflict => {
+                    if attempt == self.retry.max_retries {
+                        self.log.event_in(
+                            Level::Error,
+                            span,
+                            self.target,
+                            "retries exhausted",
+                            &[doc(), kind_field],
+                        );
+                        return Some(format!(
+                            "fault:{} doc={} retries exhausted",
+                            kind.label(),
+                            id.0
+                        ));
+                    }
+                    attempt += 1;
+                    self.retries += 1;
+                    let backoff = self.retry.backoff_for(attempt);
+                    elapsed += backoff;
+                    span.advance(backoff);
+                    span.event(format!("retry:{attempt} doc={} backoff:{backoff}ms", id.0));
+                    self.log.event_in(
+                        Level::Info,
+                        span,
+                        self.target,
+                        "retrying entity",
+                        &[
+                            ("backoff_ms", backoff.to_string()),
+                            doc(),
+                            ("retry", attempt.to_string()),
+                        ],
+                    );
+                    if elapsed > self.retry.timeout_budget_ms {
+                        return Some(self.timeout(id, span));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Marks `id` as timed out: its retries outran the budget.
+    fn timeout(&self, id: DocId, span: &mut TraceSpan) -> String {
+        span.event(format!("timeout doc={}", id.0));
+        self.log.event_in(
+            Level::Error,
+            span,
+            self.target,
+            "entity timeout",
+            &[
+                ("budget_ms", self.retry.timeout_budget_ms.to_string()),
+                ("doc", id.0.to_string()),
+            ],
+        );
+        format!("timeout doc={}", id.0)
     }
 }
 
@@ -919,13 +650,29 @@ mod tests {
         store
     }
 
+    /// A fault-free run in batches of `batch`, as its own trace.
+    fn run_batch(pipeline: &MinerPipeline, store: &DataStore, batch: usize) -> PipelineStats {
+        let opts = RunOpts {
+            batch,
+            ..RunOpts::default()
+        };
+        pipeline.run(store, opts, None)
+    }
+
+    fn assert_same_entities(a: &DataStore, b: &DataStore) {
+        assert_eq!(a.len(), b.len());
+        for id in a.ids() {
+            assert_eq!(a.get(id).unwrap(), b.get(id).unwrap(), "entity {id:?}");
+        }
+    }
+
     #[test]
     fn pipeline_processes_all_entities() {
         let store = seeded_store(4, 20);
         let pipeline = MinerPipeline::new()
             .add(Box::new(UppercaseCounter))
             .add(Box::new(Tagger));
-        let stats = pipeline.run(&store);
+        let stats = run_batch(&pipeline, &store, 1);
         assert_eq!(stats.processed, 20);
         assert_eq!(stats.failed, 0);
         assert_eq!(stats.retries, 0);
@@ -945,9 +692,13 @@ mod tests {
         store.insert(Entity::new("b", SourceKind::Web, ""));
         store.insert(Entity::new("c", SourceKind::Web, "more"));
         let pipeline = MinerPipeline::new().add(Box::new(FailOnEmpty));
-        let stats = pipeline.run(&store);
+        let stats = run_batch(&pipeline, &store, 1);
         assert_eq!(stats.processed, 2);
         assert_eq!(stats.failed, 1);
+        assert_eq!(
+            stats.shards[1].last_error.as_deref(),
+            Some("miner-error doc=1")
+        );
     }
 
     #[test]
@@ -957,11 +708,28 @@ mod tests {
         let pipeline = MinerPipeline::new()
             .add(Box::new(FailOnEmpty))
             .add(Box::new(UppercaseCounter));
-        pipeline.run(&store);
-        let e = store.get(wf_types::DocId(0)).unwrap();
+        run_batch(&pipeline, &store, 1);
+        let e = store.get(DocId(0)).unwrap();
         // second miner never ran
         assert!(!e.metadata.contains_key("uppercase"));
         assert_eq!(e.metadata.get("miner-error").unwrap(), "fail-on-empty");
+    }
+
+    /// A failure marker left by an earlier pipeline must not count
+    /// against a later pipeline whose chain succeeds on the entity.
+    #[test]
+    fn stale_miner_error_does_not_fail_a_later_run() {
+        let store = DataStore::new(2).unwrap();
+        store.insert(Entity::new("a", SourceKind::Web, "content"));
+        store.insert(Entity::new("b", SourceKind::Web, ""));
+        let first = run_batch(&MinerPipeline::new().add(Box::new(FailOnEmpty)), &store, 1);
+        assert_eq!(first.failed, 1);
+        for batch in [1, 2] {
+            let second = run_batch(&MinerPipeline::new().add(Box::new(Tagger)), &store, batch);
+            assert_eq!((second.processed, second.failed), (2, 0), "batch {batch}");
+            let e = store.get(DocId(1)).unwrap();
+            assert!(!e.metadata.contains_key("miner-error"));
+        }
     }
 
     #[test]
@@ -981,7 +749,7 @@ mod tests {
     #[test]
     fn empty_store_is_noop() {
         let store = DataStore::new(3).unwrap();
-        let stats = MinerPipeline::new().add(Box::new(Tagger)).run(&store);
+        let stats = run_batch(&MinerPipeline::new().add(Box::new(Tagger)), &store, 8);
         assert_eq!(stats.processed, 0);
         assert_eq!(stats.failed, 0);
         assert_eq!(stats.shard_sim_ms, vec![0, 0, 0]);
@@ -994,7 +762,7 @@ mod tests {
         store.insert(Entity::new("b", SourceKind::Web, ""));
         store.insert(Entity::new("c", SourceKind::Web, "more"));
         let pipeline = MinerPipeline::new().add(Box::new(FailOnEmpty));
-        let stats = pipeline.run(&store);
+        let stats = run_batch(&pipeline, &store, 2);
         let snap = store.telemetry().snapshot();
         assert_eq!(snap.counter("pipeline.runs"), 1);
         assert_eq!(snap.counter("pipeline.entities_in"), 3);
@@ -1011,47 +779,44 @@ mod tests {
     }
 
     #[test]
-    fn run_batched_matches_run_exactly() {
-        let sequential = seeded_store(4, 20);
-        let batched = seeded_store(4, 20);
+    fn batch_sizes_match_per_entity_exactly() {
         let pipeline = MinerPipeline::new()
             .add(Box::new(UppercaseCounter))
             .add(Box::new(Tagger));
-        let a = pipeline.run(&sequential);
-        let b = pipeline.run_batched(&batched, 7);
-        assert_eq!((a.processed, a.failed), (b.processed, b.failed));
-        for id in sequential.ids() {
-            assert_eq!(
-                sequential.get(id).unwrap(),
-                batched.get(id).unwrap(),
-                "batched entity diverged for {id:?}"
-            );
+        let per_entity = seeded_store(4, 20);
+        let a = run_batch(&pipeline, &per_entity, 1);
+        for batch in [2, 7, 64] {
+            let batched = seeded_store(4, 20);
+            let b = run_batch(&pipeline, &batched, batch);
+            assert_eq!(a, b, "batch {batch}");
+            assert_same_entities(&per_entity, &batched);
         }
     }
 
     #[test]
-    fn run_batched_falls_back_per_entity_after_a_failure() {
-        let sequential = DataStore::new(2).unwrap();
-        let batched = DataStore::new(2).unwrap();
-        for store in [&sequential, &batched] {
+    fn batch_falls_back_per_entity_after_a_failure() {
+        let seed = || {
+            let store = DataStore::new(2).unwrap();
             store.insert(Entity::new("a", SourceKind::Web, "content"));
             store.insert(Entity::new("b", SourceKind::Web, ""));
             store.insert(Entity::new("c", SourceKind::Web, "more"));
             store.insert(Entity::new("d", SourceKind::Web, ""));
-        }
+            store
+        };
         let pipeline = MinerPipeline::new()
             .add(Box::new(FailOnEmpty))
             .add(Box::new(UppercaseCounter));
-        let a = pipeline.run(&sequential);
-        let b = pipeline.run_batched(&batched, 16);
-        assert_eq!((a.processed, a.failed), (b.processed, b.failed));
+        let per_entity = seed();
+        let a = run_batch(&pipeline, &per_entity, 1);
+        let batched = seed();
+        let b = run_batch(&pipeline, &batched, 16);
+        assert_eq!(a, b);
         assert_eq!(b.processed, 2);
         assert_eq!(b.failed, 2);
-        for id in sequential.ids() {
-            assert_eq!(sequential.get(id).unwrap(), batched.get(id).unwrap());
-        }
+        assert_same_entities(&per_entity, &batched);
     }
 
+    /// Charges one simulated ms per entity to a `tag` stage span.
     struct CostedTagger;
     impl EntityMiner for CostedTagger {
         fn name(&self) -> &str {
@@ -1060,39 +825,36 @@ mod tests {
         fn process(&self, entity: &mut Entity) -> Result<()> {
             Tagger.process(entity)
         }
-        fn process_batch_traced(
-            &self,
-            batch: &mut [Entity],
-            span: &mut TraceSpan,
-        ) -> Vec<Result<()>> {
+        fn process_batch(&self, batch: &mut [Entity], span: &mut TraceSpan) -> Vec<Result<()>> {
             let mut stage = span.child("tag");
             stage.advance(batch.len() as u64);
             stage.finish();
             span.advance(batch.len() as u64);
-            self.process_batch(batch)
+            batch.iter_mut().map(|e| self.process(e)).collect()
         }
     }
 
     #[test]
-    fn run_batched_traced_matches_run_batched_and_charges_stage_spans() {
-        let plain = seeded_store(3, 12);
-        let traced = seeded_store(3, 12);
+    fn batches_charge_stage_spans_to_their_shard() {
         let pipeline = MinerPipeline::new().add(Box::new(CostedTagger));
-        let a = pipeline.run_batched(&plain, 5);
-        let tele = traced.telemetry().clone();
+        let per_entity = seeded_store(3, 12);
+        let a = run_batch(&pipeline, &per_entity, 1);
+        let batched = seeded_store(3, 12);
+        let tele = batched.telemetry().clone();
         let mut op = tele.trace_root("op");
-        let b = pipeline.run_batched_traced(&traced, 5, &mut op);
+        let opts = RunOpts {
+            batch: 5,
+            ..RunOpts::default()
+        };
+        let b = pipeline.run(&batched, opts, Some(&mut op));
         let elapsed = op.elapsed_sim_ms();
         op.finish();
-        assert_eq!((a.processed, a.failed), (b.processed, b.failed));
-        for id in plain.ids() {
-            assert_eq!(plain.get(id).unwrap(), traced.get(id).unwrap());
-        }
+        assert_eq!(a, b, "stage charges do not depend on the batch size");
+        assert_same_entities(&per_entity, &batched);
         // each shard holds 4 docs in one batch of 5 ⇒ 4 sim-ms per shard,
         // shards run in parallel ⇒ the run costs as much as the slowest
-        let slowest = *b.shard_sim_ms.iter().max().unwrap();
-        assert_eq!(elapsed, slowest);
         assert_eq!(b.shard_sim_ms, vec![4, 4, 4]);
+        assert_eq!(elapsed, 4);
         let traces = tele.recorder().last_traces(1);
         let run = traces[0].1[0]
             .find("op/pipeline.run")
@@ -1101,19 +863,18 @@ mod tests {
         for (shard, child) in run.children.iter().enumerate() {
             assert_eq!(child.name, format!("shard:{shard}"));
             assert_eq!(child.duration_sim_ms, b.shard_sim_ms[shard]);
-            assert_eq!(child.children.len(), 1, "one batch ⇒ one stage span");
-            assert_eq!(child.children[0].name, "tag");
+            let stages: Vec<_> = child.children.iter().filter(|c| c.name == "tag").collect();
+            assert_eq!(stages.len(), 1, "one batch ⇒ one stage span");
+            assert_eq!(stages[0].duration_sim_ms, 4);
         }
     }
 
     #[test]
-    fn run_batched_batch_size_edges() {
-        for batch_size in [0, 1, 1000] {
+    fn batch_size_edges() {
+        for batch in [0, 1, 1000] {
             let store = seeded_store(3, 10);
-            let stats = MinerPipeline::new()
-                .add(Box::new(Tagger))
-                .run_batched(&store, batch_size);
-            assert_eq!(stats.processed, 10, "batch_size {batch_size}");
+            let stats = run_batch(&MinerPipeline::new().add(Box::new(Tagger)), &store, batch);
+            assert_eq!(stats.processed, 10, "batch {batch}");
             assert_eq!(stats.failed, 0);
             for id in store.ids() {
                 assert_eq!(store.get(id).unwrap().version, 2, "one bump each");
@@ -1142,11 +903,13 @@ mod tests {
         store.insert(Entity::new("c", SourceKind::Web, "fine")); // shard 0
         store.insert(Entity::new("d", SourceKind::Web, "fine")); // shard 1
         let pipeline = MinerPipeline::new().add(Box::new(PanicMiner));
-        let stats = pipeline.run(&store);
-        assert_eq!(stats.skipped_shards, 1, "crashed shard abandoned");
-        assert_eq!(stats.processed + stats.failed, store.len());
-        assert_eq!(stats.processed, 2, "healthy shard unaffected");
-        assert_eq!(stats.failed, 2, "crashed shard counted failed");
+        for batch in [1, 4] {
+            let stats = run_batch(&pipeline, &store, batch);
+            assert_eq!(stats.skipped_shards, 1, "crashed shard abandoned");
+            assert_eq!(stats.processed + stats.failed, store.len());
+            assert_eq!(stats.processed, 2, "healthy shard unaffected");
+            assert_eq!(stats.failed, 2, "crashed shard counted failed");
+        }
     }
 
     #[test]
@@ -1157,14 +920,17 @@ mod tests {
         store.insert(Entity::new("c", SourceKind::Web, "fine")); // doc 2, shard 0
         store.insert(Entity::new("d", SourceKind::Web, "poison pill")); // doc 3, shard 1
         let plan = FaultPlan::new(7); // zero fault rates, 1 sim-ms per op
-        let ctx = FaultContext {
-            plan: Some(&plan),
-            retry: RetryPolicy::default(),
-            health: &[],
+        let opts = RunOpts {
+            batch: 1,
+            faults: FaultContext {
+                plan: Some(&plan),
+                retry: RetryPolicy::default(),
+                health: &[],
+            },
         };
         let stats = MinerPipeline::new()
             .add(Box::new(PanicMiner))
-            .run_with(&store, &ctx);
+            .run(&store, opts, None);
         assert_eq!(stats.skipped_shards, 1);
         // the crashed shard mined doc 1 (1 ms) and reached doc 3 (1 ms)
         // before the panic: that time must not be lost
@@ -1181,8 +947,10 @@ mod tests {
             "crash marked on the span: {:?}",
             crashed.events
         );
-        // the update that panicked still recorded (on unwind, via Drop)
-        assert!(root.find("shard:1/store.update:3").is_some());
+        // the fetch that fed the crashing chain is in the trace; the
+        // write-back it never reached is not
+        assert!(root.find("shard:1/store.get:3").is_some());
+        assert!(root.find("shard:1/store.update:3").is_none());
     }
 
     #[test]
@@ -1190,15 +958,18 @@ mod tests {
         let store = seeded_store(3, 9);
         let tele = store.telemetry().clone();
         let plan = FaultPlan::new(11);
-        let ctx = FaultContext {
-            plan: Some(&plan),
-            retry: RetryPolicy::default(),
-            health: &[],
+        let opts = RunOpts {
+            batch: 1,
+            faults: FaultContext {
+                plan: Some(&plan),
+                retry: RetryPolicy::default(),
+                health: &[],
+            },
         };
         let mut op = tele.trace_root("op");
         let stats = MinerPipeline::new()
             .add(Box::new(Tagger))
-            .run_traced(&store, &ctx, &mut op);
+            .run(&store, opts, Some(&mut op));
         let elapsed = op.elapsed_sim_ms();
         op.finish();
         assert_eq!(stats.processed, 9);

@@ -9,10 +9,10 @@
 //! - a [`Telemetry`] registry of named atomic [`Counter`]s, [`Gauge`]s and
 //!   fixed-bucket [`Histogram`]s, shared by every platform component of a
 //!   [`Cluster`](crate::cluster::Cluster);
-//! - lightweight [`Span`]s that accumulate **simulated** milliseconds (the
-//!   same virtual clock the fault subsystem advances) — there is no
-//!   wall-clock read anywhere, so identical seeds give byte-identical
-//!   [`TelemetrySnapshot`]s;
+//! - histograms of **simulated** milliseconds (the same virtual clock
+//!   the fault subsystem advances), fed by [`TraceSpan`] durations —
+//!   there is no wall-clock read anywhere, so identical seeds give
+//!   byte-identical [`TelemetrySnapshot`]s;
 //! - deterministic snapshot export: a human-readable table
 //!   ([`TelemetrySnapshot::to_table`]) and canonical JSON with stable
 //!   field ordering ([`TelemetrySnapshot::to_json_string`], backed by the
@@ -214,46 +214,6 @@ impl Histogram {
     }
 }
 
-/// A span in flight: accumulates simulated milliseconds and records them
-/// into its histogram when finished (or dropped). Never reads wall time.
-#[derive(Debug)]
-pub struct Span {
-    hist: Arc<Histogram>,
-    sim_ms: u64,
-    recorded: bool,
-}
-
-impl Span {
-    /// Advances the span's simulated clock.
-    pub fn advance(&mut self, sim_ms: u64) {
-        self.sim_ms = self.sim_ms.saturating_add(sim_ms);
-    }
-
-    /// Simulated milliseconds accumulated so far.
-    pub fn elapsed_ms(&self) -> u64 {
-        self.sim_ms
-    }
-
-    /// Records the span and returns its duration.
-    pub fn finish(mut self) -> u64 {
-        self.record();
-        self.sim_ms
-    }
-
-    fn record(&mut self) {
-        if !self.recorded {
-            self.recorded = true;
-            self.hist.record(self.sim_ms);
-        }
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        self.record();
-    }
-}
-
 /// The metric registry: one per cluster (or per component under test).
 ///
 /// Handles are get-or-create by name and cheap to clone; components
@@ -366,15 +326,6 @@ impl Telemetry {
                 .entry(name.to_string())
                 .or_insert_with(|| Arc::new(Histogram::new(bounds))),
         )
-    }
-
-    /// Opens a span recording into histogram `span.<name>.sim_ms`.
-    pub fn span(&self, name: &str) -> Span {
-        Span {
-            hist: self.histogram(&format!("span.{name}.sim_ms")),
-            sim_ms: 0,
-            recorded: false,
-        }
     }
 
     /// A point-in-time copy of every metric. Deterministic: names are
@@ -872,24 +823,6 @@ mod tests {
         let snap = tele.snapshot();
         assert_eq!(snap.counter("trace.spans"), 3);
         assert_eq!(snap.counter("trace.evicted"), 1);
-    }
-
-    #[test]
-    fn spans_record_simulated_time_on_finish_or_drop() {
-        let tele = Telemetry::new();
-        let mut span = tele.span("work");
-        span.advance(30);
-        span.advance(12);
-        assert_eq!(span.elapsed_ms(), 42);
-        assert_eq!(span.finish(), 42);
-        {
-            let mut dropped = tele.span("work");
-            dropped.advance(7);
-        } // recorded by Drop
-        let snap = tele.snapshot();
-        let hs = snap.histogram("span.work.sim_ms").unwrap();
-        assert_eq!(hs.count, 2);
-        assert_eq!(hs.sum, 49);
     }
 
     #[test]

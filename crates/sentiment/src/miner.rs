@@ -127,18 +127,11 @@ impl SentimentMiner {
     /// Batch form of [`SentimentMiner::analyze_named_entities`]: one scratch
     /// buffer is reused across all documents, so steady-state per-token
     /// allocation amortizes away. Output is order-aligned with `texts` and
-    /// identical to the per-document call.
+    /// identical to the per-document call; the batch's per-stage NLP unit
+    /// costs ([`wf_nlp::StageCosts`], a sum over documents) come with it,
+    /// so miner runs can attribute the work to tokenize/pos/chunk/clause/ner
+    /// spans.
     pub fn analyze_named_entities_batch<S: AsRef<str>>(
-        &self,
-        texts: &[S],
-    ) -> Vec<Vec<SubjectSentiment>> {
-        self.analyze_named_entities_batch_costed(texts).0
-    }
-
-    /// [`SentimentMiner::analyze_named_entities_batch`] plus the batch's
-    /// per-stage NLP unit costs ([`wf_nlp::StageCosts`]), so traced miner
-    /// runs can attribute the work to tokenize/pos/chunk/clause/ner spans.
-    pub fn analyze_named_entities_batch_costed<S: AsRef<str>>(
         &self,
         texts: &[S],
     ) -> (Vec<Vec<SubjectSentiment>>, wf_nlp::StageCosts) {

@@ -11,6 +11,7 @@
 //! real-time queries through [`SentimentQueryService`].
 
 use crate::miner::{mention_polarities, SentimentMiner};
+use crate::record::SubjectSentiment;
 use wf_platform::{Annotation, Entity, EntityMiner, Indexer, Query, TraceSpan};
 use wf_spotter::{Spotter, SubjectList};
 use wf_types::{DocId, Polarity, Result};
@@ -92,6 +93,19 @@ impl EntityMiner for SpotterMiner {
     }
 }
 
+/// Replaces `entity`'s `sentiment` annotations with one per mention of
+/// `records` (lowercased subject, dominant polarity).
+fn annotate_sentiments(entity: &mut Entity, records: &[SubjectSentiment]) {
+    entity.clear_annotations("sentiment");
+    for (subject, sentence_span, polarity) in mention_polarities(records) {
+        entity.annotate(
+            Annotation::new("sentiment", sentence_span)
+                .with_attr("subject", subject.to_lowercase())
+                .with_attr("polarity", polarity.to_string()),
+        );
+    }
+}
+
 /// Entity miner that runs mode-A sentiment analysis and stores `sentiment`
 /// annotations (one per mention, with the dominant polarity).
 pub struct SentimentEntityMiner {
@@ -117,17 +131,10 @@ impl EntityMiner for SentimentEntityMiner {
     }
 
     fn process(&self, entity: &mut Entity) -> Result<()> {
-        entity.clear_annotations("sentiment");
         let records = self
             .miner
             .analyze_with_spotter(&entity.text, &self.subjects, &self.spotter);
-        for (subject, sentence_span, polarity) in mention_polarities(&records) {
-            entity.annotate(
-                Annotation::new("sentiment", sentence_span)
-                    .with_attr("subject", subject.to_lowercase())
-                    .with_attr("polarity", polarity.to_string()),
-            );
-        }
+        annotate_sentiments(entity, &records);
         Ok(())
     }
 }
@@ -158,62 +165,32 @@ impl EntityMiner for AdhocSentimentMiner {
     }
 
     fn process(&self, entity: &mut Entity) -> Result<()> {
-        entity.clear_annotations("sentiment");
         let records = self.miner.analyze_named_entities(&entity.text);
-        for (subject, sentence_span, polarity) in mention_polarities(&records) {
-            entity.annotate(
-                Annotation::new("sentiment", sentence_span)
-                    .with_attr("subject", subject.to_lowercase())
-                    .with_attr("polarity", polarity.to_string()),
-            );
-        }
+        annotate_sentiments(entity, &records);
         Ok(())
     }
 
-    fn process_batch(&self, batch: &mut [Entity]) -> Vec<Result<()>> {
-        let texts: Vec<String> = batch.iter().map(|e| e.text.clone()).collect();
-        let record_sets = self.miner.analyze_named_entities_batch(&texts);
-        for (entity, records) in batch.iter_mut().zip(&record_sets) {
-            entity.clear_annotations("sentiment");
-            for (subject, sentence_span, polarity) in mention_polarities(records) {
-                entity.annotate(
-                    Annotation::new("sentiment", sentence_span)
-                        .with_attr("subject", subject.to_lowercase())
-                        .with_attr("polarity", polarity.to_string()),
-                );
-            }
-        }
-        batch.iter().map(|_| Ok(())).collect()
-    }
-
-    /// The batched hot path with per-stage attribution: charges the
+    /// The batched hot path with per-stage attribution: analyzes the
+    /// borrowed texts with one shared scratch buffer, charges the
     /// batch's deterministic NLP unit costs to `nlp.tokenize` …
-    /// `nlp.ner` child spans (one unit per token / chunk / clause /
-    /// entity, see [`wf_nlp::StageCosts`]) and advances the shard span in
-    /// lockstep, so the continuous profiler sees where mining time goes.
-    /// Entity outcomes are identical to [`EntityMiner::process_batch`].
-    fn process_batch_traced(&self, batch: &mut [Entity], span: &mut TraceSpan) -> Vec<Result<()>> {
-        let texts: Vec<String> = batch.iter().map(|e| e.text.clone()).collect();
-        let (record_sets, costs) = self.miner.analyze_named_entities_batch_costed(&texts);
+    /// `nlp.ner` child spans whose durations are the units (one per
+    /// token / chunk / clause / entity, see [`wf_nlp::StageCosts`]) and
+    /// advances the shard span in lockstep, so the continuous profiler
+    /// sees where mining time goes.
+    fn process_batch(&self, batch: &mut [Entity], span: &mut TraceSpan) -> Vec<Result<()>> {
+        let texts: Vec<&str> = batch.iter().map(|e| e.text.as_str()).collect();
+        let (record_sets, costs) = self.miner.analyze_named_entities_batch(&texts);
         for (stage, units) in costs.stages() {
             if units == 0 {
                 continue;
             }
             let mut stage_span = span.child(format!("nlp.{stage}"));
             stage_span.advance(units);
-            stage_span.attr("units", units.to_string());
             stage_span.finish();
             span.advance(units);
         }
         for (entity, records) in batch.iter_mut().zip(&record_sets) {
-            entity.clear_annotations("sentiment");
-            for (subject, sentence_span, polarity) in mention_polarities(records) {
-                entity.annotate(
-                    Annotation::new("sentiment", sentence_span)
-                        .with_attr("subject", subject.to_lowercase())
-                        .with_attr("polarity", polarity.to_string()),
-                );
-            }
+            annotate_sentiments(entity, records);
         }
         batch.iter().map(|_| Ok(())).collect()
     }
@@ -314,7 +291,7 @@ impl SentimentQueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wf_platform::{Cluster, MinerPipeline, RawDocument, SourceKind};
+    use wf_platform::{Cluster, MinerPipeline, PipelineStats, RawDocument, RunOpts, SourceKind};
 
     fn subjects() -> SubjectList {
         SubjectList::builder()
@@ -450,75 +427,79 @@ mod tests {
         assert_eq!(indexed[0].sentence, runtime[0].sentence);
     }
 
+    /// A 2-node cluster holding `docs` as news pages.
+    fn news_cluster(docs: &[&str]) -> Cluster {
+        let cluster = Cluster::new(2).unwrap();
+        let mut ing = wf_platform::Ingestor::new(cluster.store());
+        for (i, text) in docs.iter().enumerate() {
+            ing.ingest(RawDocument::new(
+                format!("uri://{i}"),
+                SourceKind::News,
+                *text,
+            ));
+        }
+        cluster
+    }
+
+    fn run_batch(cluster: &Cluster, batch: usize, parent: Option<&mut TraceSpan>) -> PipelineStats {
+        let pipeline = MinerPipeline::new().add(Box::new(AdhocSentimentMiner::new()));
+        let opts = RunOpts {
+            batch,
+            ..RunOpts::default()
+        };
+        pipeline.run(cluster.store(), opts, parent)
+    }
+
     #[test]
-    fn adhoc_batch_matches_per_entity_processing() {
+    fn adhoc_batches_match_per_entity_processing() {
         let docs = [
             "Petrocorp polluted the river. Medicore delivered excellent results.",
             "The NR70 takes excellent pictures. The battery drains quickly.",
             "Nothing about products here at all.",
             "",
         ];
-        let seed = |cluster: &Cluster| {
-            let mut ing = wf_platform::Ingestor::new(cluster.store());
-            for (i, text) in docs.iter().enumerate() {
-                ing.ingest(RawDocument::new(
-                    format!("uri://{i}"),
-                    SourceKind::News,
-                    *text,
-                ));
-            }
-        };
-        let per_entity = Cluster::new(2).unwrap();
-        seed(&per_entity);
-        let batched = Cluster::new(2).unwrap();
-        seed(&batched);
-
-        let pipeline = MinerPipeline::new().add(Box::new(AdhocSentimentMiner::new()));
-        let stats_run = pipeline.run(per_entity.store());
-        let stats_batched = pipeline.run_batched(batched.store(), 2);
-        assert_eq!(stats_run.processed, stats_batched.processed);
-        assert_eq!(stats_run.failed, stats_batched.failed);
-
+        let per_entity = news_cluster(&docs);
+        let a = run_batch(&per_entity, 1, None);
+        let batched = news_cluster(&docs);
+        let b = run_batch(&batched, 2, None);
+        assert_eq!(a, b, "stats, NLP charges included, match");
         for i in 0..docs.len() {
-            let a = per_entity.store().get(DocId(i as u64)).unwrap();
-            let b = batched.store().get(DocId(i as u64)).unwrap();
-            assert_eq!(a, b, "entity {i} diverged between run and run_batched");
+            let x = per_entity.store().get(DocId(i as u64)).unwrap();
+            let y = batched.store().get(DocId(i as u64)).unwrap();
+            assert_eq!(x, y, "entity {i} diverged between batch 1 and batch 2");
+        }
+        // the per-document path annotates exactly like the batch path
+        let miner = AdhocSentimentMiner::new();
+        for i in 0..docs.len() {
+            let mut e = per_entity.store().get(DocId(i as u64)).unwrap();
+            let mined = e.clone();
+            miner.process(&mut e).unwrap();
+            assert_eq!(
+                e, mined,
+                "process diverged from process_batch on entity {i}"
+            );
         }
     }
 
     #[test]
-    fn adhoc_traced_batch_matches_and_attributes_nlp_stages() {
+    fn adhoc_batch_attributes_nlp_stages() {
         let docs = [
             "Petrocorp polluted the river. Medicore delivered excellent results.",
             "The NR70 takes excellent pictures. The battery drains quickly.",
             "Nothing about products here at all.",
         ];
-        let seed = |cluster: &Cluster| {
-            let mut ing = wf_platform::Ingestor::new(cluster.store());
-            for (i, text) in docs.iter().enumerate() {
-                ing.ingest(RawDocument::new(
-                    format!("uri://{i}"),
-                    SourceKind::News,
-                    *text,
-                ));
-            }
-        };
-        let plain = Cluster::new(2).unwrap();
-        seed(&plain);
-        let traced = Cluster::new(2).unwrap();
-        seed(&traced);
-
-        let pipeline = MinerPipeline::new().add(Box::new(AdhocSentimentMiner::new()));
-        let a = pipeline.run_batched(plain.store(), 4);
-        let tele = traced.store().telemetry().clone();
+        let per_entity = news_cluster(&docs);
+        let a = run_batch(&per_entity, 1, None);
+        let batched = news_cluster(&docs);
+        let tele = batched.store().telemetry().clone();
         let mut op = tele.trace_root("mine.batched");
-        let b = pipeline.run_batched_traced(traced.store(), 4, &mut op);
+        let b = run_batch(&batched, 4, Some(&mut op));
         op.finish();
-        assert_eq!((a.processed, a.failed), (b.processed, b.failed));
+        assert_eq!(a, b);
         for i in 0..docs.len() {
-            let x = plain.store().get(DocId(i as u64)).unwrap();
-            let y = traced.store().get(DocId(i as u64)).unwrap();
-            assert_eq!(x, y, "entity {i} diverged under tracing");
+            let x = per_entity.store().get(DocId(i as u64)).unwrap();
+            let y = batched.store().get(DocId(i as u64)).unwrap();
+            assert_eq!(x, y, "entity {i} diverged between batch 1 and batch 4");
         }
 
         let traces = tele.recorder().last_traces(1);
@@ -528,11 +509,14 @@ mod tests {
         let mut stage_names = std::collections::BTreeSet::new();
         for shard in &run.children {
             // the NLP stage children exactly cover the shard's time
-            let covered: u64 = shard.children.iter().map(|c| c.duration_sim_ms).sum();
+            let stages: Vec<_> = shard
+                .children
+                .iter()
+                .filter(|c| c.name.starts_with("nlp."))
+                .collect();
+            let covered: u64 = stages.iter().map(|c| c.duration_sim_ms).sum();
             assert_eq!(covered, shard.duration_sim_ms, "{}", shard.name);
-            for stage in &shard.children {
-                stage_names.insert(stage.name.clone());
-            }
+            stage_names.extend(stages.iter().map(|c| c.name.clone()));
         }
         for expected in [
             "nlp.tokenize",

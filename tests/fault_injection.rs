@@ -11,9 +11,10 @@
 
 use std::sync::Arc;
 use wf_platform::{
-    ChaosCluster, Entity, EntityMiner, FaultKind, FaultPlan, FaultRates, MinerPipeline, NodeHealth,
-    ServiceBus, SourceKind,
+    ChaosCluster, Cluster, Entity, EntityMiner, FaultContext, FaultKind, FaultPlan, FaultRates,
+    MinerPipeline, NodeHealth, PipelineStats, RunOpts, ServiceBus, SourceKind,
 };
+use wf_sentiment::AdhocSentimentMiner;
 use wf_types::{Error, NodeId, Result, RetryPolicy};
 
 struct TouchMiner;
@@ -370,6 +371,83 @@ fn telemetry_accumulates_across_pipeline_runs() {
         snap.counter("pipeline.failed"),
         (first.failed + second.failed) as u64
     );
+}
+
+/// A 4-node cluster of 80 news pages naming companies, under a uniform
+/// 15% fault plan from `seed`, with node 1 Degraded and node 2 Down.
+fn chaos_news_cluster(seed: u64) -> Cluster {
+    const COMPANIES: [&str; 5] = ["Petrocorp", "Medicore", "Acme", "Globex", "Initech"];
+    let cluster = Cluster::new(4).unwrap();
+    for i in 0..80 {
+        let (a, b) = (COMPANIES[i % 5], COMPANIES[(i / 5) % 5]);
+        cluster.store().insert(Entity::new(
+            format!("news://{i}"),
+            SourceKind::News,
+            format!(
+                "{a} delivered excellent results in quarter {i}. \
+                 Critics said {b} polluted the river. Nothing else happened."
+            ),
+        ));
+    }
+    cluster.set_fault_plan(Some(FaultPlan::uniform(seed, 0.15)));
+    cluster.set_health(NodeId(1), NodeHealth::Degraded);
+    cluster.set_health(NodeId(2), NodeHealth::Down);
+    cluster
+}
+
+/// Every stored entity, in id order.
+fn stored_entities(cluster: &Cluster) -> Vec<Entity> {
+    let store = cluster.store();
+    store
+        .ids()
+        .into_iter()
+        .map(|id| store.get(id).unwrap())
+        .collect()
+}
+
+/// Differential: batched + chaos ≡ per-entity + chaos. Under the pinned
+/// seeds, every batch size gives the stats of the cluster's per-entity
+/// run — every field, per-shard outcomes and simulated time included —
+/// and the same stored entities, both for a zero-cost miner and for the
+/// sentiment miner that charges its NLP stages to the shard span.
+#[test]
+fn batch_size_never_changes_a_chaos_run() {
+    let miners: [fn() -> Box<dyn EntityMiner>; 2] = [
+        || Box::new(TouchMiner),
+        || Box::new(AdhocSentimentMiner::new()),
+    ];
+    for seed in [20050405u64, 3405691582, 3735928559] {
+        for make in miners {
+            let pipeline = MinerPipeline::new().add(make());
+            let per_entity = chaos_news_cluster(seed);
+            let expected = per_entity.run_pipeline(&pipeline);
+            assert!(
+                expected.failed > 0 && expected.retries > 0 && expected.failed_over == 1,
+                "seed {seed}: the chaos must bite: {expected:?}"
+            );
+            let expected_entities = stored_entities(&per_entity);
+            for batch in [1, 2, 7, 64] {
+                let cluster = chaos_news_cluster(seed);
+                let plan = FaultPlan::uniform(seed, 0.15);
+                let health = cluster.healths();
+                let opts = RunOpts {
+                    batch,
+                    faults: FaultContext {
+                        plan: Some(&plan),
+                        retry: cluster.retry_policy(),
+                        health: &health,
+                    },
+                };
+                let stats: PipelineStats = pipeline.run(cluster.store(), opts, None);
+                let name = pipeline.miner_names()[0];
+                assert_eq!(stats, expected, "seed {seed}, {name}, batch {batch}");
+                assert!(
+                    stored_entities(&cluster) == expected_entities,
+                    "seed {seed}, {name}, batch {batch}: stored entities diverged"
+                );
+            }
+        }
+    }
 }
 
 mod properties {

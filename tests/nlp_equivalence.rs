@@ -100,7 +100,7 @@ proptest! {
     #[test]
     fn sentiment_batch_and_reference_agree(seed in 0u64..10_000) {
         let texts = corpus_texts(seed);
-        let batched = miner().analyze_named_entities_batch(&texts);
+        let (batched, _) = miner().analyze_named_entities_batch(&texts);
         prop_assert_eq!(batched.len(), texts.len());
         for (text, records) in texts.iter().zip(&batched) {
             prop_assert_eq!(records, &miner().analyze_named_entities(text));
@@ -378,7 +378,7 @@ fn golden_docs() -> Vec<String> {
 fn render_batch_snapshot() -> String {
     let docs = golden_docs();
     let batch = pipeline().annotate_batch(&docs);
-    let sentiments = miner().analyze_named_entities_batch(&docs);
+    let (sentiments, _) = miner().analyze_named_entities_batch(&docs);
     let mut out = String::from("[\n");
     for (i, (doc, records)) in batch.iter().zip(&sentiments).enumerate() {
         let text = &docs[i];

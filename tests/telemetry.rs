@@ -396,20 +396,5 @@ mod properties {
             prop_assert_eq!(&back, &snap);
             prop_assert_eq!(back.to_json_string(), text);
         }
-
-        /// Span durations land in the span histogram exactly.
-        #[test]
-        fn spans_accumulate_exactly(durations in prop::collection::vec(0u64..10_000, 1..20)) {
-            let tele = wf_platform::Telemetry::new();
-            for &d in &durations {
-                let mut span = tele.span("step");
-                span.advance(d);
-                prop_assert_eq!(span.finish(), d);
-            }
-            let snap = tele.snapshot();
-            let hs = snap.histogram("span.step.sim_ms").unwrap();
-            prop_assert_eq!(hs.count as usize, durations.len());
-            prop_assert_eq!(hs.sum, durations.iter().sum::<u64>());
-        }
     }
 }

@@ -25,7 +25,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use wf_platform::{
     Annotation, Cluster, DataStore, Entity, EntityMiner, FaultContext, FaultPlan, Ingestor,
-    MinerPipeline, NodeHealth, Profile, RawDocument, ServeLoop, ServingConfig, SourceKind,
+    MinerPipeline, NodeHealth, Profile, RawDocument, RunOpts, ServeLoop, ServingConfig, SourceKind,
     Telemetry, TimeSeriesStore,
 };
 use wf_sentiment::{AdhocSentimentMiner, SentimentServingBackend, ShardedSentimentIndex};
@@ -189,14 +189,17 @@ fn profile_total_includes_panicked_shards_accrued_time() {
     store.insert(Entity::new("c", SourceKind::Web, "fine")); // doc 2, shard 0
     store.insert(Entity::new("d", SourceKind::Web, "poison pill")); // doc 3, shard 1
     let plan = FaultPlan::new(7); // zero fault rates, 1 sim-ms per op
-    let ctx = FaultContext {
-        plan: Some(&plan),
-        retry: RetryPolicy::default(),
-        health: &[],
+    let opts = RunOpts {
+        batch: 1,
+        faults: FaultContext {
+            plan: Some(&plan),
+            retry: RetryPolicy::default(),
+            health: &[],
+        },
     };
     let stats = MinerPipeline::new()
         .add(Box::new(PanicMiner))
-        .run_with(&store, &ctx);
+        .run(&store, opts, None);
     assert_eq!(stats.skipped_shards, 1);
     assert_eq!(stats.shard_sim_ms, vec![2, 2]);
 

@@ -20,7 +20,7 @@
 use std::sync::Arc;
 use wf_platform::{
     ChaosCluster, DataStore, Entity, EntityMiner, FaultContext, FaultPlan, MinerPipeline,
-    NodeHealth, SourceKind, Telemetry,
+    NodeHealth, RunOpts, SourceKind, Telemetry,
 };
 use wf_types::{NodeId, Result, RetryPolicy};
 
@@ -131,14 +131,17 @@ fn panicked_shard_keeps_its_span_in_the_recorder() {
         store.insert(Entity::new(format!("doc://{i}"), SourceKind::Web, text));
     }
     let plan = FaultPlan::new(11); // default rates: fault-free, 1 sim-ms per op
-    let ctx = FaultContext {
-        plan: Some(&plan),
-        retry: RetryPolicy::none(),
-        health: &[NodeHealth::Up, NodeHealth::Up],
+    let opts = RunOpts {
+        batch: 1,
+        faults: FaultContext {
+            plan: Some(&plan),
+            retry: RetryPolicy::none(),
+            health: &[NodeHealth::Up, NodeHealth::Up],
+        },
     };
     let stats = MinerPipeline::new()
         .add(Box::new(PoisonMiner))
-        .run_with(&store, &ctx);
+        .run(&store, opts, None);
     assert_eq!(stats.failed, 3, "whole poisoned shard counts as failed");
 
     let traces = store.telemetry().recorder().last_traces(1);
@@ -195,7 +198,9 @@ fn zero_capacity_disables_tracing() {
     let tele = Telemetry::with_trace_capacity(0);
     let store = DataStore::with_telemetry(1, Arc::clone(&tele)).unwrap();
     store.insert(Entity::new("doc://0", SourceKind::Web, "fine"));
-    MinerPipeline::new().add(Box::new(TouchMiner)).run(&store);
+    MinerPipeline::new()
+        .add(Box::new(TouchMiner))
+        .run(&store, RunOpts::default(), None);
     let rec = tele.recorder();
     assert_eq!(rec.records().len(), 0);
     assert!(rec.trace_ids().is_empty());
