@@ -11,34 +11,18 @@
 
 use std::sync::Arc;
 use std::time::Instant;
+use wf_bench::{NODES, SEED};
 use wf_platform::{Cluster, DurableStorage, Ingestor, MinerPipeline, RawDocument, SourceKind};
 use wf_sentiment::AdhocSentimentMiner;
 use wf_types::NodeId;
 
 const DOCS: usize = 480;
-const NODES: usize = 4;
-const SEED: u64 = 20050405;
 
 fn corpus() -> Vec<RawDocument> {
-    const BRANDS: [&str; 5] = ["Canon", "Nikon", "Sony", "Kodak", "Pentax"];
-    const MOODS: [&str; 4] = [
-        "takes excellent pictures",
-        "has a terrible battery",
-        "produces sharp images",
-        "suffers from blurry output",
-    ];
-    (0..DOCS)
-        .map(|i| {
-            RawDocument::new(
-                format!("bench://durable/{i}"),
-                SourceKind::Web,
-                format!(
-                    "{} {} in trial {i}.",
-                    BRANDS[i % BRANDS.len()],
-                    MOODS[i % MOODS.len()]
-                ),
-            )
-        })
+    wf_corpus::serving_corpus(DOCS)
+        .into_iter()
+        .enumerate()
+        .map(|(i, text)| RawDocument::new(format!("bench://durable/{i}"), SourceKind::Web, text))
         .collect()
 }
 

@@ -12,97 +12,30 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use wf_platform::{
-    Cluster, FaultPlan, Ingestor, MinerPipeline, RawDocument, ServeLoop, ServingConfig, Telemetry,
-    DEFAULT_EVLOG_CAPACITY,
-};
-use wf_sentiment::{AdhocSentimentMiner, SentimentServingBackend, ShardedSentimentIndex};
+use wf_bench::{serving_config, serving_setup, DOCS, NODES, SEED};
+use wf_platform::{FaultPlan, ServeLoop, Telemetry, DEFAULT_EVLOG_CAPACITY};
+use wf_sentiment::SentimentServingBackend;
 
-const DOCS: usize = 96;
-const NODES: usize = 4;
-const SEED: u64 = 20050405;
-const CLIENTS: u32 = 16;
-const QPS: u64 = 500;
-const REQUESTS: u64 = 1200;
 const FAIL_RATE: f64 = 0.1;
-
-fn corpus() -> Vec<String> {
-    const BRANDS: [&str; 5] = ["Canon", "Nikon", "Sony", "Kodak", "Pentax"];
-    const MOODS: [&str; 4] = [
-        "takes excellent pictures",
-        "has a terrible battery",
-        "produces sharp images",
-        "suffers from blurry output",
-    ];
-    (0..DOCS)
-        .map(|i| {
-            format!(
-                "{} {} in trial {i}.",
-                BRANDS[i % BRANDS.len()],
-                MOODS[i % MOODS.len()]
-            )
-        })
-        .collect()
-}
-
-fn workload() -> Vec<String> {
-    let mut pool = Vec::new();
-    for _ in 0..4 {
-        pool.push("sentiment of canon".to_string());
-    }
-    for _ in 0..2 {
-        pool.push("sentiment of nikon".to_string());
-    }
-    pool.push("sentiment of sony".to_string());
-    pool.push("sentiment of kodak".to_string());
-    pool.push("sentiment of pentax".to_string());
-    pool.push("top 3 +".to_string());
-    pool.push("top 3 -".to_string());
-    pool.push("sentiment of zorblax".to_string());
-    pool
-}
-
-fn config() -> ServingConfig {
-    ServingConfig {
-        seed: SEED,
-        clients: CLIENTS,
-        qps: QPS,
-        requests: REQUESTS,
-        cache_capacity: 32,
-        queue_capacity: 24,
-        ..ServingConfig::default()
-    }
-}
 
 /// One chaos serving run against a fresh telemetry whose event log has
 /// the given capacity (0 = disabled); returns (telemetry, wall us).
 fn serve_once(backend: &SentimentServingBackend, evlog_capacity: usize) -> (Arc<Telemetry>, u64) {
     let telemetry = Telemetry::with_capacities(1 << 15, evlog_capacity);
-    let serve_loop = ServeLoop::new(backend, Arc::clone(&telemetry), config(), workload())
-        .with_fault_plan(FaultPlan::uniform(SEED, FAIL_RATE));
+    let serve_loop = ServeLoop::new(
+        backend,
+        Arc::clone(&telemetry),
+        serving_config(),
+        wf_corpus::serving_requests(),
+    )
+    .with_fault_plan(FaultPlan::uniform(SEED, FAIL_RATE));
     let t = Instant::now();
     serve_loop.run().unwrap();
     (telemetry, t.elapsed().as_micros() as u64)
 }
 
 fn main() {
-    let cluster = Cluster::new(NODES).unwrap();
-    let raw: Vec<RawDocument> = corpus()
-        .iter()
-        .enumerate()
-        .map(|(i, text)| {
-            RawDocument::new(
-                format!("bench://evlog/{i}"),
-                wf_platform::SourceKind::Web,
-                text.clone(),
-            )
-        })
-        .collect();
-    Ingestor::new(cluster.store()).ingest_batch(raw);
-    let pipeline = MinerPipeline::new().add(Box::new(AdhocSentimentMiner::new()));
-    cluster.run_pipeline(&pipeline);
-    let backend =
-        SentimentServingBackend::new(ShardedSentimentIndex::build_from_store(cluster.store()));
+    let backend = serving_setup().backend;
 
     // warm up once, then measure log-off vs log-on
     serve_once(&backend, 0);
@@ -131,7 +64,10 @@ fn main() {
     out.insert("docs".to_string(), serde_json::Value::from(DOCS as u64));
     out.insert("nodes".to_string(), serde_json::Value::from(NODES as u64));
     out.insert("seed".to_string(), serde_json::Value::from(SEED));
-    out.insert("requests".to_string(), serde_json::Value::from(REQUESTS));
+    out.insert(
+        "requests".to_string(),
+        serde_json::Value::from(serving_config().requests),
+    );
     out.insert(
         "evlog_emitted".to_string(),
         serde_json::Value::from(log.emitted()),

@@ -11,66 +11,12 @@
 
 use std::sync::Arc;
 use std::time::Instant;
+use wf_bench::{serving_config, serving_setup, DOCS, NODES, SEED};
 use wf_platform::{
-    Cluster, Ingestor, MinerPipeline, Profile, RawDocument, ServeLoop, ServingConfig, Telemetry,
-    TimeSeriesStore, DEFAULT_SCRAPE_INTERVAL_MS, DEFAULT_TIMELINE_CAPACITY,
+    Profile, ServeLoop, Telemetry, TimeSeriesStore, DEFAULT_SCRAPE_INTERVAL_MS,
+    DEFAULT_TIMELINE_CAPACITY,
 };
-use wf_sentiment::{AdhocSentimentMiner, SentimentServingBackend, ShardedSentimentIndex};
-
-const DOCS: usize = 96;
-const NODES: usize = 4;
-const SEED: u64 = 20050405;
-const CLIENTS: u32 = 16;
-const QPS: u64 = 500;
-const REQUESTS: u64 = 1200;
-
-fn corpus() -> Vec<String> {
-    const BRANDS: [&str; 5] = ["Canon", "Nikon", "Sony", "Kodak", "Pentax"];
-    const MOODS: [&str; 4] = [
-        "takes excellent pictures",
-        "has a terrible battery",
-        "produces sharp images",
-        "suffers from blurry output",
-    ];
-    (0..DOCS)
-        .map(|i| {
-            format!(
-                "{} {} in trial {i}.",
-                BRANDS[i % BRANDS.len()],
-                MOODS[i % MOODS.len()]
-            )
-        })
-        .collect()
-}
-
-fn workload() -> Vec<String> {
-    let mut pool = Vec::new();
-    for _ in 0..4 {
-        pool.push("sentiment of canon".to_string());
-    }
-    for _ in 0..2 {
-        pool.push("sentiment of nikon".to_string());
-    }
-    pool.push("sentiment of sony".to_string());
-    pool.push("sentiment of kodak".to_string());
-    pool.push("sentiment of pentax".to_string());
-    pool.push("top 3 +".to_string());
-    pool.push("top 3 -".to_string());
-    pool.push("sentiment of zorblax".to_string());
-    pool
-}
-
-fn config() -> ServingConfig {
-    ServingConfig {
-        seed: SEED,
-        clients: CLIENTS,
-        qps: QPS,
-        requests: REQUESTS,
-        cache_capacity: 32,
-        queue_capacity: 24,
-        ..ServingConfig::default()
-    }
-}
+use wf_sentiment::SentimentServingBackend;
 
 /// One serving run against a fresh telemetry, optionally scraping a
 /// timeline; returns (telemetry, timeline, wall us).
@@ -85,7 +31,12 @@ fn serve_once(
             DEFAULT_SCRAPE_INTERVAL_MS,
         ))
     });
-    let mut serve_loop = ServeLoop::new(backend, Arc::clone(&telemetry), config(), workload());
+    let mut serve_loop = ServeLoop::new(
+        backend,
+        Arc::clone(&telemetry),
+        serving_config(),
+        wf_corpus::serving_requests(),
+    );
     if let Some(timeline) = &timeline {
         serve_loop = serve_loop.with_timeline(Arc::clone(timeline));
     }
@@ -95,23 +46,7 @@ fn serve_once(
 }
 
 fn main() {
-    let cluster = Cluster::new(NODES).unwrap();
-    let raw: Vec<RawDocument> = corpus()
-        .iter()
-        .enumerate()
-        .map(|(i, text)| {
-            RawDocument::new(
-                format!("bench://profile/{i}"),
-                wf_platform::SourceKind::Web,
-                text.clone(),
-            )
-        })
-        .collect();
-    Ingestor::new(cluster.store()).ingest_batch(raw);
-    let pipeline = MinerPipeline::new().add(Box::new(AdhocSentimentMiner::new()));
-    cluster.run_pipeline(&pipeline);
-    let backend =
-        SentimentServingBackend::new(ShardedSentimentIndex::build_from_store(cluster.store()));
+    let backend = serving_setup().backend;
 
     // warm up once, then measure scrape-off vs scrape-on
     serve_once(&backend, false);
@@ -134,7 +69,10 @@ fn main() {
     out.insert("docs".to_string(), serde_json::Value::from(DOCS as u64));
     out.insert("nodes".to_string(), serde_json::Value::from(NODES as u64));
     out.insert("seed".to_string(), serde_json::Value::from(SEED));
-    out.insert("requests".to_string(), serde_json::Value::from(REQUESTS));
+    out.insert(
+        "requests".to_string(),
+        serde_json::Value::from(serving_config().requests),
+    );
     out.insert(
         "scrapes".to_string(),
         serde_json::Value::from(timeline.scrapes()),

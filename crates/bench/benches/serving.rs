@@ -11,97 +11,27 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use wf_platform::{Cluster, Ingestor, MinerPipeline, RawDocument, ServeLoop, ServingConfig};
-use wf_sentiment::{AdhocSentimentMiner, SentimentServingBackend, ShardedSentimentIndex};
-
-const DOCS: usize = 96;
-const NODES: usize = 4;
-const SEED: u64 = 20050405;
-const CLIENTS: u32 = 16;
-const QPS: u64 = 500;
-const REQUESTS: u64 = 1200;
-
-/// A positive/negative corpus across five brands, so the index holds
-/// several subjects with distinct polarity profiles.
-fn corpus() -> Vec<String> {
-    const BRANDS: [&str; 5] = ["Canon", "Nikon", "Sony", "Kodak", "Pentax"];
-    const MOODS: [&str; 4] = [
-        "takes excellent pictures",
-        "has a terrible battery",
-        "produces sharp images",
-        "suffers from blurry output",
-    ];
-    (0..DOCS)
-        .map(|i| {
-            format!(
-                "{} {} in trial {i}.",
-                BRANDS[i % BRANDS.len()],
-                MOODS[i % MOODS.len()]
-            )
-        })
-        .collect()
-}
-
-/// Popularity-skewed request mix: repeats make the cache earn its hit
-/// rate; the unknown subject keeps the error path honest.
-fn workload() -> Vec<String> {
-    let mut pool = Vec::new();
-    for _ in 0..4 {
-        pool.push("sentiment of canon".to_string());
-    }
-    for _ in 0..2 {
-        pool.push("sentiment of nikon".to_string());
-    }
-    pool.push("sentiment of sony".to_string());
-    pool.push("sentiment of kodak".to_string());
-    pool.push("sentiment of pentax".to_string());
-    pool.push("top 3 +".to_string());
-    pool.push("top 3 -".to_string());
-    pool.push("sentiment of zorblax".to_string());
-    pool
-}
+use wf_bench::{serving_config, serving_setup, ServingSetup, DOCS, NODES, SEED};
+use wf_platform::ServeLoop;
 
 fn main() {
-    let cluster = Cluster::new(NODES).unwrap();
-    let t = Instant::now();
-    let raw: Vec<RawDocument> = corpus()
-        .iter()
-        .enumerate()
-        .map(|(i, text)| {
-            RawDocument::new(
-                format!("bench://serving/{i}"),
-                wf_platform::SourceKind::Web,
-                text.clone(),
-            )
-        })
-        .collect();
-    Ingestor::new(cluster.store()).ingest_batch(raw);
-    let pipeline = MinerPipeline::new().add(Box::new(AdhocSentimentMiner::new()));
-    cluster.run_pipeline(&pipeline);
-    let mine_us = t.elapsed().as_micros() as u64;
+    let ServingSetup {
+        cluster,
+        backend,
+        mine_us,
+        index_us,
+    } = serving_setup();
+    let postings = backend.index().posting_count() as u64;
+    let subjects = backend.index().subjects().len() as u64;
+    let config = serving_config();
+    let (clients, qps) = (config.clients, config.qps);
 
-    let t = Instant::now();
-    let index = ShardedSentimentIndex::build_from_store(cluster.store());
-    let index_us = t.elapsed().as_micros() as u64;
-    let postings = index.posting_count() as u64;
-    let subjects = index.subjects().len() as u64;
-    let backend = SentimentServingBackend::new(index);
-
-    let config = ServingConfig {
-        seed: SEED,
-        clients: CLIENTS,
-        qps: QPS,
-        requests: REQUESTS,
-        cache_capacity: 32,
-        queue_capacity: 24,
-        ..ServingConfig::default()
-    };
     let t = Instant::now();
     let report = ServeLoop::new(
         &backend,
         Arc::clone(cluster.telemetry()),
         config,
-        workload(),
+        wf_corpus::serving_requests(),
     )
     .run()
     .unwrap();
@@ -114,9 +44,9 @@ fn main() {
     out.insert("seed".to_string(), serde_json::Value::from(SEED));
     out.insert(
         "clients".to_string(),
-        serde_json::Value::from(u64::from(CLIENTS)),
+        serde_json::Value::from(u64::from(clients)),
     );
-    out.insert("target_qps".to_string(), serde_json::Value::from(QPS));
+    out.insert("target_qps".to_string(), serde_json::Value::from(qps));
     out.insert("postings".to_string(), serde_json::Value::from(postings));
     out.insert("subjects".to_string(), serde_json::Value::from(subjects));
     out.insert(

@@ -299,15 +299,13 @@ fn chaos_opts(plan: Option<&FaultPlan>, batch: usize) -> RunOpts<'_> {
     }
 }
 
-/// The mining-run core shared by `mine` and `metrics --input`: parses the
-/// chaos flags, loads the documents, runs the pipeline, and returns the
-/// mined store (whose telemetry registry holds the run's instruments).
-fn run_mine_pipeline(
-    args: &ParsedArgs,
-) -> Result<(DataStore, PipelineStats, Option<u64>, f64), String> {
-    let input = args.require("input")?;
-    // --chaos-seed N [--fail-rate P]: run under deterministic fault
-    // injection to exercise the degraded path end to end
+/// A chaos run's `(--chaos-seed, --fail-rate)`.
+type Chaos = (u64, f64);
+
+/// Parses `--chaos-seed S [--fail-rate P]`, shared by every command that
+/// can run under deterministic fault injection: `Some((seed, rate))`
+/// under chaos, the rate defaulting to `default_fail_rate`.
+fn parse_chaos(args: &ParsedArgs, default_fail_rate: f64) -> Result<Option<Chaos>, String> {
     let chaos_seed: Option<u64> = args
         .opt("chaos-seed")
         .map(|v| v.parse().map_err(|e| format!("bad --chaos-seed: {e}")))
@@ -316,13 +314,24 @@ fn run_mine_pipeline(
         .opt("fail-rate")
         .map(|v| v.parse().map_err(|e| format!("bad --fail-rate: {e}")))
         .transpose()?
-        .unwrap_or(0.05);
+        .unwrap_or(default_fail_rate);
     if args.opt("fail-rate").is_some() && chaos_seed.is_none() {
         return Err("--fail-rate requires --chaos-seed".into());
     }
     if !(0.0..=1.0).contains(&fail_rate) {
         return Err(format!("--fail-rate must be in [0, 1], got {fail_rate}"));
     }
+    Ok(chaos_seed.map(|seed| (seed, fail_rate)))
+}
+
+/// The mining-run core shared by `mine` and `metrics --input`: parses the
+/// chaos flags, loads the documents, runs the pipeline, and returns the
+/// mined store (whose telemetry registry holds the run's instruments).
+fn run_mine_pipeline(
+    args: &ParsedArgs,
+) -> Result<(DataStore, PipelineStats, Option<Chaos>), String> {
+    let input = args.require("input")?;
+    let chaos = parse_chaos(args, 0.05)?;
     let docs = read_doc_lines(input)?;
     let store = DataStore::new(4).map_err(|e| e.to_string())?;
     if let Some(dir) = args.opt("data-dir") {
@@ -359,22 +368,22 @@ fn run_mine_pipeline(
     } else {
         MinerPipeline::new().add(Box::new(SentimentEntityMiner::new(subject_list(&names))))
     };
-    let plan = chaos_seed.map(|seed| FaultPlan::uniform(seed, fail_rate));
+    let plan = chaos.map(|(seed, rate)| FaultPlan::uniform(seed, rate));
     let stats = pipeline.run(&store, chaos_opts(plan.as_ref(), 1), Some(&mut root));
     root.attr("documents", docs.len().to_string());
     root.finish();
-    Ok((store, stats, chaos_seed, fail_rate))
+    Ok((store, stats, chaos))
 }
 
 fn mine(args: &ParsedArgs) -> Result<String, String> {
     let snapshot = args.require("snapshot")?.to_string();
-    let (store, stats, chaos_seed, fail_rate) = run_mine_pipeline(args)?;
+    let (store, stats, chaos) = run_mine_pipeline(args)?;
     let written = save_store(&store, Path::new(&snapshot)).map_err(|e| e.to_string())?;
     let mut out = format!(
         "mined {} documents ({} failed); snapshot of {} entities written to {}\n",
         stats.processed, stats.failed, written, snapshot
     );
-    if let Some(seed) = chaos_seed {
+    if let Some((seed, fail_rate)) = chaos {
         out.push_str(&format!(
             "chaos: seed {seed}, fail rate {fail_rate}; {} retries, {} skipped shard(s), {} sim ms\n",
             stats.retries,
@@ -448,7 +457,7 @@ fn metrics(args: &ParsedArgs) -> Result<String, String> {
         TelemetrySnapshot::from_json_str(&content)
             .map_err(|e| format!("bad metrics snapshot {path}: {e}"))?
     } else if args.opt("input").is_some() {
-        let (store, _, _, _) = run_mine_pipeline(args)?;
+        let (store, _, _) = run_mine_pipeline(args)?;
         store.telemetry().snapshot()
     } else {
         return Err("metrics needs --file SNAPSHOT.json or --input DOCS.txt".into());
@@ -508,7 +517,7 @@ fn search(args: &ParsedArgs) -> Result<String, String> {
 
 /// Runs the mining pipeline in memory and exports the flight recorder.
 fn trace(args: &ParsedArgs) -> Result<String, String> {
-    let (store, _, _, _) = run_mine_pipeline(args)?;
+    let (store, _, _) = run_mine_pipeline(args)?;
     let last: usize = args
         .opt("last")
         .map(|v| v.parse().map_err(|e| format!("bad --last: {e}")))
@@ -543,12 +552,7 @@ struct HealthWorkload {
 /// A small positive/negative corpus cycled by the workload; the phrasing
 /// feeds both the sentiment miners and the `sentiment.score` service.
 fn synthetic_health_docs(n: usize) -> Vec<String> {
-    const MOODS: [&str; 4] = [
-        "takes excellent pictures",
-        "has a terrible battery",
-        "produces sharp images",
-        "suffers from blurry output",
-    ];
+    use wf_corpus::serving::MOODS;
     (0..n)
         .map(|i| format!("The Canon camera {} in trial {i}.", MOODS[i % MOODS.len()]))
         .collect()
@@ -556,26 +560,8 @@ fn synthetic_health_docs(n: usize) -> Vec<String> {
 
 impl HealthWorkload {
     fn from_args(args: &ParsedArgs) -> Result<Self, String> {
-        let chaos_seed: Option<u64> = args
-            .opt("chaos-seed")
-            .map(|v| v.parse().map_err(|e| format!("bad --chaos-seed: {e}")))
-            .transpose()?;
-        let fail_rate: f64 = args
-            .opt("fail-rate")
-            .map(|v| v.parse().map_err(|e| format!("bad --fail-rate: {e}")))
-            .transpose()?
-            .unwrap_or(0.15);
-        if args.opt("fail-rate").is_some() && chaos_seed.is_none() {
-            return Err("--fail-rate requires --chaos-seed".into());
-        }
-        if !(0.0..=1.0).contains(&fail_rate) {
-            return Err(format!("--fail-rate must be in [0, 1], got {fail_rate}"));
-        }
-        let docs: usize = args
-            .opt("docs")
-            .map(|v| v.parse().map_err(|e| format!("bad --docs: {e}")))
-            .transpose()?
-            .unwrap_or(40);
+        let chaos = parse_chaos(args, 0.15)?;
+        let docs: usize = parse_positive(args, "docs", 40usize)?;
         let cluster = Cluster::new(4).map_err(|e| e.to_string())?;
         cluster.bus().register(
             "sentiment.score",
@@ -586,7 +572,7 @@ impl HealthWorkload {
                 Ok(serde_json::Value::from(plus as i64 - minus as i64))
             }),
         );
-        if let Some(seed) = chaos_seed {
+        if let Some((seed, fail_rate)) = chaos {
             let plan = FaultPlan::uniform(seed, fail_rate);
             let retry = RetryPolicy {
                 max_retries: 4,
@@ -722,45 +708,14 @@ fn top(args: &ParsedArgs) -> Result<String, String> {
     Ok(out)
 }
 
-/// The serving corpus: five brands cycling four moods, so the sentiment
-/// index holds several subjects with distinct polarity profiles.
-fn synthetic_serving_docs(n: usize) -> Vec<String> {
-    const BRANDS: [&str; 5] = ["Canon", "Nikon", "Sony", "Kodak", "Pentax"];
-    const MOODS: [&str; 4] = [
-        "takes excellent pictures",
-        "has a terrible battery",
-        "produces sharp images",
-        "suffers from blurry output",
-    ];
-    (0..n)
-        .map(|i| {
-            format!(
-                "{} {} in trial {i}.",
-                BRANDS[i % BRANDS.len()],
-                MOODS[i % MOODS.len()]
-            )
-        })
+/// [`wf_corpus::serving_corpus`] as raw documents, the corpus behind
+/// `serve` and the observed workloads of `timeline`, `profile` and `logs`.
+fn serving_docs(n: usize) -> Vec<RawDocument> {
+    wf_corpus::serving_corpus(n)
+        .into_iter()
+        .enumerate()
+        .map(|(i, text)| RawDocument::new(format!("serve://doc{i}"), SourceKind::Web, text))
         .collect()
-}
-
-/// The request mix for the serve loop: popularity-skewed subject queries
-/// (repeats give the cache something to hit), top-k analytics, and one
-/// unknown subject keeping the error path honest.
-fn serving_workload() -> Vec<String> {
-    let mut pool = Vec::new();
-    for _ in 0..4 {
-        pool.push("sentiment of canon".to_string());
-    }
-    for _ in 0..2 {
-        pool.push("sentiment of nikon".to_string());
-    }
-    pool.push("sentiment of sony".to_string());
-    pool.push("sentiment of kodak".to_string());
-    pool.push("sentiment of pentax".to_string());
-    pool.push("top 3 +".to_string());
-    pool.push("top 3 -".to_string());
-    pool.push("sentiment of zorblax".to_string());
-    pool
 }
 
 fn parse_positive<T: std::str::FromStr + PartialOrd + From<u8>>(
@@ -788,21 +743,7 @@ fn serve(args: &ParsedArgs) -> Result<String, String> {
     use wf_sentiment::{SentimentServingBackend, ShardedSentimentIndex};
 
     let docs: usize = parse_positive(args, "docs", 40usize)?;
-    let chaos_seed: Option<u64> = args
-        .opt("chaos-seed")
-        .map(|v| v.parse().map_err(|e| format!("bad --chaos-seed: {e}")))
-        .transpose()?;
-    let fail_rate: f64 = args
-        .opt("fail-rate")
-        .map(|v| v.parse().map_err(|e| format!("bad --fail-rate: {e}")))
-        .transpose()?
-        .unwrap_or(0.05);
-    if args.opt("fail-rate").is_some() && chaos_seed.is_none() {
-        return Err("--fail-rate requires --chaos-seed".into());
-    }
-    if !(0.0..=1.0).contains(&fail_rate) {
-        return Err(format!("--fail-rate must be in [0, 1], got {fail_rate}"));
-    }
+    let chaos = parse_chaos(args, 0.05)?;
     let format = parse_format(args, "text", &["text", "json"])?;
 
     // offline half: ingest + mine the corpus, then precompute the index
@@ -813,12 +754,7 @@ fn serve(args: &ParsedArgs) -> Result<String, String> {
             .attach_durability(Arc::new(storage))
             .map_err(|e| e.to_string())?;
     }
-    let raw: Vec<RawDocument> = synthetic_serving_docs(docs)
-        .iter()
-        .enumerate()
-        .map(|(i, text)| RawDocument::new(format!("serve://doc{i}"), SourceKind::Web, text.clone()))
-        .collect();
-    Ingestor::new(cluster.store()).ingest_batch(raw);
+    Ingestor::new(cluster.store()).ingest_batch(serving_docs(docs));
     // checkpoint the raw corpus; mining updates then land in the WAL so a
     // mid-serve crash recovers the mined state via snapshot + replay
     if cluster.durability().is_some() {
@@ -900,9 +836,9 @@ fn serve(args: &ParsedArgs) -> Result<String, String> {
         &backend,
         Arc::clone(cluster.telemetry()),
         config,
-        serving_workload(),
+        wf_corpus::serving_requests(),
     );
-    if let Some(seed) = chaos_seed {
+    if let Some((seed, fail_rate)) = chaos {
         // chaos on the serving path, plus the doctor fixture's topology
         // landing mid-stream: node 1 degrades, node 2's shard is lost.
         // Under --data-dir the loss is a real crash (store state dropped)
@@ -984,35 +920,14 @@ fn recover(args: &ParsedArgs) -> Result<String, String> {
 /// Returns the registry (whose flight recorder holds the workload's
 /// traces) and the scraped timeline.
 fn observed_workload(args: &ParsedArgs) -> Result<(Arc<Telemetry>, Arc<TimeSeriesStore>), String> {
-    let chaos_seed: Option<u64> = args
-        .opt("chaos-seed")
-        .map(|v| v.parse().map_err(|e| format!("bad --chaos-seed: {e}")))
-        .transpose()?;
-    let fail_rate: f64 = args
-        .opt("fail-rate")
-        .map(|v| v.parse().map_err(|e| format!("bad --fail-rate: {e}")))
-        .transpose()?
-        .unwrap_or(0.05);
-    if args.opt("fail-rate").is_some() && chaos_seed.is_none() {
-        return Err("--fail-rate requires --chaos-seed".into());
-    }
-    if !(0.0..=1.0).contains(&fail_rate) {
-        return Err(format!("--fail-rate must be in [0, 1], got {fail_rate}"));
-    }
+    let chaos = parse_chaos(args, 0.05)?;
     let docs: usize = parse_positive(args, "docs", 40usize)?;
     let interval: u64 = parse_positive(args, "interval", DEFAULT_SCRAPE_INTERVAL_MS)?;
     match args.opt("workload").unwrap_or("serve") {
         "serve" => {
             use wf_sentiment::{SentimentServingBackend, ShardedSentimentIndex};
             let cluster = Cluster::new(4).map_err(|e| e.to_string())?;
-            let raw: Vec<RawDocument> = synthetic_serving_docs(docs)
-                .iter()
-                .enumerate()
-                .map(|(i, text)| {
-                    RawDocument::new(format!("serve://doc{i}"), SourceKind::Web, text.clone())
-                })
-                .collect();
-            Ingestor::new(cluster.store()).ingest_batch(raw);
+            Ingestor::new(cluster.store()).ingest_batch(serving_docs(docs));
             let pipeline = MinerPipeline::new().add(Box::new(AdhocSentimentMiner::new()));
             cluster.run_pipeline(&pipeline);
             let index = ShardedSentimentIndex::build_from_store(cluster.store());
@@ -1037,10 +952,10 @@ fn observed_workload(args: &ParsedArgs) -> Result<(Arc<Telemetry>, Arc<TimeSerie
                 &backend,
                 Arc::clone(&telemetry),
                 config,
-                serving_workload(),
+                wf_corpus::serving_requests(),
             )
             .with_timeline(Arc::clone(&timeline));
-            if let Some(seed) = chaos_seed {
+            if let Some((seed, fail_rate)) = chaos {
                 serve_loop = serve_loop
                     .with_fault_plan(FaultPlan::uniform(seed, fail_rate))
                     .with_trigger(requests / 3, || {
@@ -1057,18 +972,11 @@ fn observed_workload(args: &ParsedArgs) -> Result<(Arc<Telemetry>, Arc<TimeSerie
             let cluster = Cluster::new(4).map_err(|e| e.to_string())?;
             let timeline = cluster.enable_timeline(DEFAULT_TIMELINE_CAPACITY, interval);
             let telemetry = Arc::clone(cluster.telemetry());
-            let raw: Vec<RawDocument> = synthetic_serving_docs(docs)
-                .iter()
-                .enumerate()
-                .map(|(i, text)| {
-                    RawDocument::new(format!("mine://doc{i}"), SourceKind::Web, text.clone())
-                })
-                .collect();
             let mut root = telemetry.trace_root("mine");
-            Ingestor::new(cluster.store()).ingest_batch_traced(raw, &mut root);
+            Ingestor::new(cluster.store()).ingest_batch_traced(serving_docs(docs), &mut root);
             cluster.advance_clock(root.elapsed_sim_ms());
             let pipeline = MinerPipeline::new().add(Box::new(AdhocSentimentMiner::new()));
-            let plan = chaos_seed.map(|seed| FaultPlan::uniform(seed, fail_rate));
+            let plan = chaos.map(|(seed, rate)| FaultPlan::uniform(seed, rate));
             let ingest_ms = root.elapsed_sim_ms();
             pipeline.run(
                 cluster.store(),
@@ -1459,6 +1367,13 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("must be in [0, 1]"), "{err}");
+        for command in ["serve", "timeline", "doctor"] {
+            let err = run_tokens(&[command, "--fail-rate", "0.2"]).unwrap_err();
+            assert!(err.contains("--fail-rate requires --chaos-seed"), "{err}");
+            let err =
+                run_tokens(&[command, "--chaos-seed", "1", "--fail-rate", "1.5"]).unwrap_err();
+            assert!(err.contains("must be in [0, 1]"), "{err}");
+        }
     }
 
     #[test]
@@ -1856,6 +1771,10 @@ mod tests {
         let err = run_tokens(&["doctor", "--rounds", "1", "--format", "yaml"]).unwrap_err();
         assert!(err.contains("unknown --format"), "{err}");
         assert!(err.contains("(text|json)"), "{err}");
+        for command in ["doctor", "top"] {
+            let err = run_tokens(&[command, "--docs", "0"]).unwrap_err();
+            assert!(err.contains("--docs must be at least 1"), "{err}");
+        }
     }
 
     #[test]

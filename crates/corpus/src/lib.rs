@@ -14,6 +14,7 @@
 pub mod ambiguity;
 pub mod gold;
 pub mod review;
+pub mod serving;
 pub mod templates;
 pub mod vocab;
 pub mod web;
@@ -21,4 +22,5 @@ pub mod web;
 pub use ambiguity::{ambiguity_corpus, AmbiguityDoc, AMBIGUOUS_BRAND};
 pub use gold::{CaseClass, Corpus, Domain, GeneratedDoc, GoldMention};
 pub use review::{background_doc, camera_reviews, music_reviews, ReviewConfig, SlotWeights};
+pub use serving::{serving_corpus, serving_requests};
 pub use web::{petroleum_news, petroleum_web, pharma_web, WebConfig, WebMix};

@@ -12,7 +12,8 @@ pub use ablations::{
 };
 pub use disambiguation::{disambiguation_study, DisambiguationResult};
 pub use figures::{
-    fig1, fig2, fig3, fig4, fig5, Fig1Result, Fig2Result, Fig3Result, Fig4Result, Fig5Result,
+    fig1, fig2, fig3, fig4, fig5, Fig1Result, Fig2Result, Fig3Query, Fig3Result, Fig4Result,
+    Fig5Result,
 };
 pub use scale::ExperimentScale;
 pub use tables::{

@@ -27,7 +27,7 @@
 //! clamped to [`BURN_CLAMP_MILLI`].
 
 use crate::cluster::{Cluster, NodeScore};
-use crate::telemetry::{HistogramSnapshot, Telemetry, TelemetrySnapshot};
+use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use crate::trace::TraceId;
 use serde_json::Value;
 use std::collections::{BTreeMap, VecDeque};
@@ -359,8 +359,10 @@ impl HealthEngine {
                 percentile,
                 max_sim_ms,
             } => {
-                let delta =
-                    histogram_delta(current.histogram(histogram), base.histogram(histogram));
+                let delta = current
+                    .histogram(histogram)
+                    .map(|h| h.delta_since(base.histogram(histogram)))
+                    .unwrap_or_default();
                 let total = delta.count;
                 let bad: u64 = delta
                     .buckets
@@ -445,38 +447,6 @@ fn target_of(objective: &Objective) -> u64 {
         Objective::ThroughputAbove {
             min_per_sec_milli, ..
         } => *min_per_sec_milli,
-    }
-}
-
-/// The window delta of a histogram: counts/sums/buckets subtracted
-/// bucket-by-bucket. `min`/`max` keep the whole-run extremes (they are
-/// not windowable), so windowed percentiles clamp against the global
-/// max — documented approximation.
-fn histogram_delta(
-    current: Option<&HistogramSnapshot>,
-    base: Option<&HistogramSnapshot>,
-) -> HistogramSnapshot {
-    let Some(current) = current else {
-        return HistogramSnapshot::default();
-    };
-    let base_buckets: BTreeMap<Option<u64>, u64> = base
-        .map(|b| b.buckets.iter().cloned().collect())
-        .unwrap_or_default();
-    let (base_count, base_sum) = base.map(|b| (b.count, b.sum)).unwrap_or((0, 0));
-    HistogramSnapshot {
-        count: current.count.saturating_sub(base_count),
-        sum: current.sum.saturating_sub(base_sum),
-        min: current.min,
-        max: current.max,
-        buckets: current
-            .buckets
-            .iter()
-            .filter_map(|(le, c)| {
-                let d = c.saturating_sub(base_buckets.get(le).copied().unwrap_or(0));
-                (d > 0).then_some((*le, d))
-            })
-            .collect(),
-        exemplars: Vec::new(),
     }
 }
 
@@ -740,6 +710,7 @@ pub fn render_scoreboard(nodes: &[NodeScore]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::HistogramSnapshot;
 
     fn snap(counters: &[(&str, u64)]) -> TelemetrySnapshot {
         let mut s = TelemetrySnapshot::default();

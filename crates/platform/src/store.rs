@@ -296,14 +296,6 @@ impl DataStore {
         result
     }
 
-    /// [`DataStore::insert`] with a `store.insert:<id>` child span under
-    /// `parent` (named by the assigned id).
-    pub fn insert_traced(&self, entity: Entity, parent: &mut TraceSpan) -> DocId {
-        let id = self.insert(entity);
-        parent.child(format!("store.insert:{}", id.0)).finish();
-        id
-    }
-
     /// Total number of stored entities.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.entities.read().len()).sum()

@@ -415,6 +415,33 @@ impl HistogramSnapshot {
         self.max
     }
 
+    /// The observations recorded since the cumulative snapshot `base`
+    /// (none: since t = 0): count, sum and buckets subtracted bucket by
+    /// bucket, saturating. `min`/`max` keep the cumulative extremes, which
+    /// are not windowable, so windowed percentiles clamp against the
+    /// whole-run max. Exemplars are dropped.
+    pub fn delta_since(&self, base: Option<&HistogramSnapshot>) -> HistogramSnapshot {
+        let base_buckets: BTreeMap<Option<u64>, u64> = base
+            .map(|b| b.buckets.iter().copied().collect())
+            .unwrap_or_default();
+        let (base_count, base_sum) = base.map_or((0, 0), |b| (b.count, b.sum));
+        HistogramSnapshot {
+            count: self.count.saturating_sub(base_count),
+            sum: self.sum.saturating_sub(base_sum),
+            min: self.min,
+            max: self.max,
+            buckets: self
+                .buckets
+                .iter()
+                .filter_map(|(le, c)| {
+                    let d = c.saturating_sub(base_buckets.get(le).copied().unwrap_or(0));
+                    (d > 0).then_some((*le, d))
+                })
+                .collect(),
+            exemplars: Vec::new(),
+        }
+    }
+
     /// The worst retained exemplar: max value, ties broken by the smaller
     /// trace id (the same total order the buckets use internally).
     pub fn worst_exemplar(&self) -> Option<Exemplar> {

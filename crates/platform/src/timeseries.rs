@@ -19,13 +19,14 @@
 //!   counter value — a conservation law the property suite checks.
 //! - **gauges**: `last`/`min`/`max` over the window's endpoints.
 //! - **histograms**: per-window bucket deltas folded back into a
-//!   synthetic [`HistogramSnapshot`], so `p50/p95/p99` are computed over
-//!   only the observations that landed in that window.
+//!   synthetic [`HistogramSnapshot`](crate::telemetry::HistogramSnapshot),
+//!   so `p50/p95/p99` are computed over only the observations that landed
+//!   in that window.
 //!
 //! Everything is integer arithmetic over `BTreeMap`s; the table and JSON
 //! exports are byte-identical for identical sample sequences.
 
-use crate::telemetry::{HistogramSnapshot, TelemetrySnapshot};
+use crate::telemetry::TelemetrySnapshot;
 use serde_json::Value;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -256,7 +257,7 @@ impl Timeline {
                     });
             }
             for (name, end) in &snap.histograms {
-                let delta = delta_histogram(prev.histogram(name), end);
+                let delta = end.delta_since(prev.histogram(name));
                 timeline
                     .histograms
                     .entry(name.clone())
@@ -417,43 +418,10 @@ impl Timeline {
     }
 }
 
-/// Bucket-wise saturating delta between two cumulative histogram
-/// snapshots, as a synthetic snapshot suitable for `percentile()`.
-fn delta_histogram(prev: Option<&HistogramSnapshot>, end: &HistogramSnapshot) -> HistogramSnapshot {
-    let mut prev_buckets: BTreeMap<Option<u64>, u64> = BTreeMap::new();
-    let (prev_count, prev_sum) = match prev {
-        Some(p) => {
-            for (bound, count) in &p.buckets {
-                prev_buckets.insert(*bound, *count);
-            }
-            (p.count, p.sum)
-        }
-        None => (0, 0),
-    };
-    let buckets: Vec<(Option<u64>, u64)> = end
-        .buckets
-        .iter()
-        .map(|(bound, count)| {
-            let before = prev_buckets.get(bound).copied().unwrap_or(0);
-            (*bound, count.saturating_sub(before))
-        })
-        .filter(|(_, count)| *count > 0)
-        .collect();
-    HistogramSnapshot {
-        count: end.count.saturating_sub(prev_count),
-        sum: end.sum.saturating_sub(prev_sum),
-        // windowed extrema are not tracked; clamp percentiles to the
-        // cumulative max, which can only round a bucket bound down
-        min: end.min,
-        max: end.max,
-        buckets,
-        exemplars: Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::HistogramSnapshot;
 
     fn snap(counters: &[(&str, u64)], gauges: &[(&str, i64)]) -> TelemetrySnapshot {
         TelemetrySnapshot {

@@ -217,7 +217,7 @@ impl SentimentQueryService {
     /// execution of sentiment analysis is too slow for most users
     /// expecting real time response." Analyzes the whole corpus at query
     /// time with no index. Exists so the indexed path's speedup can be
-    /// measured (see the `mode_b_latency` bench).
+    /// measured (Figure 3's run-time arm in `wf-eval`).
     pub fn query_runtime(
         store: &wf_platform::DataStore,
         subject: &str,

@@ -19,72 +19,12 @@
 //!    traced path carries a trace ID that resolves in the flight
 //!    recorder (`wfsm trace` can dump the owning trace).
 
+mod common;
+
+use common::{chaos_backend, chaos_serve_loop, CHAOS_SEED};
 use proptest::prelude::*;
 use std::sync::Arc;
-use wf_platform::{
-    Annotation, DataStore, Entity, EvLog, EvLogSnapshot, FaultPlan, Level, LogFilter, NodeHealth,
-    ServeLoop, ServingConfig, SourceKind, Telemetry, TimeSeriesStore,
-};
-use wf_sentiment::{SentimentServingBackend, ShardedSentimentIndex};
-use wf_types::Polarity;
-
-// ---------------------------------------------------------------------
-// fixtures: the pinned chaos serving scenario (same shape as
-// tests/timeline_profile.rs so the goldens describe one run family)
-// ---------------------------------------------------------------------
-
-const CHAOS_SEED: u64 = 20050405;
-const SUBJECTS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
-const POLARITIES: [Polarity; 3] = [Polarity::Positive, Polarity::Negative, Polarity::Neutral];
-
-fn seeded_store(shards: usize, marks: &[usize]) -> DataStore {
-    let store = DataStore::new(shards).unwrap();
-    for (i, &mark) in marks.iter().enumerate() {
-        let subject = SUBJECTS[mark % 4];
-        let polarity = POLARITIES[(mark / 4) % 3];
-        let text = format!("document {i} mentions {subject} here");
-        let mut entity = Entity::new(format!("test://evlog/{i}"), SourceKind::Web, &text);
-        entity.annotate(
-            Annotation::new("sentiment", wf_types::Span::new(0, text.len()))
-                .with_attr("subject", subject.to_string())
-                .with_attr("polarity", polarity.to_string()),
-        );
-        store.insert(entity);
-    }
-    store
-}
-
-fn full_workload() -> Vec<String> {
-    let mut pool: Vec<String> = SUBJECTS
-        .iter()
-        .map(|s| format!("sentiment of {s}"))
-        .collect();
-    pool.push("sentiment of alpha".to_string());
-    pool.push("sentiment of alpha".to_string());
-    pool.push("top 2 +".to_string());
-    pool.push("top 3 -".to_string());
-    pool.push("sentiment of zorblax".to_string());
-    pool
-}
-
-fn chaos_backend() -> SentimentServingBackend {
-    let marks: Vec<usize> = (0..24).map(|i| i % 12).collect();
-    SentimentServingBackend::new(ShardedSentimentIndex::build_from_store(&seeded_store(
-        4, &marks,
-    )))
-}
-
-fn chaos_config() -> ServingConfig {
-    ServingConfig {
-        seed: CHAOS_SEED,
-        clients: 6,
-        qps: 800,
-        requests: 240,
-        cache_capacity: 8,
-        queue_capacity: 32,
-        ..ServingConfig::default()
-    }
-}
+use wf_platform::{EvLog, EvLogSnapshot, Level, LogFilter, Telemetry, TimeSeriesStore};
 
 /// Chaos serving run: returns the telemetry registry whose event log
 /// observed the shed / fault / shard-loss decisions.
@@ -92,18 +32,10 @@ fn observed_chaos_run() -> Arc<Telemetry> {
     let backend = chaos_backend();
     let telemetry = Telemetry::new();
     let timeline = Arc::new(TimeSeriesStore::new(64, 20));
-    ServeLoop::new(
-        &backend,
-        Arc::clone(&telemetry),
-        chaos_config(),
-        full_workload(),
-    )
-    .with_timeline(Arc::clone(&timeline))
-    .with_fault_plan(FaultPlan::uniform(CHAOS_SEED, 0.15))
-    .with_trigger(80, || backend.set_shard_health(1, NodeHealth::Degraded))
-    .with_trigger(120, || backend.set_shard_health(2, NodeHealth::Down))
-    .run()
-    .unwrap();
+    chaos_serve_loop(&backend, Arc::clone(&telemetry), CHAOS_SEED)
+        .with_timeline(Arc::clone(&timeline))
+        .run()
+        .unwrap();
     telemetry
 }
 

@@ -293,9 +293,8 @@ fn zero_rate_plan_is_transparent() {
 
 /// Regression: `PipelineStats` totals must equal the telemetry
 /// registry's `pipeline.*` counters exactly, under the same three pinned
-/// chaos seeds CI's fault suite runs (an ISSUE 2 acceptance criterion —
-/// the stats struct and the metrics layer are two views of one run and
-/// may never disagree).
+/// chaos seeds CI's fault suite runs: the stats struct and the metrics
+/// layer are two views of one run and may never disagree.
 #[test]
 fn pipeline_stats_reconcile_with_telemetry_counters() {
     for seed in [20050405u64, 3405691582, 3735928559] {

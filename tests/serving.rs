@@ -20,55 +20,18 @@
 //!    fires under the chaos scenario, so `wfsm doctor` observes the
 //!    serving tier like any other subsystem.
 
+mod common;
+
+use common::{
+    chaos_backend, chaos_serve_loop, full_workload, seeded_store, CHAOS_SEED, POLARITIES,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 use wf_platform::{
-    default_slos, Annotation, DataStore, Entity, FaultPlan, HealthEngine, NodeHealth, ServeLoop,
-    ServingBackend, ServingConfig, SourceKind, Telemetry, TelemetrySnapshot,
+    default_slos, HealthEngine, ServeLoop, ServingBackend, ServingConfig, Telemetry,
+    TelemetrySnapshot,
 };
 use wf_sentiment::{SentimentServingBackend, ShardedSentimentIndex};
-use wf_types::{Polarity, Span};
-
-const SUBJECTS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
-const POLARITIES: [Polarity; 3] = [Polarity::Positive, Polarity::Negative, Polarity::Neutral];
-
-/// Decodes one generated mark (0..12) into a (subject, polarity) pair.
-fn decode(mark: usize) -> (&'static str, Polarity) {
-    (SUBJECTS[mark % 4], POLARITIES[(mark / 4) % 3])
-}
-
-/// One document per mark, annotated directly (no NLP pipeline) so the
-/// property fixtures stay fast across the shim's 64 cases.
-fn seeded_store(shards: usize, marks: &[usize]) -> DataStore {
-    let store = DataStore::new(shards).unwrap();
-    for (i, &mark) in marks.iter().enumerate() {
-        let (subject, polarity) = decode(mark);
-        let text = format!("document {i} mentions {subject} here");
-        let mut entity = Entity::new(format!("test://serving/{i}"), SourceKind::Web, &text);
-        entity.annotate(
-            Annotation::new("sentiment", Span::new(0, text.len()))
-                .with_attr("subject", subject.to_string())
-                .with_attr("polarity", polarity.to_string()),
-        );
-        store.insert(entity);
-    }
-    store
-}
-
-/// The full request surface: every subject, both top-k forms, and an
-/// unknown subject to keep the error path in play.
-fn full_workload() -> Vec<String> {
-    let mut pool: Vec<String> = SUBJECTS
-        .iter()
-        .map(|s| format!("sentiment of {s}"))
-        .collect();
-    pool.push("sentiment of alpha".to_string()); // popularity skew
-    pool.push("sentiment of alpha".to_string());
-    pool.push("top 2 +".to_string());
-    pool.push("top 3 -".to_string());
-    pool.push("sentiment of zorblax".to_string());
-    pool
-}
 
 /// Renders only the `serving.*` slice of a telemetry snapshot, so the
 /// byte-identity assertions are not diluted by unrelated subsystems.
@@ -164,29 +127,6 @@ proptest! {
     }
 }
 
-/// The pinned chaos scenario shared by the conservation, determinism,
-/// golden, and SLO tests: faults on the serving path, a shard turning
-/// slow a third of the way in, and a node loss at the halfway mark.
-const CHAOS_SEED: u64 = 20050405;
-
-fn chaos_backend() -> SentimentServingBackend {
-    let marks: Vec<usize> = (0..24).map(|i| i % 12).collect();
-    let store = seeded_store(4, &marks);
-    SentimentServingBackend::new(ShardedSentimentIndex::build_from_store(&store))
-}
-
-fn chaos_config(seed: u64) -> ServingConfig {
-    ServingConfig {
-        seed,
-        clients: 6,
-        qps: 800,
-        requests: 240,
-        cache_capacity: 8,
-        queue_capacity: 32,
-        ..ServingConfig::default()
-    }
-}
-
 /// Runs the chaos scenario and returns the report plus the `serving.*`
 /// telemetry export; optionally drives a health engine on the side.
 fn chaos_run(
@@ -204,17 +144,9 @@ fn chaos_run(
             engine.observe(now_sim_ms, &telemetry_for_observer.snapshot());
         }
     };
-    let report = ServeLoop::new(
-        &backend,
-        Arc::clone(&telemetry),
-        chaos_config(seed),
-        full_workload(),
-    )
-    .with_fault_plan(FaultPlan::uniform(seed, 0.15))
-    .with_trigger(80, || backend.set_shard_health(1, NodeHealth::Degraded))
-    .with_trigger(120, || backend.set_shard_health(2, NodeHealth::Down))
-    .run_observed(&mut observe)
-    .unwrap();
+    let report = chaos_serve_loop(&backend, Arc::clone(&telemetry), seed)
+        .run_observed(&mut observe)
+        .unwrap();
     (report, serving_snapshot_json(&telemetry.snapshot()))
 }
 
@@ -225,17 +157,9 @@ fn chaos_run(
 fn chaos_stream_conserves_every_request() {
     let backend = chaos_backend();
     let telemetry = Telemetry::new();
-    let report = ServeLoop::new(
-        &backend,
-        Arc::clone(&telemetry),
-        chaos_config(CHAOS_SEED),
-        full_workload(),
-    )
-    .with_fault_plan(FaultPlan::uniform(CHAOS_SEED, 0.15))
-    .with_trigger(80, || backend.set_shard_health(1, NodeHealth::Degraded))
-    .with_trigger(120, || backend.set_shard_health(2, NodeHealth::Down))
-    .run()
-    .unwrap();
+    let report = chaos_serve_loop(&backend, Arc::clone(&telemetry), CHAOS_SEED)
+        .run()
+        .unwrap();
 
     assert_eq!(report.requests, 240);
     assert_eq!(

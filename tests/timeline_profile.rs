@@ -21,73 +21,18 @@
 //!    timeline JSON match checked-in goldens byte for byte
 //!    (`UPDATE_GOLDEN=1` regens), and double runs are byte-identical.
 
+mod common;
+
+use common::{chaos_backend, chaos_serve_loop, CHAOS_SEED};
 use proptest::prelude::*;
 use std::sync::Arc;
 use wf_platform::{
-    Annotation, Cluster, DataStore, Entity, EntityMiner, FaultContext, FaultPlan, Ingestor,
-    MinerPipeline, NodeHealth, Profile, RawDocument, RunOpts, ServeLoop, ServingConfig, SourceKind,
-    Telemetry, TimeSeriesStore,
+    Cluster, DataStore, Entity, EntityMiner, FaultContext, FaultPlan, Ingestor, MinerPipeline,
+    Profile, RawDocument, RunOpts, ServeLoop, ServingConfig, SourceKind, Telemetry,
+    TimeSeriesStore,
 };
 use wf_sentiment::{AdhocSentimentMiner, SentimentServingBackend, ShardedSentimentIndex};
-use wf_types::{Polarity, Result, RetryPolicy};
-
-// ---------------------------------------------------------------------
-// fixtures: the pinned chaos serving scenario (same shape as
-// tests/serving.rs) and the bench serving workload mirror
-// ---------------------------------------------------------------------
-
-const CHAOS_SEED: u64 = 20050405;
-const SUBJECTS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
-const POLARITIES: [Polarity; 3] = [Polarity::Positive, Polarity::Negative, Polarity::Neutral];
-
-fn seeded_store(shards: usize, marks: &[usize]) -> DataStore {
-    let store = DataStore::new(shards).unwrap();
-    for (i, &mark) in marks.iter().enumerate() {
-        let subject = SUBJECTS[mark % 4];
-        let polarity = POLARITIES[(mark / 4) % 3];
-        let text = format!("document {i} mentions {subject} here");
-        let mut entity = Entity::new(format!("test://profile/{i}"), SourceKind::Web, &text);
-        entity.annotate(
-            Annotation::new("sentiment", wf_types::Span::new(0, text.len()))
-                .with_attr("subject", subject.to_string())
-                .with_attr("polarity", polarity.to_string()),
-        );
-        store.insert(entity);
-    }
-    store
-}
-
-fn full_workload() -> Vec<String> {
-    let mut pool: Vec<String> = SUBJECTS
-        .iter()
-        .map(|s| format!("sentiment of {s}"))
-        .collect();
-    pool.push("sentiment of alpha".to_string());
-    pool.push("sentiment of alpha".to_string());
-    pool.push("top 2 +".to_string());
-    pool.push("top 3 -".to_string());
-    pool.push("sentiment of zorblax".to_string());
-    pool
-}
-
-fn chaos_backend() -> SentimentServingBackend {
-    let marks: Vec<usize> = (0..24).map(|i| i % 12).collect();
-    SentimentServingBackend::new(ShardedSentimentIndex::build_from_store(&seeded_store(
-        4, &marks,
-    )))
-}
-
-fn chaos_config() -> ServingConfig {
-    ServingConfig {
-        seed: CHAOS_SEED,
-        clients: 6,
-        qps: 800,
-        requests: 240,
-        cache_capacity: 8,
-        queue_capacity: 32,
-        ..ServingConfig::default()
-    }
-}
+use wf_types::{Result, RetryPolicy};
 
 // ---------------------------------------------------------------------
 // 1. counter conservation through the scrape ring (property)
@@ -226,17 +171,9 @@ fn evicting_chaos_collapsed() -> (u64, String) {
     let backend = chaos_backend();
     // tiny ring: the 240-request scenario must overflow it
     let telemetry = Telemetry::with_trace_capacity(64);
-    ServeLoop::new(
-        &backend,
-        Arc::clone(&telemetry),
-        chaos_config(),
-        full_workload(),
-    )
-    .with_fault_plan(FaultPlan::uniform(CHAOS_SEED, 0.15))
-    .with_trigger(80, || backend.set_shard_health(1, NodeHealth::Degraded))
-    .with_trigger(120, || backend.set_shard_health(2, NodeHealth::Down))
-    .run()
-    .unwrap();
+    chaos_serve_loop(&backend, Arc::clone(&telemetry), CHAOS_SEED)
+        .run()
+        .unwrap();
     let profile = Profile::from_recorder(telemetry.recorder(), usize::MAX);
     (telemetry.recorder().evicted(), profile.to_collapsed())
 }
@@ -264,64 +201,21 @@ fn eviction_preserves_collapsed_stack_determinism() {
 }
 
 // ---------------------------------------------------------------------
-// 4. attribution over the bench serving workload (acceptance criterion)
+// 4. attribution over the bench serving workload
 // ---------------------------------------------------------------------
 
-/// The serving scenario of `crates/bench/benches/serving.rs`, rebuilt
-/// here so the acceptance criterion is enforced by `cargo test`.
-fn bench_corpus() -> Vec<String> {
-    const BRANDS: [&str; 5] = ["Canon", "Nikon", "Sony", "Kodak", "Pentax"];
-    const MOODS: [&str; 4] = [
-        "takes excellent pictures",
-        "has a terrible battery",
-        "produces sharp images",
-        "suffers from blurry output",
-    ];
-    (0..96)
-        .map(|i| {
-            format!(
-                "{} {} in trial {i}.",
-                BRANDS[i % BRANDS.len()],
-                MOODS[i % MOODS.len()]
-            )
-        })
-        .collect()
-}
-
-fn bench_workload() -> Vec<String> {
-    let mut pool = Vec::new();
-    for _ in 0..4 {
-        pool.push("sentiment of canon".to_string());
-    }
-    for _ in 0..2 {
-        pool.push("sentiment of nikon".to_string());
-    }
-    pool.push("sentiment of sony".to_string());
-    pool.push("sentiment of kodak".to_string());
-    pool.push("sentiment of pentax".to_string());
-    pool.push("top 3 +".to_string());
-    pool.push("top 3 -".to_string());
-    pool.push("sentiment of zorblax".to_string());
-    pool
-}
-
-/// ≥ 95% of the bench serving workload's simulated time lands in named
-/// leaf stages (queue_wait / cache_lookup / shard_fanout / ...): the
+/// ≥ 95% of the bench serving workload's simulated time (the serving
+/// corpus and request mix of `crates/bench/benches/serving.rs`, rebuilt
+/// here so `cargo test` enforces it) lands in named leaf stages (queue_wait / cache_lookup / shard_fanout / ...): the
 /// per-stage spans threaded through the miss path leave no
 /// "unattributed" bucket above 5%.
 #[test]
 fn bench_serving_workload_attribution_exceeds_95_percent() {
     let cluster = Cluster::new(4).unwrap();
-    let raw: Vec<RawDocument> = bench_corpus()
-        .iter()
+    let raw: Vec<RawDocument> = wf_corpus::serving_corpus(96)
+        .into_iter()
         .enumerate()
-        .map(|(i, text)| {
-            RawDocument::new(
-                format!("bench://serving/{i}"),
-                SourceKind::Web,
-                text.clone(),
-            )
-        })
+        .map(|(i, text)| RawDocument::new(format!("bench://serving/{i}"), SourceKind::Web, text))
         .collect();
     Ingestor::new(cluster.store()).ingest_batch(raw);
     let pipeline = MinerPipeline::new().add(Box::new(AdhocSentimentMiner::new()));
@@ -341,9 +235,14 @@ fn bench_serving_workload_attribution_exceeds_95_percent() {
         queue_capacity: 24,
         ..ServingConfig::default()
     };
-    ServeLoop::new(&backend, Arc::clone(&telemetry), config, bench_workload())
-        .run()
-        .unwrap();
+    ServeLoop::new(
+        &backend,
+        Arc::clone(&telemetry),
+        config,
+        wf_corpus::serving_requests(),
+    )
+    .run()
+    .unwrap();
     assert_eq!(telemetry.recorder().evicted(), 0, "grow the ring");
 
     let profile = Profile::from_recorder(telemetry.recorder(), usize::MAX);
@@ -367,18 +266,10 @@ fn observed_chaos_run() -> (String, String) {
     let backend = chaos_backend();
     let telemetry = Telemetry::new();
     let timeline = Arc::new(TimeSeriesStore::new(64, 20));
-    ServeLoop::new(
-        &backend,
-        Arc::clone(&telemetry),
-        chaos_config(),
-        full_workload(),
-    )
-    .with_timeline(Arc::clone(&timeline))
-    .with_fault_plan(FaultPlan::uniform(CHAOS_SEED, 0.15))
-    .with_trigger(80, || backend.set_shard_health(1, NodeHealth::Degraded))
-    .with_trigger(120, || backend.set_shard_health(2, NodeHealth::Down))
-    .run()
-    .unwrap();
+    chaos_serve_loop(&backend, Arc::clone(&telemetry), CHAOS_SEED)
+        .with_timeline(Arc::clone(&timeline))
+        .run()
+        .unwrap();
     let collapsed = Profile::from_recorder(telemetry.recorder(), usize::MAX).to_collapsed();
     let timeline_json = timeline.timeline().to_json_string() + "\n";
     (collapsed, timeline_json)
