@@ -736,6 +736,25 @@ where
     Ok(value)
 }
 
+/// Parses the serve-loop flags (`--seed --clients --qps --requests
+/// --cache --queue`) shared by `serve` and `timeline|profile|logs
+/// --workload serve`.
+fn parse_serve_loop(args: &ParsedArgs) -> Result<wf_platform::ServingConfig, String> {
+    Ok(wf_platform::ServingConfig {
+        seed: parse_positive(args, "seed", 20050405u64)?,
+        clients: parse_positive(args, "clients", 8u32)?,
+        qps: parse_positive(args, "qps", 200u64)?,
+        requests: parse_positive(args, "requests", 400u64)?,
+        cache_capacity: args
+            .opt("cache")
+            .map(|v| v.parse().map_err(|e| format!("bad --cache: {e}")))
+            .transpose()?
+            .unwrap_or(64),
+        queue_capacity: parse_positive(args, "queue", 32usize)?,
+        ..wf_platform::ServingConfig::default()
+    })
+}
+
 /// Query-time sentiment serving: mine → build the sharded index → answer
 /// one-shot queries or drive the deterministic request loop.
 fn serve(args: &ParsedArgs) -> Result<String, String> {
@@ -817,19 +836,7 @@ fn serve(args: &ParsedArgs) -> Result<String, String> {
     }
 
     // request-loop mode
-    let config = wf_platform::ServingConfig {
-        seed: parse_positive(args, "seed", 20050405u64)?,
-        clients: parse_positive(args, "clients", 8u32)?,
-        qps: parse_positive(args, "qps", 200u64)?,
-        requests: parse_positive(args, "requests", 400u64)?,
-        cache_capacity: args
-            .opt("cache")
-            .map(|v| v.parse().map_err(|e| format!("bad --cache: {e}")))
-            .transpose()?
-            .unwrap_or(64),
-        queue_capacity: parse_positive(args, "queue", 32usize)?,
-        ..wf_platform::ServingConfig::default()
-    };
+    let config = parse_serve_loop(args)?;
     let requests = config.requests;
     let mut engine = HealthEngine::with_telemetry(default_slos(), Arc::clone(cluster.telemetry()));
     let mut serve_loop = wf_platform::ServeLoop::new(
@@ -934,19 +941,7 @@ fn observed_workload(args: &ParsedArgs) -> Result<(Arc<Telemetry>, Arc<TimeSerie
             let backend = SentimentServingBackend::new(index);
             let telemetry = Arc::clone(cluster.telemetry());
             let timeline = Arc::new(TimeSeriesStore::new(DEFAULT_TIMELINE_CAPACITY, interval));
-            let config = wf_platform::ServingConfig {
-                seed: parse_positive(args, "seed", 20050405u64)?,
-                clients: parse_positive(args, "clients", 8u32)?,
-                qps: parse_positive(args, "qps", 200u64)?,
-                requests: parse_positive(args, "requests", 400u64)?,
-                cache_capacity: args
-                    .opt("cache")
-                    .map(|v| v.parse().map_err(|e| format!("bad --cache: {e}")))
-                    .transpose()?
-                    .unwrap_or(64),
-                queue_capacity: parse_positive(args, "queue", 32usize)?,
-                ..wf_platform::ServingConfig::default()
-            };
+            let config = parse_serve_loop(args)?;
             let requests = config.requests;
             let mut serve_loop = wf_platform::ServeLoop::new(
                 &backend,
@@ -1412,6 +1407,15 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("1 document(s)"), "{out}");
+        let out = run_tokens(&[
+            "search",
+            "--snapshot",
+            snap.to_str().unwrap(),
+            "--query",
+            "regex:(pictures|chorus)",
+        ])
+        .unwrap();
+        assert!(out.contains("2 document(s)"), "{out}");
         std::fs::remove_file(docs).ok();
         std::fs::remove_file(snap).ok();
     }
@@ -1953,6 +1957,20 @@ mod tests {
         assert!(run_tokens(&["serve", "--chaos-seed", "x"])
             .unwrap_err()
             .contains("bad --chaos-seed"));
+        // one parser for the serve loop's flags, whichever command runs it
+        for command in [
+            &["serve", "--docs", "4"][..],
+            &["timeline", "--workload", "serve", "--docs", "4"],
+        ] {
+            for (flag, value, error) in [
+                ("--queue", "0", "--queue must be at least 1"),
+                ("--cache", "x", "bad --cache"),
+            ] {
+                let tokens: Vec<&str> = command.iter().copied().chain([flag, value]).collect();
+                let err = run_tokens(&tokens).unwrap_err();
+                assert!(err.contains(error), "{tokens:?}: {err}");
+            }
+        }
     }
 
     #[test]

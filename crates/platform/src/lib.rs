@@ -93,7 +93,7 @@ pub use durable::{
     RecoveryReport, ShardRecovery, ShardRecoveryStats, SnapshotStats, StopReason, WalOp, WalRecord,
     DEFAULT_FSYNC_INTERVAL, REPLAY_COST_MS, SNAPSHOT_ENTITY_COST_MS, WAL_HEADER_BYTES,
 };
-pub use entity::{Annotation, Entity, SourceKind};
+pub use entity::{Annotation, Attrs, AttrsIter, Entity, SourceKind};
 pub use evlog::{
     EvLog, EvLogSnapshot, EvRecord, EvView, Level, LogFilter, DEFAULT_EVLOG_CAPACITY,
     DEFAULT_SAMPLE_BURST, DEFAULT_SAMPLE_REFILL_MS,

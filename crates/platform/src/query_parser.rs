@@ -20,8 +20,10 @@
 //!            | meta:field=[lo..hi] | concept:token | regex:pattern | word
 //! ```
 //!
-//! Regex patterns are validated at parse time, so a malformed pattern is
-//! a parse error rather than a deferred execution error.
+//! A regex pattern runs to whitespace or to a `)` that closes none of its
+//! own groups, so `regex:(a|b)` keeps its alternation. Patterns are
+//! validated at parse time, so a malformed pattern is a parse error
+//! rather than a deferred execution error.
 
 use crate::index::Query;
 use crate::regex::Regex;
@@ -101,22 +103,45 @@ fn lex(input: &str) -> Result<Vec<Tok>> {
                 out.push(Tok::Phrase(words));
             }
             _ => {
-                // bare token up to whitespace or paren
-                let start = i;
-                let mut end = i;
-                while let Some(&(j, d)) = chars.peek() {
-                    if d.is_whitespace() || d == '(' || d == ')' {
-                        break;
-                    }
-                    end = j + d.len_utf8();
-                    chars.next();
-                }
-                let raw = &input[start..end];
-                out.push(classify(raw)?);
+                // bare token up to whitespace or paren; a regex atom keeps
+                // its own groups
+                let end = match input[i..].strip_prefix("regex:") {
+                    Some(pattern) => input.len() - pattern.len() + regex_len(pattern),
+                    None => input[i..]
+                        .find(|d: char| d.is_whitespace() || d == '(' || d == ')')
+                        .map_or(input.len(), |n| i + n),
+                };
+                while chars.next_if(|&(j, _)| j < end).is_some() {}
+                out.push(classify(&input[i..end])?);
             }
         }
     }
     Ok(out)
+}
+
+/// Byte length of the pattern that starts `s`: up to whitespace or a `)`
+/// that closes no group of its own, so `regex:(a|b)` reaches the engine
+/// whole while `(regex:a OR b)` still closes the outer group. Escaped
+/// characters and class members open and close nothing, as in
+/// [`Regex`]. An unclosed `(` runs to the end of the token, and the
+/// engine rejects it.
+fn regex_len(s: &str) -> usize {
+    let (mut depth, mut in_class, mut escaped) = (0usize, false, false);
+    for (i, c) in s.char_indices() {
+        match c {
+            c if c.is_whitespace() => return i,
+            _ if escaped => escaped = false,
+            '\\' => escaped = true,
+            '[' => in_class = true,
+            ']' => in_class = false,
+            _ if in_class => {}
+            '(' => depth += 1,
+            ')' if depth == 0 => return i,
+            ')' => depth -= 1,
+            _ => {}
+        }
+    }
+    s.len()
 }
 
 fn classify(raw: &str) -> Result<Tok> {
@@ -409,11 +434,37 @@ mod tests {
 
     #[test]
     fn malformed_regex_fails_at_parse_time() {
-        // note: `(` splits bare tokens in the lexer, so broken-class
-        // patterns are the representative malformed inputs here
         assert!(err_of("regex:[a-").contains("invalid regex"));
         assert!(err_of("regex:[abc").contains("invalid regex"));
+        assert!(err_of("regex:(a").contains("invalid regex"));
+        assert!(err_of("regex:((a)").contains("invalid regex"));
+        assert!(matches!(parse_query("regex:(a"), Err(Error::Query(_))));
         assert!(parse_query("regex:nr[0-9]+").is_ok());
+    }
+
+    #[test]
+    fn regex_atoms_keep_their_groups() {
+        let regex = |p: &str| Query::Regex(p.into());
+        assert_eq!(parse_query("regex:(a|b)").unwrap(), regex("(a|b)"));
+        assert_eq!(parse_query("regex:x(ab)+y").unwrap(), regex("x(ab)+y"));
+        assert_eq!(parse_query("regex:((a|b)c)*").unwrap(), regex("((a|b)c)*"));
+        // escaped and class-member parens open no group
+        assert_eq!(parse_query("regex:a\\(").unwrap(), regex("a\\("));
+        assert_eq!(parse_query("regex:[(]x").unwrap(), regex("[(]x"));
+        // the atom ends at an unmatched `)`, so outer groups still close
+        assert_eq!(
+            parse_query("(regex:foo OR bar)").unwrap(),
+            Query::Or(vec![regex("foo"), Query::Term("bar".into())])
+        );
+        assert_eq!(parse_query("(regex:(a|b))").unwrap(), regex("(a|b)"));
+        assert_eq!(
+            parse_query("camera (regex:nr[0-9]+ OR regex:(x|y)z)").unwrap(),
+            Query::And(vec![
+                Query::Term("camera".into()),
+                Query::Or(vec![regex("nr[0-9]+"), regex("(x|y)z")]),
+            ])
+        );
+        assert!(parse_query("(regex:[)]x)").is_ok());
     }
 
     #[test]
@@ -444,5 +495,7 @@ mod tests {
         assert_eq!(indexer.query(&q).unwrap(), vec![DocId(0), DocId(2)]);
         let q = parse_query("concept:sentiment:polarity=+").unwrap();
         assert_eq!(indexer.query(&q).unwrap(), vec![DocId(0)]);
+        let q = parse_query("regex:(overheat|chorus)s?").unwrap();
+        assert_eq!(indexer.query(&q).unwrap(), vec![DocId(1), DocId(2)]);
     }
 }

@@ -9,9 +9,12 @@
 //!   polarity;
 //!
 //! as canonical JSON bodies (pure functions of the index content, so a
-//! serving-cache hit is byte-identical to recomputation). Simulated cost
-//! is derived from postings actually scanned, so bigger subjects cost
-//! more — exactly the shape a latency SLO wants to watch.
+//! serving-cache hit is byte-identical to recomputation). Both read the
+//! index shards' per-subject tallies, so neither touches a posting.
+//! Simulated cost still charges the postings an answer covers (a
+//! subject's postings; every posting for top-k), as the postings scans
+//! these tallies replaced did, so bigger subjects cost more — exactly the
+//! shape a latency SLO wants to watch — and the cost model did not move.
 //!
 //! Each index shard carries a [`NodeHealth`]; both query forms fan out
 //! over every shard (a subject's postings may live anywhere), so one
@@ -105,28 +108,26 @@ impl SentimentServingBackend {
         (down, degraded)
     }
 
-    fn subject_answer(&self, subject: &str) -> Result<(Value, u64)> {
-        let postings = self.index.merged_postings(subject);
-        if postings.is_empty() {
-            return Err(Error::NotFound(format!(
-                "subject {subject:?} not in sentiment index"
-            )));
-        }
-        let summary = self.index.summary(subject).expect("postings imply summary");
+    fn subject_answer(&self, subject: &str) -> Result<(Value, Vec<u64>)> {
+        let summary = self.index.summary(subject).ok_or_else(|| {
+            Error::NotFound(format!("subject {subject:?} not in sentiment index"))
+        })?;
+        let per_shard = (0..self.index.shard_count())
+            .map(|i| self.index.shard(i).subject_posting_count(subject) as u64)
+            .collect();
         let mut o = BTreeMap::new();
         o.insert("negative".to_string(), Value::from(summary.negative));
         o.insert("net".to_string(), Value::from(summary.net()));
         o.insert("neutral".to_string(), Value::from(summary.neutral));
         o.insert("positive".to_string(), Value::from(summary.positive));
-        o.insert("postings".to_string(), Value::from(postings.len() as u64));
+        o.insert("postings".to_string(), Value::from(summary.total()));
         o.insert("subject".to_string(), Value::from(subject));
-        Ok((Value::Object(o), postings.len() as u64))
+        Ok((Value::Object(o), per_shard))
     }
 
-    /// Shared query resolution: `(body, postings scanned, degraded
-    /// shards)` — the error paths (`Query`/`Unavailable`/`NotFound`) are
-    /// identical for the traced and untraced execute.
-    fn resolve(&self, request: &str) -> Result<(Value, u64, usize)> {
+    /// Shared query resolution for the traced and untraced execute, so
+    /// their error paths (`Query`/`Unavailable`/`NotFound`) are identical.
+    fn resolve(&self, request: &str) -> Result<Resolved> {
         let parsed = ServeRequest::parse(request)?;
         let (down, degraded) = self.shard_weather();
         // both query forms fan out over every shard
@@ -135,28 +136,18 @@ impl SentimentServingBackend {
                 "{down} sentiment index shard(s) down"
             )));
         }
-        let (body, scanned) = match parsed {
+        let (body, per_shard) = match parsed {
             ServeRequest::Subject(subject) => self.subject_answer(&subject)?,
             ServeRequest::TopK(k, polarity) => self.top_k_answer(k, polarity),
         };
-        Ok((body, scanned, degraded))
+        Ok(Resolved {
+            body: serde_json::to_string(&body).expect("Value renders infallibly"),
+            per_shard,
+            degraded,
+        })
     }
 
-    /// Postings each shard contributes to `request`, in shard order —
-    /// what the fanout stage span reports.
-    fn per_shard_scanned(&self, request: &str) -> Vec<usize> {
-        match ServeRequest::parse(request) {
-            Ok(ServeRequest::Subject(subject)) => (0..self.index.shard_count())
-                .map(|i| self.index.shard(i).postings(&subject).len())
-                .collect(),
-            Ok(ServeRequest::TopK(..)) => (0..self.index.shard_count())
-                .map(|i| self.index.shard(i).posting_count())
-                .collect(),
-            Err(_) => Vec::new(),
-        }
-    }
-
-    fn top_k_answer(&self, k: usize, polarity: Polarity) -> (Value, u64) {
+    fn top_k_answer(&self, k: usize, polarity: Polarity) -> (Value, Vec<u64>) {
         let ranked = self.index.top_k(k, polarity);
         let top: Vec<Value> = ranked
             .iter()
@@ -171,42 +162,67 @@ impl SentimentServingBackend {
         let mut o = BTreeMap::new();
         o.insert("polarity".to_string(), Value::from(polarity.to_string()));
         o.insert("top".to_string(), Value::Array(top));
-        // a tally scan touches every posting on every shard
-        (Value::Object(o), self.index.posting_count() as u64)
+        // charged as the postings scan the tallies replaced: every posting
+        // on every shard
+        let per_shard = (0..self.index.shard_count())
+            .map(|i| self.index.shard(i).posting_count() as u64)
+            .collect();
+        (Value::Object(o), per_shard)
+    }
+}
+
+/// One resolved request: the rendered body, the postings each shard
+/// holds for it in shard order, and how many shards were degraded.
+struct Resolved {
+    body: String,
+    per_shard: Vec<u64>,
+    degraded: usize,
+}
+
+impl Resolved {
+    /// The postings the answer covers, summed over shards.
+    fn scanned(&self) -> u64 {
+        self.per_shard.iter().sum()
+    }
+
+    /// The cost model: one simulated millisecond per posting covered,
+    /// plus the penalty per degraded shard.
+    fn cost_sim_ms(&self) -> u64 {
+        self.scanned() + self.degraded as u64 * DEGRADED_SHARD_PENALTY_MS
     }
 }
 
 impl ServingBackend for SentimentServingBackend {
     fn execute(&self, request: &str) -> Result<ServedAnswer> {
-        let (body, scanned, degraded) = self.resolve(request)?;
-        let cost_sim_ms = scanned + degraded as u64 * DEGRADED_SHARD_PENALTY_MS;
+        let resolved = self.resolve(request)?;
         Ok(ServedAnswer {
-            body: serde_json::to_string(&body).expect("Value renders infallibly"),
-            cost_sim_ms,
+            cost_sim_ms: resolved.cost_sim_ms(),
+            body: resolved.body,
         })
     }
 
     /// Same answer and cost as [`ServingBackend::execute`], with the cost
     /// attributed to stage spans: `shard_fanout` carries the per-shard
-    /// postings scan (plus the degraded-shard penalty), `postings_merge`
-    /// the k-way combine (free in the cost model; recorded for count).
+    /// postings count (plus the degraded-shard penalty), `postings_merge`
+    /// the cross-shard combine (free in the cost model; recorded for
+    /// count).
     fn execute_traced(&self, request: &str, span: &mut TraceSpan) -> Result<ServedAnswer> {
-        let (body, scanned, degraded) = self.resolve(request)?;
-        let cost_sim_ms = scanned + degraded as u64 * DEGRADED_SHARD_PENALTY_MS;
-        let per_shard = self.per_shard_scanned(request);
+        let resolved = self.resolve(request)?;
+        let (scanned, cost_sim_ms) = (resolved.scanned(), resolved.cost_sim_ms());
         let mut fanout = span.child("shard_fanout");
         fanout.attr("shards", self.index.shard_count().to_string());
         fanout.attr("scanned", scanned.to_string());
         fanout.attr(
             "per_shard",
-            per_shard
+            resolved
+                .per_shard
                 .iter()
-                .map(usize::to_string)
+                .map(u64::to_string)
                 .collect::<Vec<_>>()
                 .join(","),
         );
-        if degraded > 0 {
-            fanout.attr("degraded", degraded.to_string());
+        if resolved.degraded > 0 {
+            fanout.attr("degraded", resolved.degraded.to_string());
         }
         fanout.advance(cost_sim_ms);
         fanout.finish();
@@ -215,7 +231,7 @@ impl ServingBackend for SentimentServingBackend {
         merge.attr("postings", scanned.to_string());
         merge.finish();
         Ok(ServedAnswer {
-            body: serde_json::to_string(&body).expect("Value renders infallibly"),
+            body: resolved.body,
             cost_sim_ms,
         })
     }

@@ -5,10 +5,12 @@
 //! folds those annotations into polarity **postings** sharded the same
 //! way the [`wf_platform::DataStore`] shards documents, so each cluster
 //! node holds the sentiment postings for exactly the documents it owns.
-//! Query time then never touches the NLP stack: "sentiment of X" is a
-//! fan-out over per-shard `BTreeMap` lookups plus a deterministic merge,
-//! and "top-k by polarity" is a tally scan — the paper's "real time
-//! response" requirement, made concrete.
+//! Each shard also keeps a `[positive, negative, neutral]` tally per
+//! subject, updated as postings land. Query time then never touches the
+//! NLP stack or the postings themselves: "sentiment of X" sums one tally
+//! per shard, and "top-k by polarity" ranks the summed tallies of every
+//! subject — the paper's "real time response" requirement, made
+//! concrete.
 //!
 //! The shard-merge invariant (see `tests/serving.rs`): building the index
 //! over an N-shard store and merging per-shard postings yields exactly
@@ -22,7 +24,7 @@ use wf_types::{DocId, Polarity, Span};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SentimentPosting {
     pub doc: DocId,
-    /// Index shard (= cluster node) owning the document.
+    /// Index shard (= cluster node) holding the posting.
     pub shard: u32,
     /// Canonical lowercased subject, as the miners annotate it.
     pub subject: String,
@@ -33,15 +35,43 @@ pub struct SentimentPosting {
     pub sentence: String,
 }
 
-impl SentimentPosting {
-    /// Deterministic postings order: document, then position in it.
+/// Deterministic postings order: document, then position in it.
+fn sort_key(doc: DocId, span: Span, polarity: Polarity) -> (u64, usize, usize, i32) {
+    (doc.0, span.start, span.end, polarity.score())
+}
+
+/// A posting as a shard stores it: its subject is the key of the list
+/// holding it and its shard is the shard holding that list, so neither
+/// is stored per posting.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ShardPosting {
+    doc: DocId,
+    polarity: Polarity,
+    sentence_span: Span,
+    sentence: Box<str>,
+}
+
+impl ShardPosting {
     fn sort_key(&self) -> (u64, usize, usize, i32) {
-        (
-            self.doc.0,
-            self.sentence_span.start,
-            self.sentence_span.end,
-            self.polarity.score(),
-        )
+        sort_key(self.doc, self.sentence_span, self.polarity)
+    }
+}
+
+/// One subject's postings on one shard, sorted by (doc, span), with
+/// their tally by polarity.
+#[derive(Debug, Clone, Default)]
+struct SubjectPostings {
+    /// Postings per polarity, indexed `[positive, negative, neutral]`.
+    tally: [u64; 3],
+    postings: Vec<ShardPosting>,
+}
+
+/// The `tally` slot of one polarity.
+fn slot(polarity: Polarity) -> usize {
+    match polarity {
+        Polarity::Positive => 0,
+        Polarity::Negative => 1,
+        Polarity::Neutral => 2,
     }
 }
 
@@ -55,6 +85,15 @@ pub struct SubjectSummary {
 }
 
 impl SubjectSummary {
+    fn from_tally(subject: &str, [positive, negative, neutral]: [u64; 3]) -> Self {
+        SubjectSummary {
+            subject: subject.to_string(),
+            positive,
+            negative,
+            neutral,
+        }
+    }
+
     pub fn total(&self) -> u64 {
         self.positive + self.negative + self.neutral
     }
@@ -77,14 +116,16 @@ impl SubjectSummary {
 /// One shard's subject → postings map.
 #[derive(Debug, Clone, Default)]
 pub struct SentimentIndexShard {
-    postings: BTreeMap<String, Vec<SentimentPosting>>,
+    postings: BTreeMap<String, SubjectPostings>,
     posting_count: usize,
 }
 
 impl SentimentIndexShard {
-    /// Postings for one subject, sorted by (doc, span).
-    pub fn postings(&self, subject: &str) -> &[SentimentPosting] {
-        self.postings.get(subject).map(Vec::as_slice).unwrap_or(&[])
+    /// How many postings this shard holds for `subject`.
+    pub fn subject_posting_count(&self, subject: &str) -> usize {
+        self.postings
+            .get(subject)
+            .map_or(0, |list| list.postings.len())
     }
 
     pub fn subjects(&self) -> impl Iterator<Item = &str> {
@@ -97,13 +138,22 @@ impl SentimentIndexShard {
 
     /// Inserts keeping each subject's postings sorted, so incremental
     /// adds and bulk builds produce identical layouts.
-    fn add(&mut self, posting: SentimentPosting) {
-        let list = self.postings.entry(posting.subject.clone()).or_default();
+    fn add(&mut self, subject: String, posting: ShardPosting) {
+        let list = self.postings.entry(subject).or_default();
         let at = list
-            .binary_search_by_key(&posting.sort_key(), SentimentPosting::sort_key)
+            .postings
+            .binary_search_by_key(&posting.sort_key(), ShardPosting::sort_key)
             .unwrap_or_else(|i| i);
-        list.insert(at, posting);
+        list.tally[slot(posting.polarity)] += 1;
+        list.postings.insert(at, posting);
         self.posting_count += 1;
+    }
+
+    /// Drops the spare capacity a build's growing lists left behind.
+    fn shrink_to_fit(&mut self) {
+        for list in self.postings.values_mut() {
+            list.postings.shrink_to_fit();
+        }
     }
 }
 
@@ -132,12 +182,22 @@ impl ShardedSentimentIndex {
             index.add_entity(entity, shard);
         });
         index
+            .shards
+            .iter_mut()
+            .for_each(SentimentIndexShard::shrink_to_fit);
+        index
+    }
+
+    /// The shard slot for a shard id: out-of-range ids clamp to the last
+    /// shard.
+    fn slot(&self, shard: u32) -> usize {
+        (shard as usize).min(self.shards.len() - 1)
     }
 
     /// Folds one entity's `sentiment` annotations into `shard` — the
     /// incremental-ingest path: call it as freshly mined documents land.
     pub fn add_entity(&mut self, entity: &Entity, shard: u32) {
-        let slot = (shard as usize).min(self.shards.len() - 1);
+        let slot = self.slot(shard);
         for ann in entity.annotations_of("sentiment") {
             let (Some(subject), Some(polarity)) = (ann.attr("subject"), ann.attr("polarity"))
             else {
@@ -146,24 +206,23 @@ impl ShardedSentimentIndex {
             let Some(polarity) = Polarity::parse(polarity) else {
                 continue;
             };
-            self.shards[slot].add(SentimentPosting {
-                doc: entity.id,
-                shard,
-                subject: subject.to_lowercase(),
-                polarity,
-                sentence_span: ann.span,
-                sentence: ann.span.slice(&entity.text).trim().to_string(),
-            });
+            self.shards[slot].add(
+                subject.to_lowercase(),
+                ShardPosting {
+                    doc: entity.id,
+                    polarity,
+                    sentence_span: ann.span,
+                    sentence: ann.span.slice(&entity.text).trim().into(),
+                },
+            );
         }
     }
 
     /// Drops one shard's postings (its node crashed), returning how
     /// many were lost. Out-of-range shards clamp like `add_entity`.
     pub fn clear_shard(&mut self, shard: u32) -> usize {
-        let slot = (shard as usize).min(self.shards.len() - 1);
-        let dropped = self.shards[slot].posting_count;
-        self.shards[slot] = SentimentIndexShard::default();
-        dropped
+        let slot = self.slot(shard);
+        std::mem::take(&mut self.shards[slot]).posting_count
     }
 
     /// Rebuilds one shard from recovered entities (clear + re-add): the
@@ -176,7 +235,8 @@ impl ShardedSentimentIndex {
         for entity in entities {
             self.add_entity(entity, shard);
         }
-        let slot = (shard as usize).min(self.shards.len() - 1);
+        let slot = self.slot(shard);
+        self.shards[slot].shrink_to_fit();
         self.shards[slot].posting_count
     }
 
@@ -211,64 +271,58 @@ impl ShardedSentimentIndex {
     /// One subject's postings merged across shards in deterministic
     /// (doc, span) order — the serving tier's fan-out + merge.
     pub fn merged_postings(&self, subject: &str) -> Vec<SentimentPosting> {
-        let mut merged: Vec<SentimentPosting> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.postings(subject).iter().cloned())
-            .collect();
-        merged.sort_by_key(SentimentPosting::sort_key);
+        let mut merged = Vec::new();
+        for (shard, s) in self.shards.iter().enumerate() {
+            let Some(list) = s.postings.get(subject) else {
+                continue;
+            };
+            merged.extend(list.postings.iter().map(|p| SentimentPosting {
+                doc: p.doc,
+                shard: shard as u32,
+                subject: subject.to_string(),
+                polarity: p.polarity,
+                sentence_span: p.sentence_span,
+                sentence: p.sentence.to_string(),
+            }));
+        }
+        merged.sort_by_key(|p| sort_key(p.doc, p.sentence_span, p.polarity));
         merged
     }
 
     /// Polarity tallies for one subject, or `None` when it was never
     /// mined.
     pub fn summary(&self, subject: &str) -> Option<SubjectSummary> {
-        let mut summary = SubjectSummary {
-            subject: subject.to_string(),
-            ..SubjectSummary::default()
-        };
-        let mut seen = false;
-        for shard in &self.shards {
-            for posting in shard.postings(subject) {
-                seen = true;
-                match posting.polarity {
-                    Polarity::Positive => summary.positive += 1,
-                    Polarity::Negative => summary.negative += 1,
-                    Polarity::Neutral => summary.neutral += 1,
-                }
-            }
+        let mut tally = None;
+        for list in self.shards.iter().filter_map(|s| s.postings.get(subject)) {
+            add_tally(tally.get_or_insert([0; 3]), &list.tally);
         }
-        seen.then_some(summary)
+        tally.map(|tally| SubjectSummary::from_tally(subject, tally))
     }
 
     /// The `k` subjects with the most `polarity` mentions (count
     /// descending, subject ascending on ties) — the Sifaka-style
-    /// analytics surface.
+    /// analytics surface, ranked from the shards' tallies.
     pub fn top_k(&self, k: usize, polarity: Polarity) -> Vec<SubjectSummary> {
-        let mut tallies: BTreeMap<&str, SubjectSummary> = BTreeMap::new();
+        let mut tallies: BTreeMap<&str, [u64; 3]> = BTreeMap::new();
         for shard in &self.shards {
-            for (subject, postings) in &shard.postings {
-                let entry = tallies.entry(subject).or_insert_with(|| SubjectSummary {
-                    subject: subject.clone(),
-                    ..SubjectSummary::default()
-                });
-                for posting in postings {
-                    match posting.polarity {
-                        Polarity::Positive => entry.positive += 1,
-                        Polarity::Negative => entry.negative += 1,
-                        Polarity::Neutral => entry.neutral += 1,
-                    }
-                }
+            for (subject, list) in &shard.postings {
+                add_tally(tallies.entry(subject).or_default(), &list.tally);
             }
         }
-        let mut ranked: Vec<SubjectSummary> = tallies.into_values().collect();
-        ranked.sort_by(|a, b| {
-            b.count(polarity)
-                .cmp(&a.count(polarity))
-                .then_with(|| a.subject.cmp(&b.subject))
-        });
-        ranked.truncate(k);
+        let mut ranked: Vec<(&str, [u64; 3])> = tallies.into_iter().collect();
+        let at = slot(polarity);
+        ranked.sort_by(|a, b| b.1[at].cmp(&a.1[at]).then_with(|| a.0.cmp(b.0)));
         ranked
+            .into_iter()
+            .take(k)
+            .map(|(subject, tally)| SubjectSummary::from_tally(subject, tally))
+            .collect()
+    }
+}
+
+fn add_tally(sum: &mut [u64; 3], tally: &[u64; 3]) {
+    for (s, t) in sum.iter_mut().zip(tally) {
+        *s += t;
     }
 }
 
@@ -310,11 +364,15 @@ mod tests {
         let index = ShardedSentimentIndex::build_from_store(&store);
         assert_eq!(index.shard_count(), 2);
         assert_eq!(index.posting_count(), 5);
-        for shard_id in 0..2 {
-            for posting in index.shard(shard_id).postings("canon") {
-                assert_eq!(store.node_of(posting.doc).0 as usize, shard_id);
+        for subject in index.subjects() {
+            for posting in index.merged_postings(&subject) {
+                assert_eq!(store.node_of(posting.doc).0, posting.shard);
             }
         }
+        let per_shard: usize = (0..2)
+            .map(|i| index.shard(i).subject_posting_count("canon"))
+            .sum();
+        assert_eq!(per_shard, 3);
     }
 
     #[test]

@@ -23,15 +23,16 @@
 mod common;
 
 use common::{
-    chaos_backend, chaos_serve_loop, full_workload, seeded_store, CHAOS_SEED, POLARITIES,
+    chaos_backend, chaos_serve_loop, decode, full_workload, seeded_store, CHAOS_SEED, POLARITIES,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
 use wf_platform::{
-    default_slos, HealthEngine, ServeLoop, ServingBackend, ServingConfig, Telemetry,
-    TelemetrySnapshot,
+    default_slos, Annotation, Entity, HealthEngine, ServeLoop, ServingBackend, ServingConfig,
+    SourceKind, Telemetry, TelemetrySnapshot,
 };
-use wf_sentiment::{SentimentServingBackend, ShardedSentimentIndex};
+use wf_sentiment::{SentimentServingBackend, ShardedSentimentIndex, SubjectSummary};
+use wf_types::{DocId, Polarity, Span};
 
 /// Renders only the `serving.*` slice of a telemetry snapshot, so the
 /// byte-identity assertions are not diluted by unrelated subsystems.
@@ -55,7 +56,164 @@ fn serving_snapshot_json(snapshot: &TelemetrySnapshot) -> String {
     filtered.to_json_string() + "\n"
 }
 
+/// The per-request recount the shard tallies replaced: one subject's
+/// polarity counts from its merged postings.
+fn recounted_summary(index: &ShardedSentimentIndex, subject: &str) -> Option<SubjectSummary> {
+    let postings = index.merged_postings(subject);
+    if postings.is_empty() {
+        return None;
+    }
+    let mut summary = SubjectSummary {
+        subject: subject.to_string(),
+        ..SubjectSummary::default()
+    };
+    for posting in postings {
+        match posting.polarity {
+            Polarity::Positive => summary.positive += 1,
+            Polarity::Negative => summary.negative += 1,
+            Polarity::Neutral => summary.neutral += 1,
+        }
+    }
+    Some(summary)
+}
+
+/// Top-k from recounted summaries of every subject.
+fn recounted_top_k(
+    index: &ShardedSentimentIndex,
+    k: usize,
+    polarity: Polarity,
+) -> Vec<SubjectSummary> {
+    let mut ranked: Vec<SubjectSummary> = index
+        .subjects()
+        .iter()
+        .filter_map(|subject| recounted_summary(index, subject))
+        .collect();
+    ranked.sort_by(|a, b| {
+        b.count(polarity)
+            .cmp(&a.count(polarity))
+            .then_with(|| a.subject.cmp(&b.subject))
+    });
+    ranked.truncate(k);
+    ranked
+}
+
+/// The body and cost a request's answer must have, recounted from merged
+/// postings; `None` when the subject is unknown.
+fn recounted_answer(index: &ShardedSentimentIndex, request: &str) -> Option<(String, u64)> {
+    if let Some(subject) = request.strip_prefix("sentiment of ") {
+        let s = recounted_summary(index, subject)?;
+        let body = format!(
+            "{{\"negative\":{},\"net\":{},\"neutral\":{},\"positive\":{},\"postings\":{},\"subject\":\"{}\"}}",
+            s.negative,
+            s.net(),
+            s.neutral,
+            s.positive,
+            s.total(),
+            s.subject
+        );
+        return Some((body, s.total()));
+    }
+    let [_, k, sign] = request.split(' ').collect::<Vec<_>>()[..] else {
+        panic!("unexpected request {request:?}");
+    };
+    let polarity = Polarity::parse(sign).unwrap();
+    let top: Vec<String> = recounted_top_k(index, k.parse().unwrap(), polarity)
+        .iter()
+        .map(|s| {
+            format!(
+                "{{\"count\":{},\"net\":{},\"subject\":\"{}\"}}",
+                s.count(polarity),
+                s.net(),
+                s.subject
+            )
+        })
+        .collect();
+    let body = format!("{{\"polarity\":\"{sign}\",\"top\":[{}]}}", top.join(","));
+    let postings: usize = index
+        .subjects()
+        .iter()
+        .map(|subject| index.merged_postings(subject).len())
+        .sum();
+    Some((body, postings as u64))
+}
+
+/// An entity carrying one sentiment annotation per mark, each over its
+/// own ten-byte slice of the text.
+fn marked_entity(id: u64, marks: &[usize]) -> Entity {
+    let text = "0123456789".repeat(marks.len());
+    let mut entity = Entity::new(format!("test://tally/{id}"), SourceKind::Web, &text);
+    entity.id = DocId(id);
+    for (i, &mark) in marks.iter().enumerate() {
+        let (subject, polarity) = decode(mark);
+        entity.annotate(
+            Annotation::new("sentiment", Span::new(i * 10, i * 10 + 10))
+                .with_attr("subject", subject.to_uppercase())
+                .with_attr("polarity", polarity.to_string()),
+        );
+    }
+    entity
+}
+
 proptest! {
+    /// Tallies track every layout change: after any sequence of
+    /// incremental adds, shard losses and shard rebuilds, `summary`,
+    /// `top_k`, and every backend answer and its cost equal a recount
+    /// of the merged postings.
+    #[test]
+    fn tallies_match_a_recount_of_merged_postings(
+        steps in prop::collection::vec((0u8..4, 0u32..5, prop::collection::vec(0usize..12, 1..4)), 1..30),
+    ) {
+        let mut index = ShardedSentimentIndex::new(4);
+        // what each shard's node still holds after a loss, for rebuilds
+        let mut owned: Vec<Vec<Entity>> = vec![Vec::new(); 4];
+        for (id, (op, shard, marks)) in steps.iter().enumerate() {
+            let slot = (*shard as usize).min(3);
+            match op {
+                0 | 1 => {
+                    let entity = marked_entity(id as u64, marks);
+                    index.add_entity(&entity, *shard);
+                    owned[slot].push(entity);
+                }
+                2 => {
+                    index.clear_shard(*shard);
+                }
+                _ => {
+                    let count = index.rebuild_shard(*shard, &owned[slot]);
+                    prop_assert_eq!(count, index.shard(slot).posting_count());
+                }
+            }
+        }
+        let subjects = index.subjects();
+        for subject in &subjects {
+            prop_assert_eq!(index.summary(subject), recounted_summary(&index, subject));
+        }
+        prop_assert!(index.summary("zorblax").is_none());
+        for polarity in POLARITIES {
+            for k in [1, 2, 5] {
+                prop_assert_eq!(index.top_k(k, polarity), recounted_top_k(&index, k, polarity));
+            }
+        }
+        let expected: Vec<(String, Option<(String, u64)>)> = full_workload()
+            .into_iter()
+            .chain(["top 1 0".to_string(), "top 5 -".to_string()])
+            .map(|request| {
+                let answer = recounted_answer(&index, &request);
+                (request, answer)
+            })
+            .collect();
+        let backend = SentimentServingBackend::new(index);
+        for (request, answer) in expected {
+            let served = backend.execute(&request).ok().map(|a| (a.body, a.cost_sim_ms));
+            prop_assert!(
+                served == answer,
+                "{:?}: served {:?}, recounted {:?}",
+                request,
+                served,
+                answer
+            );
+        }
+    }
+
     /// Cache-coherence invariant: every answer the serve loop marks as
     /// a cache hit carries exactly the bytes a fresh recomputation from
     /// the sentiment index produces.
