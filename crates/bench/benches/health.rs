@@ -60,7 +60,7 @@ fn main() {
         for i in 0..25 {
             let _ = cluster
                 .bus()
-                .call_traced("annotate", &serde_json::json!(i), &mut root);
+                .call_detailed("annotate", &serde_json::json!(i), Some(&mut root));
         }
         cluster.advance_clock(root.elapsed_sim_ms());
         root.finish();

@@ -10,10 +10,10 @@ use std::path::Path;
 use std::sync::Arc;
 use wf_features::{FeatureExtractor, Selection, CHI2_95};
 use wf_platform::{
-    default_slos, load_store, parse_query, render_scoreboard, save_store, Cluster, DataStore,
-    DoctorReport, DurableStorage, FaultContext, FaultPlan, HealthEngine, Indexer, Ingestor, Level,
-    LogFilter, MinerPipeline, NodeHealth, PipelineStats, Profile, RawDocument, RunDiff, RunOpts,
-    SourceKind, Telemetry, TelemetrySnapshot, TimeSeriesStore, DEFAULT_SCRAPE_INTERVAL_MS,
+    default_slos, parse_query, render_scoreboard, Cluster, DataStore, DoctorReport, DurableStorage,
+    FaultContext, FaultPlan, HealthEngine, Indexer, Ingestor, Level, LogFilter, MinerPipeline,
+    NodeHealth, PipelineStats, Profile, RawDocument, RunDiff, RunOpts, SourceKind, StopReason,
+    Telemetry, TelemetrySnapshot, TimeSeriesStore, DEFAULT_SCRAPE_INTERVAL_MS,
     DEFAULT_TIMELINE_CAPACITY,
 };
 use wf_sentiment::{
@@ -60,21 +60,21 @@ USAGE:
   wfsm features <D_PLUS.txt> <D_MINUS.txt> [--top N]
       Feature terms by bBNP + likelihood ratio; inputs are one document
       per line.
-  wfsm mine     --input DOCS.txt --snapshot OUT.jsonl [--subjects A,B]
+  wfsm mine     --input DOCS.txt [--data-dir DIR] [--subjects A,B]
                 [--chaos-seed S] [--fail-rate P] [--metrics M.json]
-                [--data-dir DIR] [--explain]
-      Run the mining pipeline over one-document-per-line input and save
-      an annotated store snapshot (named-entity mode when no subjects).
-      With --chaos-seed, inject deterministic faults at probability P
-      (default 0.05) and report retries / skipped shards. With --metrics,
-      also write the run's telemetry snapshot as canonical JSON (same
-      seed ⇒ byte-identical file). With --explain, index the mined store
-      and print a per-plan-node query profile (postings scanned, sim-ms)
-      for representative boolean / phrase / range / regex queries. With
-      --data-dir, mutations are write-ahead logged under DIR
-      (shard-NNN/{wal.log,snapshot.jsonl}): the raw corpus is
-      snapshotted after ingest and every mining annotation lands in the
-      WAL, ready for `wfsm recover`.
+                [--explain]
+      Run the mining pipeline over one-document-per-line input
+      (named-entity mode when no subjects). With --data-dir, the store is
+      saved under DIR (shard-NNN/{wal.log,snapshot.jsonl}): the raw
+      corpus is snapshotted after ingest and every mining annotation
+      lands in the WAL, ready for `wfsm query|search|recover`; without
+      it the run stays in memory. With --chaos-seed, inject
+      deterministic faults at probability P (default 0.05) and report
+      retries / skipped shards. With --metrics, also write the run's
+      telemetry snapshot as canonical JSON (same seed ⇒ byte-identical
+      file). With --explain, index the mined store and print a
+      per-plan-node query profile (postings scanned, sim-ms) for
+      representative boolean / phrase / range / regex queries.
   wfsm metrics  --file M.json [--format table|json]
   wfsm metrics  --input DOCS.txt [--subjects A,B] [--chaos-seed S]
                 [--fail-rate P] [--format table|json]
@@ -82,13 +82,16 @@ USAGE:
       --metrics`, or from a fresh in-memory mining run — as a
       human-readable table (default) or canonical JSON (--format json;
       --json is accepted as an alias).
-  wfsm query    --snapshot OUT.jsonl --subject NAME [--polarity +|-]
-      Query a mined snapshot for a subject's sentiment-bearing sentences.
-  wfsm search   --snapshot OUT.jsonl --query 'camera AND (battery OR \"picture quality\")'
+  wfsm query    --data-dir DIR --subject NAME [--polarity +|-]
+      Query a mined data dir for a subject's sentiment-bearing sentences.
+  wfsm search   --data-dir DIR --query 'camera AND (battery OR \"picture quality\")'
                 [--explain]
-      Boolean/phrase/meta/concept/regex/range search over a snapshot's
+      Boolean/phrase/meta/concept/regex/range search over a data dir's
       index. With --explain, also print the executed query plan with
-      per-node postings scanned, pruning and simulated cost.
+      per-node postings scanned, pruning and simulated cost. Both read
+      the store the way `wfsm recover` does (snapshot + WAL replay, no
+      repair); a shard whose replay stopped early answers from its
+      valid prefix and adds one warning line.
   wfsm trace    --input DOCS.txt [--subjects A,B] [--chaos-seed S]
                 [--fail-rate P] [--last N] [--format text|json|chrome]
       Run the mining pipeline in memory and export the flight recorder's
@@ -376,12 +379,10 @@ fn run_mine_pipeline(
 }
 
 fn mine(args: &ParsedArgs) -> Result<String, String> {
-    let snapshot = args.require("snapshot")?.to_string();
     let (store, stats, chaos) = run_mine_pipeline(args)?;
-    let written = save_store(&store, Path::new(&snapshot)).map_err(|e| e.to_string())?;
     let mut out = format!(
-        "mined {} documents ({} failed); snapshot of {} entities written to {}\n",
-        stats.processed, stats.failed, written, snapshot
+        "mined {} documents ({} failed)\n",
+        stats.processed, stats.failed
     );
     if let Some((seed, fail_rate)) = chaos {
         out.push_str(&format!(
@@ -436,7 +437,9 @@ fn explain_report(store: &DataStore) -> Result<String, String> {
     let mut out = String::from("\nQUERY PROFILES (EXPLAIN)\n");
     for text in EXPLAIN_QUERIES {
         let query = parse_query(text).map_err(|e| e.to_string())?;
-        let (docs, profile) = indexer.query_explained(&query).map_err(|e| e.to_string())?;
+        let (docs, profile) = indexer
+            .query_explained(&query, None)
+            .map_err(|e| e.to_string())?;
         out.push_str(&format!("\nquery: {text}\n"));
         out.push_str(&profile.render_text());
         out.push_str(&format!(
@@ -469,8 +472,33 @@ fn metrics(args: &ParsedArgs) -> Result<String, String> {
     }
 }
 
+/// The store `query` and `search` read: every shard of `--data-dir`
+/// replayed read-only, as `wfsm recover` replays it. Returns one warning
+/// line per shard whose replay stopped early; that shard answers from
+/// its valid prefix.
+fn recover_data_dir(args: &ParsedArgs) -> Result<(DataStore, String), String> {
+    let dir = args.require("data-dir")?;
+    let storage = DurableStorage::open_dir(Path::new(dir)).map_err(|e| e.to_string())?;
+    let (store, report) = storage.recover_store().map_err(|e| e.to_string())?;
+    let mut warnings = String::new();
+    for s in &report.shards {
+        if s.stop != StopReason::EndOfLog || s.snapshot_truncated {
+            warnings.push_str(&format!(
+                "warning: shard {} replay stopped at {}{}; answered from its valid prefix\n",
+                s.shard,
+                s.stop.label(),
+                if s.snapshot_truncated {
+                    " (snapshot truncated)"
+                } else {
+                    ""
+                }
+            ));
+        }
+    }
+    Ok((store, warnings))
+}
+
 fn query(args: &ParsedArgs) -> Result<String, String> {
-    let snapshot = args.require("snapshot")?;
     let subject = args.require("subject")?;
     let polarity = match args.opt("polarity") {
         None => None,
@@ -478,7 +506,7 @@ fn query(args: &ParsedArgs) -> Result<String, String> {
             Some(Polarity::parse(p).ok_or_else(|| format!("bad --polarity {p:?} (use + or -)"))?)
         }
     };
-    let store = load_store(Path::new(snapshot), 4).map_err(|e| e.to_string())?;
+    let (store, warnings) = recover_data_dir(args)?;
     let indexer = index_store(&store);
     let hits = SentimentQueryService::query(&indexer, &store, subject, polarity)
         .map_err(|e| e.to_string())?;
@@ -490,16 +518,18 @@ fn query(args: &ParsedArgs) -> Result<String, String> {
         ));
     }
     out.push_str(&format!("{} hit(s)\n", hits.len()));
+    out.push_str(&warnings);
     Ok(out)
 }
 
 fn search(args: &ParsedArgs) -> Result<String, String> {
-    let snapshot = args.require("snapshot")?;
     let query_text = args.require("query")?;
     let query = parse_query(query_text).map_err(|e| e.to_string())?;
-    let store = load_store(Path::new(snapshot), 4).map_err(|e| e.to_string())?;
+    let (store, warnings) = recover_data_dir(args)?;
     let indexer = index_store(&store);
-    let (docs, profile) = indexer.query_explained(&query).map_err(|e| e.to_string())?;
+    let (docs, profile) = indexer
+        .query_explained(&query, None)
+        .map_err(|e| e.to_string())?;
     let mut out = String::new();
     for doc in &docs {
         let entity = store.get(*doc).map_err(|e| e.to_string())?;
@@ -512,6 +542,7 @@ fn search(args: &ParsedArgs) -> Result<String, String> {
         out.push_str(&profile.render_text());
         out.push_str(&format!("total: {} sim-ms\n", profile.total_sim_ms()));
     }
+    out.push_str(&warnings);
     Ok(out)
 }
 
@@ -632,7 +663,7 @@ impl HealthWorkload {
             let _ = self
                 .cluster
                 .bus()
-                .call_traced("sentiment.score", &request, &mut root);
+                .call_detailed("sentiment.score", &request, Some(&mut root));
         }
         self.cluster.advance_clock(root.elapsed_sim_ms());
         root.finish();
@@ -1203,14 +1234,13 @@ mod tests {
             "docs",
             "The Canon takes excellent pictures.\nThe Canon battery is terrible.\n",
         );
-        let mut snap = std::env::temp_dir();
-        snap.push(format!("wfsm-snap-{}.jsonl", std::process::id()));
+        let dir = temp_data_dir("roundtrip");
         let out = run_tokens(&[
             "mine",
             "--input",
             docs.to_str().unwrap(),
-            "--snapshot",
-            snap.to_str().unwrap(),
+            "--data-dir",
+            dir.to_str().unwrap(),
             "--subjects",
             "Canon",
         ])
@@ -1218,8 +1248,8 @@ mod tests {
         assert!(out.contains("mined 2 documents"), "{out}");
         let out = run_tokens(&[
             "query",
-            "--snapshot",
-            snap.to_str().unwrap(),
+            "--data-dir",
+            dir.to_str().unwrap(),
             "--subject",
             "Canon",
             "--polarity",
@@ -1228,8 +1258,9 @@ mod tests {
         .unwrap();
         assert!(out.contains("excellent pictures"), "{out}");
         assert!(out.contains("1 hit(s)"), "{out}");
+        assert!(!out.contains("warning"), "{out}");
         std::fs::remove_file(docs).ok();
-        std::fs::remove_file(snap).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -1239,15 +1270,14 @@ mod tests {
             "The Canon takes excellent pictures.\nThe Canon battery is terrible.\n\
              The Canon lens is sharp.\nThe Canon flash misfires.\n",
         );
-        let mut snap = std::env::temp_dir();
-        snap.push(format!("wfsm-chaos-{}.jsonl", std::process::id()));
+        let dir = temp_data_dir("chaos");
         let run = || {
             run_tokens(&[
                 "mine",
                 "--input",
                 docs.to_str().unwrap(),
-                "--snapshot",
-                snap.to_str().unwrap(),
+                "--data-dir",
+                dir.to_str().unwrap(),
                 "--subjects",
                 "Canon",
                 "--chaos-seed",
@@ -1262,7 +1292,7 @@ mod tests {
         assert!(first.contains("sim ms"), "{first}");
         assert_eq!(first, run(), "same seed must reproduce the same report");
         std::fs::remove_file(docs).ok();
-        std::fs::remove_file(snap).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -1272,8 +1302,6 @@ mod tests {
             "The Canon takes excellent pictures.\nThe Canon battery is terrible.\n\
              The Canon lens is sharp.\nThe Canon flash misfires.\n",
         );
-        let mut snap = std::env::temp_dir();
-        snap.push(format!("wfsm-msnap-{}.jsonl", std::process::id()));
         let mut m1 = std::env::temp_dir();
         m1.push(format!("wfsm-m1-{}.json", std::process::id()));
         let mut m2 = std::env::temp_dir();
@@ -1283,8 +1311,6 @@ mod tests {
                 "mine",
                 "--input",
                 docs.to_str().unwrap(),
-                "--snapshot",
-                snap.to_str().unwrap(),
                 "--subjects",
                 "Canon",
                 "--chaos-seed",
@@ -1309,7 +1335,7 @@ mod tests {
         // and --json round-trips the exact bytes
         let json = run_tokens(&["metrics", "--file", m1.to_str().unwrap(), "--json"]).unwrap();
         assert_eq!(json.as_bytes(), j1.as_slice());
-        for p in [&docs, &snap, &m1, &m2] {
+        for p in [&docs, &m1, &m2] {
             std::fs::remove_file(p).ok();
         }
     }
@@ -1338,23 +1364,12 @@ mod tests {
 
     #[test]
     fn chaos_flags_are_validated() {
-        let err = run_tokens(&[
-            "mine",
-            "--input",
-            "x",
-            "--snapshot",
-            "y",
-            "--fail-rate",
-            "0.2",
-        ])
-        .unwrap_err();
+        let err = run_tokens(&["mine", "--input", "x", "--fail-rate", "0.2"]).unwrap_err();
         assert!(err.contains("--fail-rate requires --chaos-seed"), "{err}");
         let err = run_tokens(&[
             "mine",
             "--input",
             "x",
-            "--snapshot",
-            "y",
             "--chaos-seed",
             "1",
             "--fail-rate",
@@ -1377,22 +1392,21 @@ mod tests {
             "searchdocs",
             "The Canon takes excellent pictures.\nThe song has a great chorus.\n",
         );
-        let mut snap = std::env::temp_dir();
-        snap.push(format!("wfsm-search-{}.jsonl", std::process::id()));
+        let dir = temp_data_dir("search");
         run_tokens(&[
             "mine",
             "--input",
             docs.to_str().unwrap(),
-            "--snapshot",
-            snap.to_str().unwrap(),
+            "--data-dir",
+            dir.to_str().unwrap(),
             "--subjects",
             "Canon",
         ])
         .unwrap();
         let out = run_tokens(&[
             "search",
-            "--snapshot",
-            snap.to_str().unwrap(),
+            "--data-dir",
+            dir.to_str().unwrap(),
             "--query",
             "excellent AND NOT chorus",
         ])
@@ -1400,8 +1414,8 @@ mod tests {
         assert!(out.contains("1 document(s)"), "{out}");
         let out = run_tokens(&[
             "search",
-            "--snapshot",
-            snap.to_str().unwrap(),
+            "--data-dir",
+            dir.to_str().unwrap(),
             "--query",
             "concept:sentiment:polarity=+",
         ])
@@ -1409,15 +1423,15 @@ mod tests {
         assert!(out.contains("1 document(s)"), "{out}");
         let out = run_tokens(&[
             "search",
-            "--snapshot",
-            snap.to_str().unwrap(),
+            "--data-dir",
+            dir.to_str().unwrap(),
             "--query",
             "regex:(pictures|chorus)",
         ])
         .unwrap();
         assert!(out.contains("2 document(s)"), "{out}");
         std::fs::remove_file(docs).ok();
-        std::fs::remove_file(snap).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -1427,14 +1441,10 @@ mod tests {
             "The Canon takes excellent pictures.\nThe Canon battery is terrible.\n\
              The Canon lens is sharp.\nThe Canon flash misfires.\n",
         );
-        let mut snap = std::env::temp_dir();
-        snap.push(format!("wfsm-explain-{}.jsonl", std::process::id()));
         let out = run_tokens(&[
             "mine",
             "--input",
             docs.to_str().unwrap(),
-            "--snapshot",
-            snap.to_str().unwrap(),
             "--subjects",
             "Canon",
             "--explain",
@@ -1450,7 +1460,6 @@ mod tests {
         // the range query actually selects the 0000..0002 line window
         assert!(out.contains("meta_range(line=[0000..0002])"), "{out}");
         std::fs::remove_file(docs).ok();
-        std::fs::remove_file(snap).ok();
     }
 
     #[test]
@@ -1459,20 +1468,19 @@ mod tests {
             "searchexplain",
             "The Canon takes excellent pictures.\nThe song has a great chorus.\n",
         );
-        let mut snap = std::env::temp_dir();
-        snap.push(format!("wfsm-sexplain-{}.jsonl", std::process::id()));
+        let dir = temp_data_dir("sexplain");
         run_tokens(&[
             "mine",
             "--input",
             docs.to_str().unwrap(),
-            "--snapshot",
-            snap.to_str().unwrap(),
+            "--data-dir",
+            dir.to_str().unwrap(),
         ])
         .unwrap();
         let out = run_tokens(&[
             "search",
-            "--snapshot",
-            snap.to_str().unwrap(),
+            "--data-dir",
+            dir.to_str().unwrap(),
             "--query",
             "excellent AND NOT chorus",
             "--explain",
@@ -1483,7 +1491,7 @@ mod tests {
         assert!(out.contains("\nand "), "{out}");
         assert!(out.contains("term(excellent)"), "{out}");
         std::fs::remove_file(docs).ok();
-        std::fs::remove_file(snap).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -1545,14 +1553,10 @@ mod tests {
     #[test]
     fn mine_metrics_to_unwritable_path_errors() {
         let docs = temp_file("metricbadpath", "one line\n");
-        let mut snap = std::env::temp_dir();
-        snap.push(format!("wfsm-badmetrics-{}.jsonl", std::process::id()));
         let err = run_tokens(&[
             "mine",
             "--input",
             docs.to_str().unwrap(),
-            "--snapshot",
-            snap.to_str().unwrap(),
             "--metrics",
             "/nonexistent-dir/metrics.json",
         ])
@@ -1562,7 +1566,6 @@ mod tests {
             "{err}"
         );
         std::fs::remove_file(docs).ok();
-        std::fs::remove_file(snap).ok();
     }
 
     /// A scratch path for a durable data dir (not created; `at_dir`
@@ -1585,15 +1588,11 @@ mod tests {
              The Leica is excellent.\nThe Pentax is terrible.\n\
              The Fuji is excellent.\nThe Olympus is terrible.\n",
         );
-        let mut snap = std::env::temp_dir();
-        snap.push(format!("wfsm-minedurable-{}.jsonl", std::process::id()));
         let dir = temp_data_dir("minedurable");
         let out = run_tokens(&[
             "mine",
             "--input",
             docs.to_str().unwrap(),
-            "--snapshot",
-            snap.to_str().unwrap(),
             "--data-dir",
             dir.to_str().unwrap(),
         ])
@@ -1625,7 +1624,6 @@ mod tests {
         assert!(!first.contains("\"replayed\": 0"), "{first}");
 
         std::fs::remove_file(docs).ok();
-        std::fs::remove_file(snap).ok();
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1635,6 +1633,77 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let err = run_tokens(&["recover", "--data-dir", dir.to_str().unwrap()]).unwrap_err();
         assert!(err.contains("no shard-"), "{err}");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn search_requires_durable_layout() {
+        let dir = temp_data_dir("searchempty");
+        std::fs::create_dir_all(&dir).unwrap();
+        let err = run_tokens(&[
+            "search",
+            "--data-dir",
+            dir.to_str().unwrap(),
+            "--query",
+            "excellent",
+        ])
+        .unwrap_err();
+        assert!(err.contains("no shard-"), "{err}");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn query_answers_from_the_valid_prefix_of_a_torn_wal() {
+        let docs = temp_file(
+            "tornwal",
+            "The Canon takes excellent pictures.\nThe Canon lens is excellent.\n\
+             The Canon battery is terrible.\nThe Canon flash is terrible.\n\
+             The Canon zoom is excellent.\nThe Canon grip is terrible.\n\
+             The Canon screen is excellent.\nThe Canon menu is terrible.\n",
+        );
+        let dir = temp_data_dir("tornwal");
+        let path = dir.to_str().unwrap();
+        run_tokens(&[
+            "mine",
+            "--input",
+            docs.to_str().unwrap(),
+            "--data-dir",
+            path,
+            "--subjects",
+            "Canon",
+        ])
+        .unwrap();
+        let query = || run_tokens(&["query", "--data-dir", path, "--subject", "Canon"]).unwrap();
+        let clean = query();
+        assert!(clean.contains("8 hit(s)"), "{clean}");
+        // tear the last mining update off shard 2's WAL
+        let wal = dir.join("shard-002").join("wal.log");
+        let bytes = std::fs::read(&wal).unwrap();
+        std::fs::write(&wal, &bytes[..bytes.len() - 3]).unwrap();
+        let files = |()| {
+            (0..4)
+                .flat_map(|s| ["wal.log", "snapshot.jsonl"].map(|f| (s, f)))
+                .map(|(s, f)| std::fs::read(dir.join(format!("shard-{s:03}")).join(f)).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let before = files(());
+
+        let damaged = query();
+        let lines: Vec<&str> = damaged.lines().collect();
+        // the valid prefix lost one document's annotations: one hit fewer
+        assert_eq!(lines[lines.len() - 2], "7 hit(s)", "{damaged}");
+        assert_eq!(
+            lines[lines.len() - 1],
+            "warning: shard 2 replay stopped at torn_tail; answered from its valid prefix"
+        );
+        assert_eq!(damaged.matches("warning").count(), 1, "{damaged}");
+        // the shard and stop label match what `wfsm recover` reports
+        let report = run_tokens(&["recover", "--data-dir", path]).unwrap();
+        let row = report.lines().find(|l| l.starts_with("2 ")).unwrap();
+        assert!(row.ends_with("torn_tail"), "{report}");
+        // reading repaired nothing
+        assert_eq!(files(()), before);
+        std::fs::remove_file(docs).ok();
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1650,14 +1719,10 @@ mod tests {
         // a path under an existing *file* cannot be created even as root
         let blocker = temp_file("minedurblocker", "");
         let bad = blocker.join("sub");
-        let mut snap = std::env::temp_dir();
-        snap.push(format!("wfsm-minedurbad-{}.jsonl", std::process::id()));
         let err = run_tokens(&[
             "mine",
             "--input",
             docs.to_str().unwrap(),
-            "--snapshot",
-            snap.to_str().unwrap(),
             "--data-dir",
             bad.to_str().unwrap(),
         ])
@@ -1665,7 +1730,6 @@ mod tests {
         assert!(err.contains("cannot create data dir"), "{err}");
         std::fs::remove_file(docs).ok();
         std::fs::remove_file(blocker).ok();
-        std::fs::remove_file(snap).ok();
     }
 
     #[test]
@@ -1849,7 +1913,7 @@ mod tests {
         assert!(run_tokens(&["analyze"]).unwrap_err().contains("--subjects"));
         assert!(run_tokens(&["query", "--subject", "x"])
             .unwrap_err()
-            .contains("--snapshot"));
+            .contains("--data-dir"));
         assert!(run_tokens(&["features"])
             .unwrap_err()
             .contains("positional"));

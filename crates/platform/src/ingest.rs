@@ -123,95 +123,92 @@ impl<'a> Ingestor<'a> {
     /// faults (node blip, store conflict) are retried with backoff; a
     /// terminal fault or exhausted budget drops the document and counts it
     /// in `stats().failed`.
-    pub fn try_ingest(&mut self, doc: RawDocument) -> Result<DocId> {
-        self.try_ingest_inner(doc, None)
-    }
-
-    /// [`Ingestor::try_ingest`] as a `doc:<seq>` child span under `parent`
-    /// (`seq` is this ingestor's running document count). Injected faults,
-    /// retries and timeouts become span events; the parent clock advances
-    /// by the simulated time the ingest consumed.
-    pub fn try_ingest_traced(&mut self, doc: RawDocument, parent: &mut TraceSpan) -> Result<DocId> {
-        let seq = self.stats.documents;
-        let mut span = parent.child(format!("doc:{seq}"));
-        let result = self.try_ingest_inner(doc, Some(&mut span));
-        match &result {
-            Ok(id) => span.attr("id", id.0.to_string()),
-            Err(e) => span.event(format!("error: {e}")),
-        }
-        let elapsed = span.elapsed_sim_ms();
-        span.finish();
-        parent.advance(elapsed);
-        result
-    }
-
-    fn try_ingest_inner(
+    ///
+    /// With a `parent` span the ingest is a `doc:<seq>` child span (`seq`
+    /// is this ingestor's running document count): injected faults,
+    /// retries and timeouts become span events, and the parent clock
+    /// advances by the simulated time the ingest consumed.
+    pub fn try_ingest(
         &mut self,
         doc: RawDocument,
-        mut span: Option<&mut TraceSpan>,
+        parent: Option<&mut TraceSpan>,
     ) -> Result<DocId> {
-        let Some(stream) = self.faults.as_mut() else {
-            return Ok(self.ingest(doc));
-        };
-        self.stats.documents += 1;
-        self.stats.bytes += doc.text.len();
-        self.metrics.documents.inc();
-        self.metrics.bytes.add(doc.text.len() as u64);
-        let mut elapsed = 0u64;
-        for attempt in 0..=self.retry.max_retries {
-            let fault = stream.draw();
-            let latency = stream.latency_ms(fault);
-            elapsed += latency;
-            if let Some(s) = span.as_deref_mut() {
-                s.advance(latency);
-                if let Some(kind) = fault {
-                    s.event(format!("fault:{}", kind.label()));
+        let seq = self.stats.documents;
+        let mut span = parent.as_deref().map(|p| p.child(format!("doc:{seq}")));
+        let result = 'ingest: {
+            let Some(stream) = self.faults.as_mut() else {
+                break 'ingest Ok(self.ingest(doc));
+            };
+            self.stats.documents += 1;
+            self.stats.bytes += doc.text.len();
+            self.metrics.documents.inc();
+            self.metrics.bytes.add(doc.text.len() as u64);
+            let mut elapsed = 0u64;
+            for attempt in 0..=self.retry.max_retries {
+                let fault = stream.draw();
+                let latency = stream.latency_ms(fault);
+                elapsed += latency;
+                if let Some(s) = span.as_mut() {
+                    s.advance(latency);
+                    if let Some(kind) = fault {
+                        s.event(format!("fault:{}", kind.label()));
+                    }
                 }
-            }
-            if elapsed > self.retry.timeout_budget_ms {
-                if let Some(s) = span.as_deref_mut() {
-                    s.event("timeout");
-                }
-                self.stats.failed += 1;
-                self.metrics.failed.inc();
-                return Err(Error::Timeout(format!(
-                    "ingest of {} exceeded {} sim ms",
-                    doc.uri, self.retry.timeout_budget_ms
-                )));
-            }
-            match fault {
-                Some(FaultKind::ServiceError) => {
+                if elapsed > self.retry.timeout_budget_ms {
+                    if let Some(s) = span.as_mut() {
+                        s.event("timeout");
+                    }
                     self.stats.failed += 1;
                     self.metrics.failed.inc();
-                    return Err(Error::Service(format!(
-                        "injected ingest error for {}",
-                        doc.uri
+                    break 'ingest Err(Error::Timeout(format!(
+                        "ingest of {} exceeded {} sim ms",
+                        doc.uri, self.retry.timeout_budget_ms
                     )));
                 }
-                Some(FaultKind::NodeDown) | Some(FaultKind::StoreConflict) => {
-                    if attempt == self.retry.max_retries {
-                        break;
+                match fault {
+                    Some(FaultKind::ServiceError) => {
+                        self.stats.failed += 1;
+                        self.metrics.failed.inc();
+                        break 'ingest Err(Error::Service(format!(
+                            "injected ingest error for {}",
+                            doc.uri
+                        )));
                     }
-                    self.stats.retries += 1;
-                    self.metrics.retries.inc();
-                    let backoff = self.retry.backoff_for(attempt + 1);
-                    elapsed += backoff;
-                    if let Some(s) = span.as_deref_mut() {
-                        s.advance(backoff);
-                        s.event(format!("retry:{} backoff:{backoff}ms", attempt + 1));
+                    Some(FaultKind::NodeDown) | Some(FaultKind::StoreConflict) => {
+                        if attempt == self.retry.max_retries {
+                            break;
+                        }
+                        self.stats.retries += 1;
+                        self.metrics.retries.inc();
+                        let backoff = self.retry.backoff_for(attempt + 1);
+                        elapsed += backoff;
+                        if let Some(s) = span.as_mut() {
+                            s.advance(backoff);
+                            s.event(format!("retry:{} backoff:{backoff}ms", attempt + 1));
+                        }
                     }
-                }
-                Some(FaultKind::SlowResponse) | None => {
-                    return Ok(self.store_doc(doc));
+                    Some(FaultKind::SlowResponse) | None => {
+                        break 'ingest Ok(self.store_doc(doc));
+                    }
                 }
             }
+            self.stats.failed += 1;
+            self.metrics.failed.inc();
+            Err(Error::Unavailable(format!(
+                "ingest of {} failed after {} retries",
+                doc.uri, self.retry.max_retries
+            )))
+        };
+        if let (Some(mut span), Some(parent)) = (span, parent) {
+            match &result {
+                Ok(id) => span.attr("id", id.0.to_string()),
+                Err(e) => span.event(format!("error: {e}")),
+            }
+            let elapsed = span.elapsed_sim_ms();
+            span.finish();
+            parent.advance(elapsed);
         }
-        self.stats.failed += 1;
-        self.metrics.failed.inc();
-        Err(Error::Unavailable(format!(
-            "ingest of {} failed after {} retries",
-            doc.uri, self.retry.max_retries
-        )))
+        result
     }
 
     fn store_doc(&mut self, doc: RawDocument) -> DocId {
@@ -231,7 +228,7 @@ impl<'a> Ingestor<'a> {
     /// by injected faults are skipped).
     pub fn ingest_batch<I: IntoIterator<Item = RawDocument>>(&mut self, docs: I) -> Vec<DocId> {
         docs.into_iter()
-            .filter_map(|d| self.try_ingest(d).ok())
+            .filter_map(|d| self.try_ingest(d, None).ok())
             .collect()
     }
 
@@ -246,7 +243,7 @@ impl<'a> Ingestor<'a> {
         let mut span = parent.child("ingest.batch");
         let ids: Vec<DocId> = docs
             .into_iter()
-            .filter_map(|d| self.try_ingest_traced(d, &mut span).ok())
+            .filter_map(|d| self.try_ingest(d, Some(&mut span)).ok())
             .collect();
         span.attr("stored", ids.len().to_string());
         span.attr("documents", self.stats.documents.to_string());
@@ -329,7 +326,7 @@ mod tests {
         let store = DataStore::single();
         let mut ing = Ingestor::new(&store);
         assert_eq!(
-            ing.try_ingest(RawDocument::new("u", SourceKind::Web, "x"))
+            ing.try_ingest(RawDocument::new("u", SourceKind::Web, "x"), None)
                 .unwrap(),
             DocId(0)
         );
@@ -353,7 +350,10 @@ mod tests {
         };
         let mut ing = Ingestor::new(&store).with_faults(&plan, retry);
         for i in 0..50 {
-            let _ = ing.try_ingest(RawDocument::new(format!("u{i}"), SourceKind::Web, "text"));
+            let _ = ing.try_ingest(
+                RawDocument::new(format!("u{i}"), SourceKind::Web, "text"),
+                None,
+            );
         }
         let stats = ing.stats();
         let snap = store.telemetry().snapshot();

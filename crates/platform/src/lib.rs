@@ -70,7 +70,6 @@ pub mod index;
 pub mod ingest;
 pub mod miner;
 pub mod pagerank;
-pub mod persist;
 pub mod postings;
 pub mod profile;
 pub mod query_parser;
@@ -112,7 +111,6 @@ pub use miner::{
     CorpusMiner, EntityMiner, FaultContext, MinerPipeline, PipelineStats, RunOpts, ShardOutcome,
 };
 pub use pagerank::{pagerank, PageRankConfig, PageRankMiner};
-pub use persist::{load_store, save_store};
 pub use postings::{CompressedPostings, Cursor as PostingsCursor};
 pub use profile::{Hotspot, Profile, ProfileNode};
 pub use query_parser::parse_query;

@@ -403,7 +403,8 @@ impl MinerPipeline {
                 if errors[i].is_some() {
                     continue;
                 }
-                match store.get_traced(id, span) {
+                let mut get = span.child(format!("store.get:{}", id.0));
+                match store.get(id) {
                     Ok(mut entity) => {
                         // this run decides the outcome: drop an earlier
                         // run's failure marker before the chain runs
@@ -411,15 +412,22 @@ impl MinerPipeline {
                         positions.push(i);
                         entities.push(entity);
                     }
-                    Err(_) => errors[i] = Some(format!("{MINER_ERROR} doc={}", id.0)),
+                    Err(_) => {
+                        get.event("miss");
+                        errors[i] = Some(format!("{MINER_ERROR} doc={}", id.0));
+                    }
                 }
+                get.finish();
             }
             let ok = self.apply_chain(&mut entities, span);
             for ((i, mined), ok) in positions.into_iter().zip(entities).zip(ok) {
                 let id = chunk[i];
-                let written = store
-                    .update_traced(id, span, |slot| slot.assign(mined))
-                    .is_ok();
+                let mut update = span.child(format!("store.update:{}", id.0));
+                let written = store.update(id, |slot| slot.assign(mined)).is_ok();
+                if !written {
+                    update.event("miss");
+                }
+                update.finish();
                 if !(written && ok) {
                     errors[i] = Some(format!("{MINER_ERROR} doc={}", id.0));
                 }

@@ -9,7 +9,6 @@ use crate::durable::{DurableStorage, WalOp};
 use crate::entity::Entity;
 use crate::evlog::{EvLog, Level};
 use crate::telemetry::{Counter, Gauge, Telemetry};
-use crate::trace::TraceSpan;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -265,35 +264,6 @@ impl DataStore {
         guard.clear();
         self.metrics.entities.add(-(lost as i64));
         lost
-    }
-
-    /// [`DataStore::get`] with a `store.get:<id>` child span under
-    /// `parent` (a miss becomes a `miss` span event).
-    pub fn get_traced(&self, id: DocId, parent: &mut TraceSpan) -> Result<Entity> {
-        let mut span = parent.child(format!("store.get:{}", id.0));
-        let result = self.get(id);
-        if result.is_err() {
-            span.event("miss");
-        }
-        span.finish();
-        result
-    }
-
-    /// [`DataStore::update`] with a `store.update:<id>` child span under
-    /// `parent` (a miss becomes a `miss` span event).
-    pub fn update_traced<F: FnOnce(&mut Entity)>(
-        &self,
-        id: DocId,
-        parent: &mut TraceSpan,
-        f: F,
-    ) -> Result<()> {
-        let mut span = parent.child(format!("store.update:{}", id.0));
-        let result = self.update(id, f);
-        if result.is_err() {
-            span.event("miss");
-        }
-        span.finish();
-        result
     }
 
     /// Total number of stored entities.

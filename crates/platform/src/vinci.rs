@@ -261,35 +261,22 @@ impl ServiceBus {
     /// Calls a service by name (retrying per the installed policy when a
     /// fault plan is active).
     pub fn call(&self, name: &str, request: &Value) -> Result<Value> {
-        self.call_detailed(name, request).0
+        self.call_detailed(name, request, None).0
     }
 
     /// Calls a service and returns the full per-call record alongside the
     /// result. One logical call may span several attempts.
-    pub fn call_detailed(&self, name: &str, request: &Value) -> (Result<Value>, CallOutcome) {
-        self.call_inner(name, request, None)
-    }
-
-    /// A traced call: opens a `bus:<name>#<seq>` child span under
-    /// `parent` (seq is the per-service call number, so sequential calls
-    /// to one service sort deterministically), attaches the span's
-    /// [`TraceContext`](crate::trace::TraceContext) to object-shaped
-    /// requests under `__trace__` (handlers may continue the trace via
-    /// `TraceContext::from_request`), records injected faults, retries
-    /// and timeouts as span events at their exact simulated offsets, and
-    /// advances `parent` by the call's simulated duration.
-    pub fn call_traced(
-        &self,
-        name: &str,
-        request: &Value,
-        parent: &mut TraceSpan,
-    ) -> (Result<Value>, CallOutcome) {
-        let (result, outcome) = self.call_inner(name, request, Some(parent));
-        parent.advance(outcome.sim_elapsed_ms);
-        (result, outcome)
-    }
-
-    fn call_inner(
+    ///
+    /// With a `parent` span the call is traced: it opens a
+    /// `bus:<name>#<seq>` child span (seq is the per-service call number,
+    /// so sequential calls to one service sort deterministically),
+    /// attaches the span's [`TraceContext`](crate::trace::TraceContext)
+    /// to object-shaped requests under `__trace__` (handlers may continue
+    /// the trace via `TraceContext::from_request`), records injected
+    /// faults, retries and timeouts as span events at their exact
+    /// simulated offsets, and advances `parent` by the call's simulated
+    /// duration.
+    pub fn call_detailed(
         &self,
         name: &str,
         request: &Value,
@@ -326,7 +313,9 @@ impl ServiceBus {
             }
         };
         let seq = entry.calls.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut span = parent.map(|p| p.child(format!("bus:{name}#{seq}")));
+        let mut span = parent
+            .as_deref()
+            .map(|p| p.child(format!("bus:{name}#{seq}")));
         let enveloped;
         let request = match &span {
             Some(s) => {
@@ -391,6 +380,9 @@ impl ServiceBus {
                 s.event(format!("error: {err}"));
             }
             s.finish();
+        }
+        if let Some(parent) = parent {
+            parent.advance(outcome.sim_elapsed_ms);
         }
         (result, outcome)
     }
@@ -673,7 +665,7 @@ mod tests {
         });
         let mut saw_retry = false;
         for _ in 0..50 {
-            let (result, outcome) = bus.call_detailed("svc", &json!({}));
+            let (result, outcome) = bus.call_detailed("svc", &json!({}), None);
             assert!(result.is_ok(), "retries should absorb 30% outages");
             saw_retry |= outcome.retries > 0;
             assert_eq!(outcome.attempts, outcome.retries + 1);
@@ -762,7 +754,7 @@ mod tests {
         });
         let mut retries = 0;
         for _ in 0..40 {
-            let (_, outcome) = bus.call_detailed("svc", &json!({}));
+            let (_, outcome) = bus.call_detailed("svc", &json!({}), None);
             retries += outcome.retries as u64;
         }
         let snap = bus.telemetry().snapshot();
@@ -790,7 +782,7 @@ mod tests {
         let mut total_retries = 0u32;
         let mut total_sim = 0u64;
         for _ in 0..50 {
-            let (result, outcome) = bus.call_traced("svc", &json!({}), &mut root);
+            let (result, outcome) = bus.call_detailed("svc", &json!({}), Some(&mut root));
             assert!(result.is_ok());
             total_retries += outcome.retries;
             total_sim += outcome.sim_elapsed_ms;
@@ -838,7 +830,7 @@ mod tests {
             }),
         );
         let mut root = tele.trace_root("op");
-        let (result, _) = bus.call_traced("outer", &json!({"payload": 1}), &mut root);
+        let (result, _) = bus.call_detailed("outer", &json!({"payload": 1}), Some(&mut root));
         assert!(result.is_ok());
         root.finish();
         let traces = tele.recorder().last_traces(1);
@@ -877,7 +869,7 @@ mod tests {
             max_backoff_ms: 1_000,
             timeout_budget_ms: 50,
         });
-        let (result, outcome) = bus.call_detailed("svc", &json!({}));
+        let (result, outcome) = bus.call_detailed("svc", &json!({}), None);
         assert!(matches!(result, Err(Error::Timeout(_))), "{result:?}");
         assert!(outcome.sim_elapsed_ms > 50);
         assert!(outcome.attempts < 100, "budget cut retries short");

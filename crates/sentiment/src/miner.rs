@@ -6,7 +6,7 @@
 
 use crate::analyzer::{AnalyzerConfig, Evidence, SentimentAnalyzer, SentimentAssignment};
 use crate::record::{EvidenceKind, SubjectSentiment};
-use wf_nlp::{AnalyzedSentence, DocAnnotations, DocScratch, NamedEntity, Pipeline};
+use wf_nlp::{AnalyzedSentence, DocScratch, NamedEntity, Pipeline};
 use wf_spotter::{Spot, Spotter, SubjectList};
 use wf_types::{Polarity, Span};
 
@@ -116,20 +116,20 @@ impl SentimentMiner {
     }
 
     /// Query-time mode (mode B building block): subjects are the named
-    /// entities the NE spotter finds in the text itself. The document is
-    /// tokenized once; entity spotting and sentence analysis share the pass.
+    /// entities the NE spotter finds in the text itself. A batch of one
+    /// over [`SentimentMiner::analyze_named_entities_batch`].
     pub fn analyze_named_entities(&self, text: &str) -> Vec<SubjectSentiment> {
-        let mut scratch = DocScratch::new();
-        let annotations = self.pipeline.analyze_doc(text, &mut scratch);
-        self.records_from_annotations(&annotations)
+        let (mut records, _) = self.analyze_named_entities_batch(&[text]);
+        records.pop().unwrap_or_default()
     }
 
-    /// Batch form of [`SentimentMiner::analyze_named_entities`]: one scratch
-    /// buffer is reused across all documents, so steady-state per-token
-    /// allocation amortizes away. Output is order-aligned with `texts` and
-    /// identical to the per-document call; the batch's per-stage NLP unit
-    /// costs ([`wf_nlp::StageCosts`], a sum over documents) come with it,
-    /// so miner runs can attribute the work to tokenize/pos/chunk/clause/ner
+    /// Mode B over a batch of documents. Each document is tokenized once;
+    /// entity spotting and sentence analysis share the pass, and one
+    /// scratch buffer is reused across all documents, so steady-state
+    /// per-token allocation amortizes away. Output is order-aligned with
+    /// `texts`; the batch's per-stage NLP unit costs
+    /// ([`wf_nlp::StageCosts`], a sum over documents) come with it, so
+    /// miner runs can attribute the work to tokenize/pos/chunk/clause/ner
     /// spans.
     pub fn analyze_named_entities_batch<S: AsRef<str>>(
         &self,
@@ -142,7 +142,7 @@ impl SentimentMiner {
             .map(|t| {
                 let annotations = self.pipeline.analyze_doc(t.as_ref(), &mut scratch);
                 costs.absorb(&annotations);
-                self.records_from_annotations(&annotations)
+                self.records_for_doc(&annotations.sentences, &annotations.entities)
             })
             .collect();
         (records, costs)
@@ -155,21 +155,20 @@ impl SentimentMiner {
     pub fn analyze_named_entities_reference(&self, text: &str) -> Vec<SubjectSentiment> {
         let entities = wf_nlp::naive::named_entities(text);
         let sentences = wf_nlp::naive::analyze(text);
-        let mut out = Vec::new();
-        for sentence in &sentences {
-            out.extend(self.records_for_sentence(sentence, &entities));
-        }
-        out
+        self.records_for_doc(&sentences, &entities)
     }
 
     /// Shared mode-B association step: pairs each sentence analysis with the
     /// named entities it contains.
-    fn records_from_annotations(&self, annotations: &DocAnnotations) -> Vec<SubjectSentiment> {
-        let mut out = Vec::new();
-        for sentence in &annotations.sentences {
-            out.extend(self.records_for_sentence(sentence, &annotations.entities));
-        }
-        out
+    fn records_for_doc(
+        &self,
+        sentences: &[AnalyzedSentence],
+        entities: &[NamedEntity],
+    ) -> Vec<SubjectSentiment> {
+        sentences
+            .iter()
+            .flat_map(|sentence| self.records_for_sentence(sentence, entities))
+            .collect()
     }
 
     fn records_for_sentence(

@@ -160,8 +160,8 @@ fn crash_restart_converges_with_uninterrupted_run() {
         "regex:terr.*",
     ] {
         let query = parse_query(text).unwrap();
-        let (docs_a, prof_a) = clean.indexer().query_explained(&query).unwrap();
-        let (docs_b, prof_b) = crashed.indexer().query_explained(&query).unwrap();
+        let (docs_a, prof_a) = clean.indexer().query_explained(&query, None).unwrap();
+        let (docs_b, prof_b) = crashed.indexer().query_explained(&query, None).unwrap();
         assert_eq!(docs_a, docs_b, "query {text:?} diverged");
         assert_eq!(
             prof_a.total_scanned(),
@@ -331,14 +331,8 @@ proptest! {
         }
 
         let recovered_store = |()| {
-            let fresh = DataStore::new(4).unwrap();
-            for shard in 0..4u32 {
-                let recovery = storage.recover_shard(shard).unwrap();
-                assert_eq!(recovery.stats.stop, StopReason::EndOfLog);
-                for entity in recovery.entities {
-                    fresh.restore_entity(entity);
-                }
-            }
+            let (fresh, report) = storage.recover_store().unwrap();
+            assert!(report.shards.iter().all(|s| s.stop == StopReason::EndOfLog));
             fresh
         };
         let (first, second) = (recovered_store(()), recovered_store(()));
@@ -351,7 +345,7 @@ proptest! {
             let telemetry = Telemetry::new();
             let indexer = Indexer::with_telemetry(Arc::clone(&telemetry));
             s.for_each(|e| indexer.index_entity(e));
-            let (docs, profile) = indexer.query_explained(&query).unwrap();
+            let (docs, profile) = indexer.query_explained(&query, None).unwrap();
             (docs, profile.total_scanned())
         };
         let (docs_a, scanned_a) = indexed(&first);

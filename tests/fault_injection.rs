@@ -205,7 +205,7 @@ fn service_bus_backoff_is_bounded_and_monotone() {
     bus.set_retry_policy(policy);
     let mut total_retries = 0;
     for _ in 0..80 {
-        let (_, outcome) = bus.call_detailed("search", &serde_json::json!({}));
+        let (_, outcome) = bus.call_detailed("search", &serde_json::json!({}), None);
         for (i, backoff) in outcome.backoffs_ms.iter().enumerate() {
             assert_eq!(*backoff, policy.backoff_for(i as u32 + 1));
             assert!(*backoff <= policy.max_backoff_ms);
@@ -231,7 +231,7 @@ fn unregistered_service_fails_fast_keeps_stats() {
     bus.set_retry_policy(RetryPolicy::default());
     assert!(bus.call("index", &serde_json::json!({})).is_ok());
     assert!(bus.unregister("index"));
-    let (result, outcome) = bus.call_detailed("index", &serde_json::json!({}));
+    let (result, outcome) = bus.call_detailed("index", &serde_json::json!({}), None);
     assert!(matches!(result, Err(Error::Service(_))), "{result:?}");
     assert_eq!(
         outcome.attempts, 1,
@@ -261,7 +261,7 @@ fn timeouts_are_simulated_not_slept() {
         timeout_budget_ms: 120_000, // two simulated minutes
     });
     let wall = std::time::Instant::now();
-    let (result, outcome) = bus.call_detailed("slow", &serde_json::json!({}));
+    let (result, outcome) = bus.call_detailed("slow", &serde_json::json!({}), None);
     assert!(matches!(result, Err(Error::Timeout(_))), "{result:?}");
     assert!(
         outcome.sim_elapsed_ms > 120_000,
@@ -517,7 +517,7 @@ mod properties {
                 });
                 (0..calls)
                     .map(|i| {
-                        let (_, outcome) = bus.call_detailed("svc", &serde_json::json!(i));
+                        let (_, outcome) = bus.call_detailed("svc", &serde_json::json!(i), None);
                         format!("{outcome:?}")
                     })
                     .collect::<Vec<_>>()

@@ -68,7 +68,7 @@ fn drive(cluster: &Cluster, engine: &mut HealthEngine, rounds: usize) -> Vec<Ale
         for i in 0..25 {
             let _ = cluster
                 .bus()
-                .call_traced("annotate", &serde_json::json!(i), &mut root);
+                .call_detailed("annotate", &serde_json::json!(i), Some(&mut root));
         }
         cluster.advance_clock(root.elapsed_sim_ms());
         root.finish();

@@ -188,35 +188,37 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Store persistence round-trips arbitrary entity content.
+    /// Store persistence round-trips arbitrary entity content through a
+    /// data dir, in snapshot lines and WAL records alike.
     #[test]
     fn persist_round_trip(texts in prop::collection::vec("\\PC{0,60}", 0..8)) {
-        use webfountain_sentiment::platform::{
-            load_store, save_store, DataStore, Entity, SourceKind,
-        };
+        use std::sync::Arc;
+        use webfountain_sentiment::platform::{DataStore, DurableStorage, Entity, SourceKind};
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("wf-prop-{}-{}", std::process::id(), texts.len()));
         let store = DataStore::new(2).unwrap();
+        let storage = Arc::new(DurableStorage::at_dir(&dir, 2).unwrap());
+        store.attach_durability(Arc::clone(&storage)).unwrap();
         for (i, text) in texts.iter().enumerate() {
+            // the first half lands in the snapshot, the rest in the WAL
+            if i == texts.len() / 2 {
+                storage.checkpoint(&store).unwrap();
+            }
             store.insert(
                 Entity::new(format!("uri://{i}"), SourceKind::Web, text.clone())
                     .with_metadata("idx", i.to_string()),
             );
         }
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "wf-prop-{}-{}.jsonl",
-            std::process::id(),
-            texts.len()
-        ));
-        save_store(&store, &path).unwrap();
-        let loaded = load_store(&path, 3).unwrap();
+        let (loaded, report) = DurableStorage::open_dir(&dir)
+            .unwrap()
+            .recover_store()
+            .unwrap();
+        prop_assert!(report.clean());
         prop_assert_eq!(loaded.len(), store.len());
         for id in store.ids() {
-            let a = store.get(id).unwrap();
-            let b = loaded.get(id).unwrap();
-            prop_assert_eq!(&a.text, &b.text);
-            prop_assert_eq!(&a.metadata, &b.metadata);
+            prop_assert_eq!(store.get(id).unwrap(), loaded.get(id).unwrap());
         }
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The likelihood-ratio extractor's scores are deterministic across

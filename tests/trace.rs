@@ -76,7 +76,7 @@ fn chaos_run(seed: u64) -> wf_platform::Cluster {
     for query in ["cameras", "synthetic", "absent"] {
         let _ = cluster
             .indexer()
-            .query_traced(&wf_platform::Query::Term(query.into()), &mut search);
+            .query_explained(&wf_platform::Query::Term(query.into()), Some(&mut search));
     }
     search.finish();
     cluster
