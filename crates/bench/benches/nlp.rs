@@ -48,9 +48,13 @@ fn corpus() -> Vec<String> {
 fn run_naive(texts: &[String]) -> Vec<DocAnnotations> {
     texts
         .iter()
-        .map(|t| DocAnnotations {
-            entities: naive::named_entities(t),
-            sentences: naive::analyze(t),
+        .map(|t| {
+            let sentences = naive::analyze(t);
+            DocAnnotations {
+                entities: naive::named_entities(t),
+                tokens: sentences.iter().map(|s| s.tokens.len()).sum(),
+                sentences,
+            }
         })
         .collect()
 }

@@ -65,20 +65,31 @@ impl AnalyzedSentence {
     }
 }
 
-/// Everything the pipeline derives from one document in one pass:
-/// per-sentence analyses plus named entities. Entity token indices are
-/// into the document-level token stream.
+/// Everything the pipeline derives from one document in one pass: the
+/// analyses of the sentences it kept plus the named entities of every
+/// sentence. Entity token indices are into the document-level token
+/// stream.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DocAnnotations {
     pub sentences: Vec<AnalyzedSentence>,
     pub entities: Vec<NamedEntity>,
+    /// Tokens the scan produced over the whole document, kept sentences
+    /// or not.
+    pub tokens: usize,
+}
+
+/// Mode B's keep predicate: the sentence at `span` holds the start of one
+/// of `entities`.
+pub fn holds_entity(span: wf_types::Span, entities: &[NamedEntity]) -> bool {
+    entities.iter().any(|e| span.contains_offset(e.span.start))
 }
 
 /// Deterministic per-stage unit costs for analyzed documents, in
-/// simulated milliseconds: one unit per token for `tokenize` and `pos`,
-/// one per chunk, one per clause, one per named entity. Derived purely
-/// from the annotation output, so same text ⇒ same costs on any host —
-/// the currency the continuous profiler's `nlp.*` stage spans charge.
+/// simulated milliseconds: one unit per scanned token for `tokenize`, one
+/// per token of a kept sentence for `pos`, one per chunk, one per clause,
+/// one per named entity. Derived purely from the annotation output, so
+/// same text ⇒ same costs on any host — the currency the continuous
+/// profiler's `nlp.*` stage spans charge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageCosts {
     pub tokenize: u64,
@@ -91,10 +102,9 @@ pub struct StageCosts {
 impl StageCosts {
     /// Adds one document's stage units.
     pub fn absorb(&mut self, doc: &DocAnnotations) {
+        self.tokenize += doc.tokens as u64;
         for sentence in &doc.sentences {
-            let tokens = sentence.tokens.len() as u64;
-            self.tokenize += tokens;
-            self.pos += tokens;
+            self.pos += sentence.tokens.len() as u64;
             self.chunk += sentence.chunks.len() as u64;
             self.clause += sentence.analysis.clauses.len() as u64;
         }
@@ -138,19 +148,36 @@ impl Pipeline {
 
     /// Analyzes raw text into per-sentence structures.
     pub fn analyze(&self, text: &str) -> Vec<AnalyzedSentence> {
-        let mut scratch = DocScratch::new();
-        self.analyze_with(text, &mut scratch)
+        self.analyze_where(text, &mut DocScratch::new(), |_| true)
     }
 
-    /// Like [`Pipeline::analyze`] but reuses caller-provided scratch, so a
-    /// batch of documents shares one set of tokenizer allocations.
-    pub fn analyze_with(&self, text: &str, scratch: &mut DocScratch) -> Vec<AnalyzedSentence> {
+    /// Like [`Pipeline::analyze`], but analyzes only the sentences whose
+    /// byte span `keep` accepts (the others are split and skipped), and
+    /// reuses caller-provided scratch. Mode A keeps the sentences that hold
+    /// a subject spot; no named-entity spotting runs.
+    pub fn analyze_where(
+        &self,
+        text: &str,
+        scratch: &mut DocScratch,
+        keep: impl FnMut(wf_types::Span) -> bool,
+    ) -> Vec<AnalyzedSentence> {
         view::scan(text, scratch);
         let doc = scratch.view(text);
-        let sentences = sentence::split_tokens(&doc);
+        self.analyze_kept(&doc, &sentence::split_tokens(&doc), keep)
+    }
+
+    /// The one sentence loop: runs tag → chunk → clause over each sentence
+    /// whose span `keep` accepts, in document order.
+    fn analyze_kept(
+        &self,
+        doc: &DocView<'_>,
+        sentences: &[Sentence],
+        mut keep: impl FnMut(wf_types::Span) -> bool,
+    ) -> Vec<AnalyzedSentence> {
         sentences
             .iter()
-            .map(|s| self.analyze_span(&doc, s))
+            .filter(|s| keep(s.span))
+            .map(|s| self.analyze_span(doc, s))
             .collect()
     }
 
@@ -209,6 +236,20 @@ impl Pipeline {
     /// Full document annotation — sentence analyses *and* named entities —
     /// from a single tokenization pass over `text`.
     pub fn analyze_doc(&self, text: &str, scratch: &mut DocScratch) -> DocAnnotations {
+        self.annotate_where(text, scratch, |_, _| true)
+    }
+
+    /// Like [`Pipeline::analyze_doc`], but analyzes only the sentences
+    /// `keep` accepts, given each sentence's span and the entities of the
+    /// whole document. Named entities are spotted on the token view first,
+    /// so Mode B passes [`holds_entity`] and parses only the sentences that
+    /// hold a subject.
+    pub fn annotate_where(
+        &self,
+        text: &str,
+        scratch: &mut DocScratch,
+        mut keep: impl FnMut(wf_types::Span, &[NamedEntity]) -> bool,
+    ) -> DocAnnotations {
         view::scan(text, scratch);
         let doc = scratch.view(text);
         let sentences = sentence::split_tokens(&doc);
@@ -216,12 +257,9 @@ impl Pipeline {
         for s in &sentences {
             entities.extend(ner::spot_tokens(&doc, s));
         }
-        let sentences = sentences
-            .iter()
-            .map(|s| self.analyze_span(&doc, s))
-            .collect();
         DocAnnotations {
-            sentences,
+            sentences: self.analyze_kept(&doc, &sentences, |span| keep(span, &entities)),
+            tokens: TokenAccess::len(&doc),
             entities,
         }
     }
@@ -304,6 +342,17 @@ mod tests {
             costs.total(),
             costs.stages().iter().map(|(_, c)| c).sum::<u64>()
         );
+
+        // Mode B parses only the first sentence: the second holds no
+        // entity, so its tokens are scanned but never tagged
+        let text = "Canon makes cameras. the lens is sharp.";
+        let doc = p.annotate_where(text, &mut DocScratch::new(), holds_entity);
+        assert_eq!(doc.sentences.len(), 1);
+        let mut lazy = StageCosts::default();
+        lazy.absorb(&doc);
+        assert_eq!(lazy.tokenize, 9, "both sentences are scanned");
+        assert_eq!(lazy.pos, 4, "Canon makes cameras .");
+        assert_eq!(lazy.ner, 1);
     }
 
     #[test]

@@ -23,6 +23,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wf_types::{Error, NodeId, Result, RetryPolicy};
 
+/// Entities per shard that [`Cluster::run_pipeline`] mines together.
+/// Outcomes and stats do not depend on it (see [`RunOpts::batch`]); larger
+/// chunks amortize a batch-aware miner's per-batch spans and scratch.
+const MINE_BATCH: usize = 64;
+
 /// Static description of one simulated node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeInfo {
@@ -338,14 +343,16 @@ impl Cluster {
 
     /// Runs a miner pipeline across all nodes in parallel, honoring node
     /// health (Down shards fail over; a fully-down cluster skips shards
-    /// rather than panicking) and the installed fault plan, one entity per
-    /// batch. Each run is one trace in the flight recorder:
-    /// `cluster.run_pipeline` wrapping the pipeline's per-shard span tree.
+    /// rather than panicking) and the installed fault plan, in chunks of
+    /// `MINE_BATCH` (64) entities per shard: a chunk draws its faults, then
+    /// its survivors are fetched, mined together and written back. Each
+    /// run is one trace in the flight recorder: `cluster.run_pipeline`
+    /// wrapping the pipeline's per-shard span tree.
     pub fn run_pipeline(&self, pipeline: &MinerPipeline) -> PipelineStats {
         let plan = self.fault_plan.read().clone();
         let health = self.healths();
         let opts = RunOpts {
-            batch: 1,
+            batch: MINE_BATCH,
             faults: FaultContext {
                 plan: plan.as_ref(),
                 retry: self.retry_policy(),

@@ -81,15 +81,46 @@ impl SentimentMiner {
         self.analyze_with_spots(text, subjects, &spotter.spot(text))
     }
 
+    /// Mode A over the sentences that hold a spot start: only those are
+    /// parsed, and no named-entity spotting runs.
     fn analyze_with_spots(
         &self,
         text: &str,
         subjects: &SubjectList,
         spots: &[Spot],
     ) -> Vec<SubjectSentiment> {
-        let sentences = self.pipeline.analyze(text);
+        let sentences = self
+            .pipeline
+            .analyze_where(text, &mut DocScratch::new(), |span| {
+                spots.iter().any(|s| span.contains_offset(s.span.start))
+            });
+        self.records_for_spots(&sentences, subjects, spots)
+    }
+
+    /// Reference implementation of [`SentimentMiner::analyze_with_spotter`]
+    /// built on the frozen naive NLP path (`wf_nlp::naive`), which parses
+    /// every sentence. Exists as the oracle for the differential-equivalence
+    /// test harness; do not use in production paths.
+    pub fn analyze_with_spotter_reference(
+        &self,
+        text: &str,
+        subjects: &SubjectList,
+        spotter: &Spotter,
+    ) -> Vec<SubjectSentiment> {
+        let sentences = wf_nlp::naive::analyze(text);
+        self.records_for_spots(&sentences, subjects, &spotter.spot(text))
+    }
+
+    /// Shared mode-A association step: pairs each sentence analysis with the
+    /// spots that start in it.
+    fn records_for_spots(
+        &self,
+        sentences: &[AnalyzedSentence],
+        subjects: &SubjectList,
+        spots: &[Spot],
+    ) -> Vec<SubjectSentiment> {
         let mut out = Vec::new();
-        for sentence in &sentences {
+        for sentence in sentences {
             let in_sentence: Vec<&Spot> = spots
                 .iter()
                 .filter(|s| sentence.span.contains_offset(s.span.start))
@@ -124,9 +155,10 @@ impl SentimentMiner {
     }
 
     /// Mode B over a batch of documents. Each document is tokenized once;
-    /// entity spotting and sentence analysis share the pass, and one
-    /// scratch buffer is reused across all documents, so steady-state
-    /// per-token allocation amortizes away. Output is order-aligned with
+    /// entity spotting and sentence analysis share the pass, only the
+    /// sentences that hold an entity are parsed, and one scratch buffer is
+    /// reused across all documents, so steady-state per-token allocation
+    /// amortizes away. Output is order-aligned with
     /// `texts`; the batch's per-stage NLP unit costs
     /// ([`wf_nlp::StageCosts`], a sum over documents) come with it, so
     /// miner runs can attribute the work to tokenize/pos/chunk/clause/ner
@@ -140,7 +172,9 @@ impl SentimentMiner {
         let records = texts
             .iter()
             .map(|t| {
-                let annotations = self.pipeline.analyze_doc(t.as_ref(), &mut scratch);
+                let annotations =
+                    self.pipeline
+                        .annotate_where(t.as_ref(), &mut scratch, wf_nlp::holds_entity);
                 costs.absorb(&annotations);
                 self.records_for_doc(&annotations.sentences, &annotations.entities)
             })
@@ -195,16 +229,6 @@ impl SentimentMiner {
             ));
         }
         out
-    }
-
-    /// Analyzes one isolated sentence against a subject list (evaluation
-    /// entry point: the paper evaluates per sentence with a subject term).
-    pub fn analyze_sentence_subject(
-        &self,
-        sentence_text: &str,
-        subjects: &SubjectList,
-    ) -> Vec<SubjectSentiment> {
-        self.analyze_text(sentence_text, subjects)
     }
 }
 

@@ -171,10 +171,11 @@ impl EntityMiner for AdhocSentimentMiner {
     }
 
     /// The batched hot path with per-stage attribution: analyzes the
-    /// borrowed texts with one shared scratch buffer, charges the
-    /// batch's deterministic NLP unit costs to `nlp.tokenize` …
-    /// `nlp.ner` child spans whose durations are the units (one per
-    /// token / chunk / clause / entity, see [`wf_nlp::StageCosts`]) and
+    /// borrowed texts with one shared scratch buffer, parsing only the
+    /// sentences that hold an entity, charges the batch's deterministic
+    /// NLP unit costs to `nlp.tokenize` … `nlp.ner` child spans whose
+    /// durations are the units (one per scanned token, parsed token,
+    /// chunk, clause and entity, see [`wf_nlp::StageCosts`]) and
     /// advances the shard span in lockstep, so the continuous profiler
     /// sees where mining time goes.
     fn process_batch(&self, batch: &mut [Entity], span: &mut TraceSpan) -> Vec<Result<()>> {

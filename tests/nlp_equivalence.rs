@@ -7,7 +7,8 @@
 //! here drives both sides with the same input and asserts equal output:
 //!
 //! - proptest differentials over arbitrary text and corpus-generated docs
-//!   (tokens, tags, chunks, clauses, entities, sentiment records);
+//!   (tokens, tags, chunks, clauses, entities, sentiment records),
+//!   including spot-first (lazy) mining against eager references;
 //! - naive vs compressed index agreement on every query kind;
 //! - varint/delta codec round-trips including edge cases;
 //! - a pruning invariant: skip pointers strictly reduce postings scanned
@@ -21,10 +22,14 @@
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use webfountain_sentiment::corpus::vocab::{
+    CAMERA_FEATURES, CAMERA_PRODUCTS, MUSIC_ARTISTS, MUSIC_FEATURES,
+};
 use webfountain_sentiment::corpus::{camera_reviews, music_reviews, ReviewConfig, SlotWeights};
-use webfountain_sentiment::nlp::{naive, DocScratch, Pipeline};
+use webfountain_sentiment::nlp::{naive, DocScratch, Pipeline, StageCosts};
 use webfountain_sentiment::platform::{CompressedPostings, Entity, Indexer, Query, SourceKind};
 use webfountain_sentiment::sentiment::SentimentMiner;
+use webfountain_sentiment::spotter::{Spotter, SubjectList};
 use webfountain_sentiment::types::DocId;
 
 fn pipeline() -> &'static Pipeline {
@@ -47,6 +52,28 @@ fn tiny_config() -> ReviewConfig {
         feature_sentences: 2,
         weights: SlotWeights::default(),
     }
+}
+
+/// Every review product, artist and feature as a Mode A subject, with
+/// its compiled spotter.
+fn review_subjects() -> &'static (SubjectList, Spotter) {
+    static SUBJECTS: OnceLock<(SubjectList, Spotter)> = OnceLock::new();
+    SUBJECTS.get_or_init(|| {
+        let mut builder = SubjectList::builder();
+        for subject in [
+            CAMERA_PRODUCTS,
+            MUSIC_ARTISTS,
+            CAMERA_FEATURES,
+            MUSIC_FEATURES,
+        ]
+        .concat()
+        {
+            builder = builder.subject(subject, [subject]);
+        }
+        let subjects = builder.build();
+        let spotter = Spotter::new(&subjects);
+        (subjects, spotter)
+    })
 }
 
 /// Corpus-generated document texts for one seed (both domains).
@@ -108,6 +135,20 @@ proptest! {
         }
     }
 
+    /// Mode-A sentiment: the spot-first path, which parses only the
+    /// sentences holding a spot, emits the records of the eager reference
+    /// that parses every sentence with the naive path.
+    #[test]
+    fn mode_a_spot_first_matches_eager_reference(seed in 0u64..10_000) {
+        let (subjects, spotter) = review_subjects();
+        for text in corpus_texts(seed) {
+            prop_assert_eq!(
+                miner().analyze_with_spotter(&text, subjects, spotter),
+                miner().analyze_with_spotter_reference(&text, subjects, spotter)
+            );
+        }
+    }
+
     /// Scratch reuse leaves no residue: interleaving long and short (and
     /// empty) documents in one batch changes nothing.
     #[test]
@@ -124,6 +165,22 @@ proptest! {
             prop_assert_eq!(&doc.sentences, &naive::analyze(text));
         }
     }
+}
+
+/// Mode B parses only the sentences holding an entity: a page with none
+/// yields no records and charges its tokens to `tokenize` alone.
+#[test]
+fn mode_b_page_without_entities_parses_nothing() {
+    let page = "the camera is great. it works well, and the lens is sharp.";
+    let (records, costs) = miner().analyze_named_entities_batch(&[page]);
+    assert_eq!(records, vec![Vec::new()]);
+    assert_eq!(
+        costs,
+        StageCosts {
+            tokenize: 15,
+            ..StageCosts::default()
+        }
+    );
 }
 
 // ---------------------------------------------------------------------------
