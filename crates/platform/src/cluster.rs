@@ -390,9 +390,12 @@ impl Cluster {
 
     /// (Re-)indexes every stored entity, including miner annotations.
     /// Shards owned by Down nodes are indexed by a healthy stand-in; with
-    /// no healthy node left they are skipped and counted. Traced as one
-    /// `cluster.rebuild_index` trace with a span per shard (store reads
-    /// inside the scan are deliberately untraced to bound trace volume).
+    /// no healthy node left they are skipped and counted. Each placed
+    /// shard is gathered into one index segment, reading the shard's
+    /// entities by reference under its read lock, and the segments are
+    /// merged into the index once. Traced as one `cluster.rebuild_index`
+    /// trace with a span per shard (store reads inside the scan are
+    /// deliberately untraced to bound trace volume).
     pub fn rebuild_index(&self) -> IndexRebuildStats {
         let health = self.healths();
         let health_of = |n: usize| health.get(n).copied().unwrap_or(NodeHealth::Up);
@@ -400,6 +403,7 @@ impl Cluster {
         // (shard, failed_over, skipped) per shard, for the scoreboard
         let mut shard_outcomes: Vec<(usize, bool, bool)> = Vec::new();
         let mut root = self.telemetry.trace_root("cluster.rebuild_index");
+        let mut segments = Vec::new();
         for shard in 0..self.store.shard_count() {
             let mut span = root.child(format!("shard:{shard}"));
             let executor = match health_of(shard) {
@@ -420,16 +424,18 @@ impl Cluster {
                 shard_outcomes.push((shard, true, false));
                 span.event(format!("failover:node:{executor}"));
             }
-            let indexed_here = self.indexer.index_batch(
-                self.store
-                    .shard_ids(NodeId(shard as u32))
-                    .into_iter()
-                    .filter_map(|id| self.store.get(id).ok()),
-            );
+            let mut segment = self.indexer.segment();
+            let mut indexed_here = 0;
+            self.store.visit_shard(NodeId(shard as u32), |e| {
+                segment.add(e);
+                indexed_here += 1;
+            });
+            segments.push(segment);
             stats.indexed += indexed_here;
             span.attr("indexed", indexed_here.to_string());
             span.finish();
         }
+        self.indexer.merge(segments);
         root.attr("indexed", stats.indexed.to_string());
         self.advance_sim(root.elapsed_sim_ms());
         root.finish();
@@ -614,6 +620,18 @@ mod tests {
         cluster
     }
 
+    /// The index the naive layout builds from `shards`, one entity at a
+    /// time.
+    fn naive_index_of(cluster: &Cluster, shards: std::ops::Range<u32>) -> Indexer {
+        let naive = Indexer::naive();
+        for shard in shards {
+            cluster
+                .store()
+                .visit_shard(NodeId(shard), |e| naive.index_entity(e));
+        }
+        naive
+    }
+
     #[test]
     fn cluster_boots_with_nodes() {
         let cluster = Cluster::new(8).unwrap();
@@ -654,6 +672,11 @@ mod tests {
         let idx = cluster.rebuild_index();
         assert_eq!(idx.indexed, 20);
         assert_eq!(idx.failed_over, 1);
+        // the stand-in indexed the down node's shard with the others
+        assert_eq!(
+            cluster.indexer().contents(),
+            naive_index_of(&cluster, 0..4).contents()
+        );
     }
 
     #[test]
@@ -669,6 +692,11 @@ mod tests {
         let idx = cluster.rebuild_index();
         assert_eq!(idx.indexed, 0);
         assert_eq!(idx.skipped_shards, 2);
+        // no shard was placed, so nothing was indexed
+        assert_eq!(
+            cluster.indexer().contents(),
+            naive_index_of(&cluster, 0..0).contents()
+        );
     }
 
     #[test]

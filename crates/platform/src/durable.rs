@@ -1506,4 +1506,58 @@ mod tests {
         let parsed: Value = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed.get("clean").and_then(Value::as_bool), Some(true));
     }
+
+    /// Replaces shard 0's WAL with `bytes`.
+    fn with_wal(storage: &DurableStorage, bytes: &[u8]) {
+        storage.shards[0].wal.replace(bytes).unwrap();
+    }
+
+    proptest::proptest! {
+        /// A valid WAL prefix followed by arbitrary bytes, raw or framed
+        /// with a correct header and checksum (so the payload decoder sees
+        /// them), never panics recovery, which replays exactly the valid
+        /// frames before the first bad one.
+        #[test]
+        fn recovery_replays_the_valid_prefix_of_a_hostile_wal(
+            records in 0u64..6,
+            garbage in proptest::prop::collection::vec(0u8..=255, 0..64),
+            framed in 0u8..2,
+        ) {
+            let storage = storage_with_records(records);
+            let expected = storage.recover_shard(0).unwrap().entities;
+            let mut bytes = storage.shards[0].wal.read_all().unwrap();
+            let valid = bytes.len() as u64;
+            if framed == 1 {
+                bytes.extend_from_slice(&(garbage.len() as u32).to_le_bytes());
+                bytes.extend_from_slice(&crc32(&garbage).to_le_bytes());
+            }
+            bytes.extend_from_slice(&garbage);
+            with_wal(&storage, &bytes);
+            let recovery = storage.recover_shard(0).unwrap();
+            proptest::prop_assert_eq!(recovery.stats.wal_records, records);
+            proptest::prop_assert_eq!(recovery.stats.valid_wal_bytes, valid);
+            proptest::prop_assert_eq!(&recovery.entities, &expected);
+            let clean = recovery.stats.stop == StopReason::EndOfLog;
+            proptest::prop_assert_eq!(clean, bytes.len() as u64 == valid);
+            proptest::prop_assert_eq!(recovery.stats.truncated_records > 0, !clean);
+            DurableStorage::frames_of(&bytes);
+        }
+
+        /// A log of arbitrary bytes never panics recovery or framing, and
+        /// replays nothing: no frame of random bytes carries a valid
+        /// checksum and payload.
+        #[test]
+        fn recovery_of_an_arbitrary_wal_never_panics(
+            bytes in proptest::prop::collection::vec(0u8..=255, 0..256),
+        ) {
+            let storage = DurableStorage::in_memory(1).unwrap();
+            with_wal(&storage, &bytes);
+            let recovery = storage.recover_shard(0).unwrap();
+            proptest::prop_assert_eq!(recovery.stats.wal_records, 0);
+            proptest::prop_assert!(recovery.entities.is_empty());
+            proptest::prop_assert_eq!(recovery.stats.valid_wal_bytes, 0);
+            proptest::prop_assert_eq!(recovery.stats.truncated_bytes, bytes.len() as u64);
+            DurableStorage::frames_of(&bytes);
+        }
+    }
 }

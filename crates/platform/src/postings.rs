@@ -36,6 +36,11 @@ pub fn write_varint(mut v: u64, out: &mut Vec<u8>) {
     }
 }
 
+/// Bytes [`write_varint`] takes for `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Reads an LEB128 varint at `*pos`, advancing it. Returns `None` on
 /// truncated input or a value overflowing u64.
 pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
@@ -92,6 +97,33 @@ impl CompressedPostings {
 
     /// Appends one entry; `doc` must exceed every doc already present.
     pub fn push(&mut self, doc: DocId, positions: &[u32]) {
+        let deltas = || {
+            let mut prev = 0u32;
+            positions.iter().map(move |&p| {
+                let delta = p - prev;
+                prev = p;
+                delta as u64
+            })
+        };
+        let blob_len = varint_len(positions.len() as u64) + deltas().map(varint_len).sum::<usize>();
+        self.push_header(doc, blob_len);
+        write_varint(positions.len() as u64, &mut self.bytes);
+        for delta in deltas() {
+            write_varint(delta, &mut self.bytes);
+        }
+    }
+
+    /// Appends one entry whose positions are already encoded: `blob` is a
+    /// [`Cursor::blob`] of another list, copied verbatim. `doc` must
+    /// exceed every doc already present.
+    pub(crate) fn push_blob(&mut self, doc: DocId, blob: &[u8]) {
+        self.push_header(doc, blob.len());
+        self.bytes.extend_from_slice(blob);
+    }
+
+    /// Writes an entry's doc delta and blob length, opening a skip block
+    /// every [`BLOCK`] entries.
+    fn push_header(&mut self, doc: DocId, blob_len: usize) {
         assert!(
             self.count == 0 || doc.0 > self.last_doc,
             "postings must be pushed in ascending doc order"
@@ -107,16 +139,7 @@ impl CompressedPostings {
             doc.0 - if self.count == 0 { 0 } else { self.last_doc },
             &mut self.bytes,
         );
-        let mut blob = Vec::with_capacity(positions.len() + 1);
-        write_varint(positions.len() as u64, &mut blob);
-        let mut prev = 0u32;
-        for (i, &p) in positions.iter().enumerate() {
-            let delta = if i == 0 { p } else { p - prev };
-            write_varint(delta as u64, &mut blob);
-            prev = p;
-        }
-        write_varint(blob.len() as u64, &mut self.bytes);
-        self.bytes.extend_from_slice(&blob);
+        write_varint(blob_len as u64, &mut self.bytes);
         self.last_doc = doc.0;
         self.count += 1;
     }
@@ -138,6 +161,46 @@ impl CompressedPostings {
     /// Highest doc id in the list.
     pub fn last_doc(&self) -> Option<DocId> {
         (self.count > 0).then_some(DocId(self.last_doc))
+    }
+
+    /// Lowest doc id in the list.
+    pub(crate) fn first_doc(&self) -> Option<DocId> {
+        // the first entry's delta base is 0
+        (self.count > 0).then(|| DocId(read_varint(&self.bytes, &mut 0).expect("valid postings")))
+    }
+
+    /// Appends the k-way merge of `lists`, each ascending; every doc they
+    /// hold must exceed this list's last. On a doc that several lists
+    /// hold, the last of them wins. Positions are copied as encoded, so
+    /// only doc deltas are re-encoded.
+    pub(crate) fn append_merged(&mut self, lists: &[&CompressedPostings]) {
+        let mut heads: Vec<Cursor<'_>> = lists
+            .iter()
+            .map(|list| {
+                let mut cursor = list.cursor();
+                cursor.next();
+                cursor
+            })
+            .collect();
+        loop {
+            let mut winner: Option<(DocId, usize)> = None;
+            for (i, cursor) in heads.iter().enumerate() {
+                if let Some(doc) = cursor.current() {
+                    if winner.is_none_or(|(min, _)| doc <= min) {
+                        winner = Some((doc, i));
+                    }
+                }
+            }
+            let Some((doc, i)) = winner else {
+                return;
+            };
+            self.push_blob(doc, heads[i].blob());
+            for cursor in &mut heads {
+                if cursor.current() == Some(doc) {
+                    cursor.next();
+                }
+            }
+        }
     }
 
     /// Decodes the full list back to `(doc, positions)` entries.
@@ -261,12 +324,18 @@ impl<'a> Cursor<'a> {
         None
     }
 
+    /// The current entry's encoded positions, for [`CompressedPostings::push_blob`].
+    pub(crate) fn blob(&self) -> &'a [u8] {
+        self.current
+            .map_or(&[], |c| &self.postings.bytes[c.blob_start..c.blob_end])
+    }
+
     /// Decodes the positions of the current entry.
     pub fn positions(&self) -> Vec<u32> {
-        let Some(c) = self.current else {
+        if self.current.is_none() {
             return Vec::new();
-        };
-        let blob = &self.postings.bytes[c.blob_start..c.blob_end];
+        }
+        let blob = self.blob();
         let mut pos = 0usize;
         let npos = read_varint(blob, &mut pos).expect("valid blob") as usize;
         let mut out = Vec::with_capacity(npos);
@@ -307,6 +376,7 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             write_varint(v, &mut buf);
+            assert_eq!(varint_len(v), buf.len());
             let mut pos = 0;
             assert_eq!(read_varint(&buf, &mut pos), Some(v));
             assert_eq!(pos, buf.len());
@@ -337,6 +407,41 @@ mod tests {
         assert_eq!(cp.doc_count(), es.len());
         assert_eq!(cp.decode(), es);
         assert_eq!(cp.docs(), es.iter().map(|(d, _)| *d).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn blobs_copy_verbatim_between_lists() {
+        let es = entries(&[(3, &[0, 2]), (9, &[]), (700, &[5, 300, 301])]);
+        let src = CompressedPostings::from_entries(&es);
+        let mut copy = CompressedPostings::new();
+        let mut c = src.cursor();
+        while let Some(doc) = c.next() {
+            // shifted docs: only the doc delta is re-encoded
+            copy.push_blob(DocId(doc.0 + 1000), c.blob());
+        }
+        let shifted: Vec<(DocId, Vec<u32>)> = es
+            .iter()
+            .map(|(d, ps)| (DocId(d.0 + 1000), ps.clone()))
+            .collect();
+        assert_eq!(copy, CompressedPostings::from_entries(&shifted));
+        assert!(src.cursor().blob().is_empty(), "no current entry");
+    }
+
+    #[test]
+    fn append_merged_interleaves_and_last_list_wins() {
+        let even = CompressedPostings::from_entries(&entries(&[(0, &[1]), (2, &[2]), (4, &[3])]));
+        let odd = CompressedPostings::from_entries(&entries(&[(1, &[4]), (2, &[5, 6]), (5, &[])]));
+        let mut out = CompressedPostings::new();
+        out.append_merged(&[&even, &odd]);
+        assert_eq!(
+            out.decode(),
+            entries(&[(0, &[1]), (1, &[4]), (2, &[5, 6]), (4, &[3]), (5, &[])])
+        );
+        assert_eq!(out.first_doc(), Some(DocId(0)));
+        let mut tail = CompressedPostings::from_entries(&entries(&[(7, &[0])]));
+        tail.append_merged(&[&CompressedPostings::from_entries(&entries(&[(130, &[9])]))]);
+        assert_eq!(tail.decode(), entries(&[(7, &[0]), (130, &[9])]));
+        assert_eq!(CompressedPostings::new().first_doc(), None);
     }
 
     #[test]

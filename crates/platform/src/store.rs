@@ -294,6 +294,21 @@ impl DataStore {
             .unwrap_or_default()
     }
 
+    /// Runs `f` over every entity of one shard by reference, in id order,
+    /// under the shard's read lock. Each entity visited counts as one
+    /// `store.get.ok`, as reading it with [`DataStore::get`] would, but
+    /// nothing is cloned. An unknown shard visits nothing.
+    pub(crate) fn visit_shard<F: FnMut(&Entity)>(&self, node: NodeId, mut f: F) {
+        let Some(shard) = self.shards.get(node.0 as usize) else {
+            return;
+        };
+        let guard = shard.entities.read();
+        for entity in guard.values() {
+            f(entity);
+        }
+        self.metrics.get_ok.add(guard.len() as u64);
+    }
+
     /// Runs `f` over a read-only snapshot reference of every entity, in id
     /// order within each shard. Avoids cloning the whole store.
     pub fn for_each<F: FnMut(&Entity)>(&self, mut f: F) {
@@ -404,6 +419,20 @@ mod tests {
         let mut seen = 0;
         store.for_each(|_| seen += 1);
         assert_eq!(seen, 7);
+    }
+
+    #[test]
+    fn visit_shard_reads_one_shard_in_id_order() {
+        let store = DataStore::new(2).unwrap();
+        for i in 0..7 {
+            store.insert(entity(&format!("{i}")));
+        }
+        let mut seen = Vec::new();
+        store.visit_shard(NodeId(1), |e| seen.push(e.id));
+        assert_eq!(seen, store.shard_ids(NodeId(1)));
+        store.visit_shard(NodeId(9), |_| panic!("no such shard"));
+        // counted like the gets it replaces
+        assert_eq!(store.telemetry().snapshot().counter("store.get.ok"), 3);
     }
 
     #[test]
