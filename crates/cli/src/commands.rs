@@ -698,6 +698,22 @@ fn doctor(args: &ParsedArgs) -> Result<String, String> {
     }
 }
 
+/// The `slos firing: a,b` line (`-` when none fire) closing `top` frames
+/// and the `serve` table.
+fn slos_firing_line(engine: &HealthEngine) -> String {
+    let firing = engine
+        .status()
+        .iter()
+        .filter(|s| s.firing)
+        .map(|s| s.name.as_str())
+        .collect::<Vec<_>>()
+        .join(",");
+    format!(
+        "slos firing: {}\n",
+        if firing.is_empty() { "-" } else { &firing }
+    )
+}
+
 /// Runs the health workload and prints per-node scoreboard frames.
 fn top(args: &ParsedArgs) -> Result<String, String> {
     let frames: usize = args
@@ -717,21 +733,7 @@ fn top(args: &ParsedArgs) -> Result<String, String> {
             workload.cluster.sim_now()
         ));
         out.push_str(&render_scoreboard(&workload.cluster.scoreboard()));
-        let firing: Vec<&str> = workload
-            .engine
-            .status()
-            .iter()
-            .filter(|s| s.firing)
-            .map(|s| s.name.as_str())
-            .collect();
-        out.push_str(&format!(
-            "slos firing: {}\n",
-            if firing.is_empty() {
-                "-".to_string()
-            } else {
-                firing.join(",")
-            }
-        ));
+        out.push_str(&slos_firing_line(&workload.engine));
         if frame < frames {
             out.push('\n');
         }
@@ -918,20 +920,7 @@ fn serve(args: &ParsedArgs) -> Result<String, String> {
             let mut out =
                 format!("serving {subjects} subject(s), {postings} posting(s) across 4 shard(s)\n");
             out.push_str(&report.to_table());
-            let firing: Vec<&str> = engine
-                .status()
-                .iter()
-                .filter(|s| s.firing)
-                .map(|s| s.name.as_str())
-                .collect();
-            out.push_str(&format!(
-                "slos firing: {}\n",
-                if firing.is_empty() {
-                    "-".to_string()
-                } else {
-                    firing.join(",")
-                }
-            ));
+            out.push_str(&slos_firing_line(&engine));
             Ok(out)
         }
     }

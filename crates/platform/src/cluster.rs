@@ -19,6 +19,7 @@ use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use crate::timeseries::TimeSeriesStore;
 use crate::vinci::ServiceBus;
 use parking_lot::RwLock;
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wf_types::{Error, NodeId, Result, RetryPolicy};
@@ -66,7 +67,7 @@ pub struct Cluster {
 /// doctor report embeds. Accumulated across every [`Cluster::run_pipeline`]
 /// and [`Cluster::rebuild_index`]; `health` reflects the node's current
 /// state at read time.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct NodeScore {
     /// Node (== shard) index.
     pub node: u32,

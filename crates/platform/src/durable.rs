@@ -38,6 +38,7 @@ use crate::faults::FaultStream;
 use crate::store::DataStore;
 use crate::telemetry::{Counter, Telemetry};
 use parking_lot::{Mutex, RwLock};
+use serde::Serialize;
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -151,6 +152,55 @@ impl WalRecord {
     }
 }
 
+/// One complete `[len u32 LE][crc u32 LE][payload]` frame of a WAL.
+#[derive(Debug)]
+struct Frame<'a> {
+    /// Byte offset of the frame's header.
+    offset: usize,
+    /// The CRC-32 the header claims for the payload.
+    crc: u32,
+    payload: &'a [u8],
+}
+
+impl Frame<'_> {
+    /// Byte offset just past the frame.
+    fn end(&self) -> usize {
+        self.offset + WAL_HEADER_BYTES + self.payload.len()
+    }
+
+    /// The payload decoded as a record, if it is one.
+    fn record(&self) -> Option<WalRecord> {
+        std::str::from_utf8(self.payload)
+            .ok()
+            .and_then(WalRecord::from_payload)
+    }
+}
+
+/// The complete frames of `bytes` from `offset` on, in order. Stops at
+/// the first header or payload the remaining bytes cannot hold (a torn
+/// tail); checksums and payloads are the caller's to check.
+fn wal_frames(bytes: &[u8], mut offset: usize) -> impl Iterator<Item = Frame<'_>> {
+    std::iter::from_fn(move || {
+        let header = bytes.get(offset..)?.get(..WAL_HEADER_BYTES)?;
+        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+        let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+        let payload = bytes[offset + WAL_HEADER_BYTES..].get(..len)?;
+        let frame = Frame {
+            offset,
+            crc,
+            payload,
+        };
+        offset = frame.end();
+        Some(frame)
+    })
+}
+
+/// The frame `stream` draws among the complete frames of `bytes`.
+fn victim_frame<'a>(bytes: &'a [u8], stream: &mut FaultStream) -> Option<Frame<'a>> {
+    let pick = stream.next_in(wal_frames(bytes, 0).count() as u64) as usize;
+    wal_frames(bytes, 0).nth(pick)
+}
+
 /// Why replay stopped scanning a shard's WAL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
@@ -176,9 +226,15 @@ impl StopReason {
     }
 }
 
+impl Serialize for StopReason {
+    fn to_value(&self) -> Value {
+        Value::from(self.label())
+    }
+}
+
 /// Everything recovery learned about one shard — the per-shard row of
 /// the `wfsm recover` report, and the stats behind `durable.*` counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ShardRecoveryStats {
     pub shard: u32,
     /// Entities the snapshot declared in its header.
@@ -208,44 +264,6 @@ pub struct ShardRecoveryStats {
     /// Deterministic recovery cost on the simulated clock.
     pub sim_ms: u64,
     pub stop: StopReason,
-}
-
-impl ShardRecoveryStats {
-    fn to_value(&self) -> Value {
-        let mut obj: BTreeMap<String, Value> = BTreeMap::new();
-        obj.insert("shard".into(), Value::from(self.shard));
-        obj.insert(
-            "snapshot_declared".into(),
-            Value::from(self.snapshot_declared),
-        );
-        obj.insert(
-            "snapshot_entities".into(),
-            Value::from(self.snapshot_entities),
-        );
-        obj.insert("snapshot_lsn".into(), Value::from(self.snapshot_lsn));
-        obj.insert(
-            "snapshot_truncated".into(),
-            Value::Bool(self.snapshot_truncated),
-        );
-        obj.insert("snapshot_bytes".into(), Value::from(self.snapshot_bytes));
-        obj.insert("wal_records".into(), Value::from(self.wal_records));
-        obj.insert("replayed".into(), Value::from(self.replayed));
-        obj.insert("fsync_points".into(), Value::from(self.fsync_points));
-        obj.insert(
-            "truncated_records".into(),
-            Value::from(self.truncated_records),
-        );
-        obj.insert("truncated_bytes".into(), Value::from(self.truncated_bytes));
-        obj.insert("valid_wal_bytes".into(), Value::from(self.valid_wal_bytes));
-        obj.insert("last_lsn".into(), Value::from(self.last_lsn));
-        obj.insert(
-            "recovered_entities".into(),
-            Value::from(self.recovered_entities),
-        );
-        obj.insert("sim_ms".into(), Value::from(self.sim_ms));
-        obj.insert("stop".into(), Value::from(self.stop.label()));
-        Value::Object(obj)
-    }
 }
 
 /// One shard's full recovery result: the stats plus the recovered
@@ -288,15 +306,7 @@ impl RecoveryReport {
     pub fn to_json_string(&self) -> String {
         let mut obj: BTreeMap<String, Value> = BTreeMap::new();
         obj.insert("clean".into(), Value::Bool(self.clean()));
-        obj.insert(
-            "shards".into(),
-            Value::Array(
-                self.shards
-                    .iter()
-                    .map(ShardRecoveryStats::to_value)
-                    .collect(),
-            ),
-        );
+        obj.insert("shards".into(), self.shards.to_value());
         let mut totals: BTreeMap<String, Value> = BTreeMap::new();
         totals.insert(
             "recovered_entities".into(),
@@ -567,6 +577,17 @@ struct ShardLog {
     since_fsync: AtomicU64,
 }
 
+impl ShardLog {
+    fn new(wal: impl LogSink + 'static, snapshot: impl LogSink + 'static) -> Self {
+        ShardLog {
+            wal: Box::new(wal),
+            snapshot: Box::new(snapshot),
+            next_lsn: AtomicU64::new(1),
+            since_fsync: AtomicU64::new(0),
+        }
+    }
+}
+
 /// The durable layer under a [`DataStore`]: one [`ShardLog`] per shard.
 ///
 /// Attach via `DataStore::attach_durability` (or through the cluster);
@@ -608,12 +629,7 @@ impl DurableStorage {
             ));
         }
         let shards = (0..shard_count)
-            .map(|_| ShardLog {
-                wal: Box::new(MemorySink::new()) as Box<dyn LogSink>,
-                snapshot: Box::new(MemorySink::new()) as Box<dyn LogSink>,
-                next_lsn: AtomicU64::new(1),
-                since_fsync: AtomicU64::new(0),
-            })
+            .map(|_| ShardLog::new(MemorySink::new(), MemorySink::new()))
             .collect();
         Ok(Self::from_shards(shards, None))
     }
@@ -640,12 +656,7 @@ impl DurableStorage {
             let snapshot = FileSink::open(sub.join("snapshot.jsonl"))?;
             wal.replace(&[])?;
             snapshot.replace(&[])?;
-            shards.push(ShardLog {
-                wal: Box::new(wal) as Box<dyn LogSink>,
-                snapshot: Box::new(snapshot) as Box<dyn LogSink>,
-                next_lsn: AtomicU64::new(1),
-                since_fsync: AtomicU64::new(0),
-            });
+            shards.push(ShardLog::new(wal, snapshot));
         }
         Ok(Self::from_shards(shards, Some(dir.to_path_buf())))
     }
@@ -658,14 +669,10 @@ impl DurableStorage {
         let mut shards = Vec::new();
         while shard_dir(dir, shards.len()).is_dir() {
             let sub = shard_dir(dir, shards.len());
-            let wal = FileSink::open(sub.join("wal.log"))?;
-            let snapshot = FileSink::open(sub.join("snapshot.jsonl"))?;
-            shards.push(ShardLog {
-                wal: Box::new(wal) as Box<dyn LogSink>,
-                snapshot: Box::new(snapshot) as Box<dyn LogSink>,
-                next_lsn: AtomicU64::new(1),
-                since_fsync: AtomicU64::new(0),
-            });
+            shards.push(ShardLog::new(
+                FileSink::open(sub.join("wal.log"))?,
+                FileSink::open(sub.join("snapshot.jsonl"))?,
+            ));
         }
         if shards.is_empty() {
             return Err(Error::Config(format!(
@@ -711,6 +718,12 @@ impl DurableStorage {
 
     pub fn sim_now(&self) -> u64 {
         self.sim_now.load(Ordering::Relaxed)
+    }
+
+    fn shard(&self, shard: u32) -> Result<&ShardLog> {
+        self.shards
+            .get(shard as usize)
+            .ok_or_else(|| Error::Config(format!("no shard {shard}")))
     }
 
     /// The LSN the next record on `shard` will take.
@@ -784,10 +797,7 @@ impl DurableStorage {
 
     /// Appends an fsync-point marker and syncs the sink.
     pub fn sync_shard(&self, shard: u32) -> Result<()> {
-        let state = self
-            .shards
-            .get(shard as usize)
-            .ok_or_else(|| Error::Config(format!("no shard {shard}")))?;
+        let state = self.shard(shard)?;
         let record = WalRecord {
             lsn: state.next_lsn.fetch_add(1, Ordering::Relaxed),
             sim_ms: self.sim_now(),
@@ -807,10 +817,7 @@ impl DurableStorage {
     /// Writes `node`'s entities as a snapshot and truncates its WAL.
     /// Call at quiescent points (no in-flight mutators on the shard).
     pub fn snapshot_shard(&self, store: &DataStore, node: NodeId) -> Result<SnapshotStats> {
-        let state = self
-            .shards
-            .get(node.0 as usize)
-            .ok_or_else(|| Error::Config(format!("no shard {}", node.0)))?;
+        let state = self.shard(node.0)?;
         let ids = store.shard_ids(node);
         let last_lsn = state.next_lsn.load(Ordering::Relaxed) - 1;
         let mut header: BTreeMap<String, Value> = BTreeMap::new();
@@ -884,31 +891,11 @@ impl DurableStorage {
         (entities, snapshot_lsn, declared, truncated)
     }
 
-    /// Counts identifiable record frames in the dropped suffix (a stat,
-    /// not a correctness input — framing inside garbage stops at the
-    /// first frame the bytes cannot contain).
-    fn count_dropped_frames(bytes: &[u8], mut offset: usize) -> u64 {
-        let mut frames = 0u64;
-        while bytes.len() - offset >= WAL_HEADER_BYTES {
-            let len =
-                u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-            if bytes.len() - offset - WAL_HEADER_BYTES < len {
-                break;
-            }
-            frames += 1;
-            offset += WAL_HEADER_BYTES + len;
-        }
-        frames
-    }
-
     /// Replays one shard's snapshot + WAL into entities, **read-only**:
     /// nothing is repaired, so repeated calls over the same bytes return
     /// byte-identical results (`wfsm recover` relies on this).
     pub fn recover_shard(&self, shard: u32) -> Result<ShardRecovery> {
-        let state = self
-            .shards
-            .get(shard as usize)
-            .ok_or_else(|| Error::Config(format!("no shard {shard}")))?;
+        let state = self.shard(shard)?;
         let snapshot_bytes = state.snapshot.read_all()?;
         let (snapshot_entities, snapshot_lsn, declared, snapshot_truncated) =
             Self::parse_snapshot(&snapshot_bytes);
@@ -933,40 +920,16 @@ impl DurableStorage {
         let mut map: BTreeMap<DocId, Entity> =
             snapshot_entities.into_iter().map(|e| (e.id, e)).collect();
         let bytes = state.wal.read_all()?;
-        let mut offset = 0usize;
-        let mut expected_lsn = snapshot_lsn + 1;
-        loop {
-            if offset == bytes.len() {
-                break;
-            }
-            if bytes.len() - offset < WAL_HEADER_BYTES {
-                stats.stop = StopReason::TornTail;
-                break;
-            }
-            let len =
-                u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-            let crc = u32::from_le_bytes(
-                bytes[offset + 4..offset + WAL_HEADER_BYTES]
-                    .try_into()
-                    .expect("4 bytes"),
-            );
-            if bytes.len() - offset - WAL_HEADER_BYTES < len {
-                stats.stop = StopReason::TornTail;
-                break;
-            }
-            let payload = &bytes[offset + WAL_HEADER_BYTES..offset + WAL_HEADER_BYTES + len];
-            if crc32(payload) != crc {
+        let mut valid = 0usize;
+        for frame in wal_frames(&bytes, 0) {
+            if crc32(frame.payload) != frame.crc {
                 stats.stop = StopReason::BadCrc;
                 break;
             }
-            let record = std::str::from_utf8(payload)
-                .ok()
-                .and_then(WalRecord::from_payload);
-            let Some(record) = record.filter(|r| r.lsn == expected_lsn) else {
+            let Some(record) = frame.record().filter(|r| r.lsn == stats.last_lsn + 1) else {
                 stats.stop = StopReason::BadPayload;
                 break;
             };
-            expected_lsn += 1;
             stats.wal_records += 1;
             stats.last_lsn = record.lsn;
             match record.op {
@@ -980,12 +943,17 @@ impl DurableStorage {
                 }
                 WalOp::Fsync => stats.fsync_points += 1,
             }
-            offset += WAL_HEADER_BYTES + len;
+            valid = frame.end();
         }
-        stats.valid_wal_bytes = offset as u64;
-        stats.truncated_bytes = (bytes.len() - offset) as u64;
+        if stats.stop == StopReason::EndOfLog && valid < bytes.len() {
+            stats.stop = StopReason::TornTail;
+        }
+        stats.valid_wal_bytes = valid as u64;
+        stats.truncated_bytes = (bytes.len() - valid) as u64;
         if stats.stop != StopReason::EndOfLog {
-            stats.truncated_records = Self::count_dropped_frames(&bytes, offset).max(1);
+            // complete frames in the dropped suffix, the first bad one
+            // included (a torn tail alone holds none)
+            stats.truncated_records = (wal_frames(&bytes, valid).count() as u64).max(1);
         }
         stats.recovered_entities = map.len() as u64;
         stats.sim_ms =
@@ -1042,10 +1010,7 @@ impl DurableStorage {
     /// the WAL to its valid prefix and primes the next LSN. Called by
     /// `Cluster::restart_node` — never by `wfsm recover`.
     pub fn repair_shard(&self, shard: u32, recovery: &ShardRecovery) -> Result<()> {
-        let state = self
-            .shards
-            .get(shard as usize)
-            .ok_or_else(|| Error::Config(format!("no shard {shard}")))?;
+        let state = self.shard(shard)?;
         if recovery.stats.truncated_bytes > 0 {
             let bytes = state.wal.read_all()?;
             let keep = recovery.stats.valid_wal_bytes as usize;
@@ -1100,26 +1065,6 @@ impl DurableStorage {
         Ok((store, RecoveryReport { shards }))
     }
 
-    fn frames_of(bytes: &[u8]) -> Vec<(usize, usize, Option<u64>)> {
-        let mut frames = Vec::new();
-        let mut offset = 0usize;
-        while bytes.len() - offset >= WAL_HEADER_BYTES {
-            let len =
-                u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes")) as usize;
-            if bytes.len() - offset - WAL_HEADER_BYTES < len {
-                break;
-            }
-            let payload = &bytes[offset + WAL_HEADER_BYTES..offset + WAL_HEADER_BYTES + len];
-            let lsn = std::str::from_utf8(payload)
-                .ok()
-                .and_then(WalRecord::from_payload)
-                .map(|r| r.lsn);
-            frames.push((offset, WAL_HEADER_BYTES + len, lsn));
-            offset += WAL_HEADER_BYTES + len;
-        }
-        frames
-    }
-
     /// Damages `shard`'s durable state at a position drawn from
     /// `stream` — the seeded chaos entry point. Same plan + same site ⇒
     /// the same bytes flip everywhere.
@@ -1129,47 +1074,39 @@ impl DurableStorage {
         kind: CorruptionKind,
         stream: &mut FaultStream,
     ) -> Result<CorruptionOutcome> {
-        let state = self
-            .shards
-            .get(shard as usize)
-            .ok_or_else(|| Error::Config(format!("no shard {shard}")))?;
+        let state = self.shard(shard)?;
         let outcome = match kind {
             CorruptionKind::TornTail => {
                 let bytes = state.wal.read_all()?;
-                let frames = Self::frames_of(&bytes);
-                let Some(&(offset, len, lsn)) =
-                    frames.get(stream.next_in(frames.len() as u64) as usize)
-                else {
-                    return Err(Error::Config("cannot tear an empty WAL".into()));
-                };
+                let victim = victim_frame(&bytes, stream)
+                    .ok_or_else(|| Error::Config("cannot tear an empty WAL".into()))?;
                 // keep at least 1 byte of the victim frame, at most all
                 // but its last byte: a partial record either way
-                let cut = offset + 1 + stream.next_in(len as u64 - 1) as usize;
+                let len = victim.end() - victim.offset;
+                let cut = victim.offset + 1 + stream.next_in(len as u64 - 1) as usize;
                 state.wal.replace(&bytes[..cut])?;
                 Ok(CorruptionOutcome {
                     shard,
                     kind,
                     offset: cut as u64,
-                    victim_lsn: lsn,
+                    victim_lsn: victim.record().map(|r| r.lsn),
                 })
             }
             CorruptionKind::BadCrc => {
                 let mut bytes = state.wal.read_all()?;
-                let frames = Self::frames_of(&bytes);
-                let Some(&(offset, len, lsn)) =
-                    frames.get(stream.next_in(frames.len() as u64) as usize)
-                else {
-                    return Err(Error::Config("cannot corrupt an empty WAL".into()));
-                };
-                let payload_len = len - WAL_HEADER_BYTES;
-                let flip = offset + WAL_HEADER_BYTES + stream.next_in(payload_len as u64) as usize;
+                let victim = victim_frame(&bytes, stream)
+                    .ok_or_else(|| Error::Config("cannot corrupt an empty WAL".into()))?;
+                let victim_lsn = victim.record().map(|r| r.lsn);
+                let flip = victim.offset
+                    + WAL_HEADER_BYTES
+                    + stream.next_in(victim.payload.len() as u64) as usize;
                 bytes[flip] ^= 0x5A;
                 state.wal.replace(&bytes)?;
                 Ok(CorruptionOutcome {
                     shard,
                     kind,
                     offset: flip as u64,
-                    victim_lsn: lsn,
+                    victim_lsn,
                 })
             }
             CorruptionKind::TruncatedSnapshot => {
@@ -1505,6 +1442,50 @@ mod tests {
         assert!(json.contains("\"recovered_entities\""), "{json}");
         let parsed: Value = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed.get("clean").and_then(Value::as_bool), Some(true));
+
+        // every stop reason renders its label
+        let stops = [
+            StopReason::EndOfLog,
+            StopReason::TornTail,
+            StopReason::BadCrc,
+            StopReason::BadPayload,
+        ];
+        let shards = stops
+            .iter()
+            .map(|&stop| ShardRecoveryStats {
+                stop,
+                ..report.shards[0].clone()
+            })
+            .collect();
+        let json = RecoveryReport { shards }.to_json_string();
+        let parsed: Value = serde_json::from_str(&json).unwrap();
+        let rendered: Vec<&str> = parsed
+            .get("shards")
+            .and_then(Value::as_array)
+            .unwrap()
+            .iter()
+            .map(|s| s.get("stop").and_then(Value::as_str).unwrap())
+            .collect();
+        let labels: Vec<&str> = stops.iter().map(|s| s.label()).collect();
+        assert_eq!(rendered, labels);
+        assert_eq!(
+            labels,
+            ["end_of_log", "torn_tail", "bad_crc", "bad_payload"]
+        );
+    }
+
+    /// The frame reader walks `bytes` as back-to-back frames from offset
+    /// 0 and never reads past the end.
+    fn assert_frames_tile_a_prefix(
+        bytes: &[u8],
+    ) -> std::result::Result<(), proptest::TestCaseError> {
+        let mut end = 0;
+        for frame in wal_frames(bytes, 0) {
+            proptest::prop_assert_eq!(frame.offset, end);
+            end = frame.end();
+        }
+        proptest::prop_assert!(end <= bytes.len());
+        Ok(())
     }
 
     /// Replaces shard 0's WAL with `bytes`.
@@ -1540,7 +1521,7 @@ mod tests {
             let clean = recovery.stats.stop == StopReason::EndOfLog;
             proptest::prop_assert_eq!(clean, bytes.len() as u64 == valid);
             proptest::prop_assert_eq!(recovery.stats.truncated_records > 0, !clean);
-            DurableStorage::frames_of(&bytes);
+            assert_frames_tile_a_prefix(&bytes)?;
         }
 
         /// A log of arbitrary bytes never panics recovery or framing, and
@@ -1557,7 +1538,7 @@ mod tests {
             proptest::prop_assert!(recovery.entities.is_empty());
             proptest::prop_assert_eq!(recovery.stats.valid_wal_bytes, 0);
             proptest::prop_assert_eq!(recovery.stats.truncated_bytes, bytes.len() as u64);
-            DurableStorage::frames_of(&bytes);
+            assert_frames_tile_a_prefix(&bytes)?;
         }
     }
 }

@@ -22,6 +22,7 @@
 
 use crate::cluster::Cluster;
 use crate::entity::{Entity, SourceKind};
+use serde::Serialize;
 use wf_types::{NodeId, Result, RetryPolicy};
 
 /// The four injectable fault classes.
@@ -237,7 +238,7 @@ impl FaultStream {
 }
 
 /// Health of one simulated node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub enum NodeHealth {
     #[default]
     Up,

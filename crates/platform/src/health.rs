@@ -29,8 +29,8 @@
 use crate::cluster::{Cluster, NodeScore};
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use crate::trace::TraceId;
-use serde_json::Value;
-use std::collections::{BTreeMap, VecDeque};
+use serde::Serialize;
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -167,7 +167,7 @@ pub fn default_slos() -> Vec<SloSpec> {
 }
 
 /// One firing→resolved transition of an SLO's burn-rate alert.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct AlertEvent {
     /// Simulated time of the evaluation that transitioned the alert.
     pub at_sim_ms: u64,
@@ -180,7 +180,7 @@ pub struct AlertEvent {
 }
 
 /// Current state of one SLO after the latest evaluation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SloStatus {
     pub name: String,
     /// [`Objective::describe`] of the objective.
@@ -452,7 +452,7 @@ fn target_of(objective: &Objective) -> u64 {
 
 /// One worst-exemplar reference in a [`DoctorReport`], resolved against
 /// the flight recorder.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ExemplarRef {
     /// The histogram the exemplar came from.
     pub histogram: String,
@@ -467,7 +467,7 @@ pub struct ExemplarRef {
 /// The full operator report behind `wfsm doctor`: SLO status, the alert
 /// log, worst exemplars, and the per-node scoreboard. Same seed ⇒
 /// byte-identical [`DoctorReport::to_json_string`] output.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DoctorReport {
     pub at_sim_ms: u64,
     pub slos: Vec<SloStatus>,
@@ -504,109 +504,11 @@ impl DoctorReport {
         }
     }
 
-    /// Canonical JSON tree (BTreeMap-sorted keys, arrays in report
-    /// order).
-    pub fn to_json(&self) -> Value {
-        let mut root = BTreeMap::new();
-        root.insert("at_sim_ms".to_string(), Value::from(self.at_sim_ms));
-        root.insert(
-            "slos".to_string(),
-            Value::Array(
-                self.slos
-                    .iter()
-                    .map(|s| {
-                        let mut o = BTreeMap::new();
-                        o.insert("name".to_string(), Value::from(s.name.clone()));
-                        o.insert("objective".to_string(), Value::from(s.objective.clone()));
-                        o.insert("firing".to_string(), Value::from(s.firing));
-                        o.insert(
-                            "fast_burn_milli".to_string(),
-                            Value::from(s.fast_burn_milli),
-                        );
-                        o.insert(
-                            "slow_burn_milli".to_string(),
-                            Value::from(s.slow_burn_milli),
-                        );
-                        o.insert("measured".to_string(), Value::from(s.measured));
-                        o.insert("target".to_string(), Value::from(s.target));
-                        Value::Object(o)
-                    })
-                    .collect(),
-            ),
-        );
-        root.insert(
-            "alerts".to_string(),
-            Value::Array(
-                self.alerts
-                    .iter()
-                    .map(|a| {
-                        let mut o = BTreeMap::new();
-                        o.insert("at_sim_ms".to_string(), Value::from(a.at_sim_ms));
-                        o.insert("slo".to_string(), Value::from(a.slo.clone()));
-                        o.insert("firing".to_string(), Value::from(a.firing));
-                        o.insert(
-                            "fast_burn_milli".to_string(),
-                            Value::from(a.fast_burn_milli),
-                        );
-                        o.insert(
-                            "slow_burn_milli".to_string(),
-                            Value::from(a.slow_burn_milli),
-                        );
-                        Value::Object(o)
-                    })
-                    .collect(),
-            ),
-        );
-        root.insert(
-            "exemplars".to_string(),
-            Value::Array(
-                self.exemplars
-                    .iter()
-                    .map(|e| {
-                        let mut o = BTreeMap::new();
-                        o.insert("histogram".to_string(), Value::from(e.histogram.clone()));
-                        o.insert("value".to_string(), Value::from(e.value));
-                        o.insert("trace".to_string(), Value::from(e.trace));
-                        o.insert("live".to_string(), Value::from(e.live));
-                        Value::Object(o)
-                    })
-                    .collect(),
-            ),
-        );
-        root.insert(
-            "nodes".to_string(),
-            Value::Array(
-                self.nodes
-                    .iter()
-                    .map(|n| {
-                        let mut o = BTreeMap::new();
-                        o.insert("node".to_string(), Value::from(n.node));
-                        o.insert("model".to_string(), Value::from(n.model.clone()));
-                        o.insert("health".to_string(), Value::from(format!("{:?}", n.health)));
-                        o.insert("runs".to_string(), Value::from(n.runs));
-                        o.insert("processed".to_string(), Value::from(n.processed));
-                        o.insert("failed".to_string(), Value::from(n.failed));
-                        o.insert("retries".to_string(), Value::from(n.retries));
-                        o.insert("faults".to_string(), Value::from(n.faults));
-                        o.insert("failovers".to_string(), Value::from(n.failovers));
-                        o.insert("skipped".to_string(), Value::from(n.skipped));
-                        o.insert("sim_ms".to_string(), Value::from(n.sim_ms));
-                        o.insert(
-                            "last_error".to_string(),
-                            n.last_error.clone().map(Value::from).unwrap_or(Value::Null),
-                        );
-                        Value::Object(o)
-                    })
-                    .collect(),
-            ),
-        );
-        Value::Object(root)
-    }
-
     /// Pretty-printed canonical JSON (the `wfsm doctor --format json`
-    /// output).
+    /// output): the derived `Serialize`, so keys are the field names,
+    /// sorted, and arrays keep report order.
     pub fn to_json_string(&self) -> String {
-        serde_json::to_string_pretty(&self.to_json()).expect("Value renders infallibly")
+        serde_json::to_string_pretty(self).expect("Value renders infallibly")
     }
 
     /// The human-readable report (the `wfsm doctor` default output).
@@ -845,6 +747,42 @@ mod tests {
         let s = tele.snapshot();
         assert_eq!(s.counter("health.alerts.fired"), 1);
         assert_eq!(s.counter("health.alerts.resolved"), 1);
+    }
+
+    #[test]
+    fn doctor_json_renders_a_missing_last_error_as_null() {
+        let node = |node: u32, last_error: Option<&str>| NodeScore {
+            node,
+            model: "x335".to_string(),
+            health: crate::faults::NodeHealth::Degraded,
+            runs: 1,
+            processed: 2,
+            failed: 0,
+            retries: 0,
+            faults: 0,
+            failovers: 0,
+            skipped: 0,
+            sim_ms: 7,
+            last_error: last_error.map(str::to_string),
+        };
+        let report = DoctorReport {
+            at_sim_ms: 9,
+            slos: Vec::new(),
+            alerts: Vec::new(),
+            exemplars: Vec::new(),
+            nodes: vec![node(0, None), node(1, Some("fault:timeout doc=3"))],
+        };
+        let json = report.to_json_string();
+        let parsed: serde_json::Value = serde_json::from_str(&json).unwrap();
+        let nodes = parsed.get("nodes").and_then(|n| n.as_array()).unwrap();
+        assert!(nodes[0].get("last_error").unwrap().is_null(), "{json}");
+        assert_eq!(
+            nodes[1].get("last_error").and_then(|e| e.as_str()),
+            Some("fault:timeout doc=3")
+        );
+        assert!(json.contains("\"last_error\": null,"), "{json}");
+        assert!(json.contains("\"health\": \"Degraded\","), "{json}");
+        assert!(json.contains("\"alerts\": [],"), "{json}");
     }
 
     #[test]

@@ -42,6 +42,8 @@ use wf_types::{Error, Result};
 pub const CACHE_HIT_COST_MS: u64 = 1;
 /// Simulated dispatch overhead added to every backend execution.
 pub const DISPATCH_COST_MS: u64 = 1;
+/// Completions between observer calls (SLO evaluation, timeline scrapes).
+const OBSERVE_EVERY: u64 = 64;
 
 /// A query-answering backend the serve loop can drive.
 ///
@@ -217,8 +219,6 @@ pub struct ServingConfig {
     pub queue_capacity: usize,
     /// Extra think time a client waits after being shed (backpressure).
     pub shed_backoff_ms: u64,
-    /// Invoke the observer every this many completions (0 = never).
-    pub observe_every: u64,
     /// Record per-query answers in the report (tests only; answers are
     /// excluded from the canonical JSON).
     pub record_answers: bool,
@@ -234,7 +234,6 @@ impl Default for ServingConfig {
             cache_capacity: 64,
             queue_capacity: 32,
             shed_backoff_ms: 50,
-            observe_every: 64,
             record_answers: false,
         }
     }
@@ -420,8 +419,8 @@ impl<'a> ServeLoop<'a> {
     }
 
     /// Attaches a time-series store scraped at every observation point
-    /// (every [`ServingConfig::observe_every`] completions and once at
-    /// the end), so a serving run produces a metrics timeline for free.
+    /// (every 64 completions and once at the end), so a serving run
+    /// produces a metrics timeline for free.
     pub fn with_timeline(mut self, timeline: Arc<TimeSeriesStore>) -> Self {
         self.timeline = Some(timeline);
         self
@@ -443,7 +442,7 @@ impl<'a> ServeLoop<'a> {
     }
 
     /// Runs to completion; `observer` sees the simulated clock every
-    /// [`ServingConfig::observe_every`] completions (for SLO evaluation).
+    /// 64 completions and once at the end (for SLO evaluation).
     pub fn run_observed(mut self, observer: &mut dyn FnMut(u64)) -> Result<ServingReport> {
         if self.workload.is_empty() {
             return Err(Error::Config("serving workload is empty".into()));
@@ -523,9 +522,7 @@ impl<'a> ServeLoop<'a> {
                     completed += 1;
                     free_at = start + service_ms;
                     end_ms = end_ms.max(free_at);
-                    if self.config.observe_every > 0
-                        && completed.is_multiple_of(self.config.observe_every)
-                    {
+                    if completed.is_multiple_of(OBSERVE_EVERY) {
                         if let Some(timeline) = &self.timeline {
                             timeline.tick(free_at, || self.telemetry.snapshot());
                         }
@@ -605,9 +602,7 @@ impl<'a> ServeLoop<'a> {
         if let Some(timeline) = &self.timeline {
             timeline.scrape_at(end_ms, self.telemetry.snapshot());
         }
-        if self.config.observe_every > 0 {
-            observer(end_ms);
-        }
+        observer(end_ms);
         Ok(report)
     }
 

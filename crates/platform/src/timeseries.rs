@@ -27,7 +27,7 @@
 //! exports are byte-identical for identical sample sequences.
 
 use crate::telemetry::TelemetrySnapshot;
-use serde_json::Value;
+use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -156,7 +156,7 @@ impl TimeSeriesStore {
 }
 
 /// One counter window: what the counter did between two scrapes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CounterWindow {
     pub start_ms: u64,
     pub end_ms: u64,
@@ -168,7 +168,7 @@ pub struct CounterWindow {
 }
 
 /// One gauge window: endpoint values between two scrapes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct GaugeWindow {
     pub start_ms: u64,
     pub end_ms: u64,
@@ -179,7 +179,7 @@ pub struct GaugeWindow {
 
 /// One histogram window: percentiles over only that window's
 /// observations (bucket deltas).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct HistogramWindow {
     pub start_ms: u64,
     pub end_ms: u64,
@@ -191,7 +191,7 @@ pub struct HistogramWindow {
 }
 
 /// The rolled-up view of a scrape ring: per-metric window series.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct Timeline {
     /// Simulated time of the first retained sample.
     pub start_ms: u64,
@@ -287,87 +287,10 @@ impl Timeline {
         self.counter(name).iter().map(|w| w.increase).sum()
     }
 
-    /// Canonical JSON export: stable key order, integers only.
-    pub fn to_json(&self) -> Value {
-        let mut root = BTreeMap::new();
-        root.insert("start_ms".to_string(), Value::from(self.start_ms));
-        root.insert("end_ms".to_string(), Value::from(self.end_ms));
-        root.insert("scrapes".to_string(), Value::from(self.scrapes));
-        root.insert("dropped".to_string(), Value::from(self.dropped));
-        root.insert(
-            "counters".to_string(),
-            Value::Object(
-                self.counters
-                    .iter()
-                    .map(|(name, windows)| {
-                        let series = windows
-                            .iter()
-                            .map(|w| {
-                                let mut o = BTreeMap::new();
-                                o.insert("start_ms".to_string(), Value::from(w.start_ms));
-                                o.insert("end_ms".to_string(), Value::from(w.end_ms));
-                                o.insert("increase".to_string(), Value::from(w.increase));
-                                o.insert("rate_milli".to_string(), Value::from(w.rate_milli));
-                                Value::Object(o)
-                            })
-                            .collect();
-                        (name.clone(), Value::Array(series))
-                    })
-                    .collect(),
-            ),
-        );
-        root.insert(
-            "gauges".to_string(),
-            Value::Object(
-                self.gauges
-                    .iter()
-                    .map(|(name, windows)| {
-                        let series = windows
-                            .iter()
-                            .map(|w| {
-                                let mut o = BTreeMap::new();
-                                o.insert("start_ms".to_string(), Value::from(w.start_ms));
-                                o.insert("end_ms".to_string(), Value::from(w.end_ms));
-                                o.insert("last".to_string(), Value::from(w.last));
-                                o.insert("min".to_string(), Value::from(w.min));
-                                o.insert("max".to_string(), Value::from(w.max));
-                                Value::Object(o)
-                            })
-                            .collect();
-                        (name.clone(), Value::Array(series))
-                    })
-                    .collect(),
-            ),
-        );
-        root.insert(
-            "histograms".to_string(),
-            Value::Object(
-                self.histograms
-                    .iter()
-                    .map(|(name, windows)| {
-                        let series = windows
-                            .iter()
-                            .map(|w| {
-                                let mut o = BTreeMap::new();
-                                o.insert("start_ms".to_string(), Value::from(w.start_ms));
-                                o.insert("end_ms".to_string(), Value::from(w.end_ms));
-                                o.insert("count".to_string(), Value::from(w.count));
-                                o.insert("p50".to_string(), Value::from(w.p50));
-                                o.insert("p95".to_string(), Value::from(w.p95));
-                                o.insert("p99".to_string(), Value::from(w.p99));
-                                Value::Object(o)
-                            })
-                            .collect();
-                        (name.clone(), Value::Array(series))
-                    })
-                    .collect(),
-            ),
-        );
-        Value::Object(root.into_iter().collect())
-    }
-
+    /// Canonical JSON export through the derived `Serialize`: stable
+    /// key order, integers only.
     pub fn to_json_string(&self) -> String {
-        serde_json::to_string_pretty(&self.to_json()).expect("Value renders infallibly")
+        serde_json::to_string_pretty(self).expect("Value renders infallibly")
     }
 
     /// Aligned human-readable table: one line per metric window.

@@ -513,34 +513,8 @@ pub(crate) mod tests_support {
 
 #[cfg(test)]
 mod tests {
+    use super::tests_support::{analyze, polarity_at};
     use super::*;
-    use wf_nlp::Pipeline;
-
-    fn analyze(text: &str) -> (AnalyzedSentence, Vec<SentimentAssignment>) {
-        let p = Pipeline::new();
-        let s = p.analyze_sentence(text);
-        let analyzer = SentimentAnalyzer::new();
-        let a = analyzer.analyze(&s);
-        (s, a)
-    }
-
-    /// Returns the polarity assigned to the region containing `word`, if
-    /// any (pattern/existential/contrast evidence preferred over
-    /// attributive).
-    fn polarity_at(text: &str, word: &str) -> Option<Polarity> {
-        let (s, assignments) = analyze(text);
-        let token = s
-            .tokens
-            .iter()
-            .position(|t| t.text.eq_ignore_ascii_case(word))
-            .unwrap_or_else(|| panic!("{word} not in {text}"));
-        let mut hits: Vec<&SentimentAssignment> = assignments
-            .iter()
-            .filter(|a| a.covers_token(token))
-            .collect();
-        hits.sort_by_key(|a| matches!(a.evidence, Evidence::Attributive));
-        hits.first().map(|a| a.polarity)
-    }
 
     #[test]
     fn paper_take_op_sp() {
