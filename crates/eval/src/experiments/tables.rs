@@ -3,6 +3,7 @@
 use super::scale::ExperimentScale;
 use crate::harness;
 use crate::metrics::{score, score_without_i_class, Scores};
+use serde::Serialize;
 use wf_corpus::{camera_reviews, music_reviews, petroleum_news, petroleum_web, pharma_web, Corpus};
 use wf_features::{FeatureExtractor, ScoredFeature, Selection, CHI2_99};
 use wf_spotter::{Spotter, SubjectList};
@@ -118,7 +119,7 @@ fn count_references(corpus: &Corpus, terms: &[&str]) -> Vec<(String, usize)> {
 
 /// Table 4: SM vs collocation vs ReviewSeer on the product review
 /// datasets.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Table4Result {
     pub sm: Scores,
     pub collocation: Scores,
@@ -155,7 +156,7 @@ pub fn table4(scale: &ExperimentScale) -> Table4Result {
 }
 
 /// One Table 5 row.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Table5Row {
     pub label: String,
     pub sm: Scores,
@@ -164,7 +165,7 @@ pub struct Table5Row {
 }
 
 /// Table 5: SM and ReviewSeer on general web documents and news articles.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Table5Result {
     pub rows: Vec<Table5Row>,
 }

@@ -4,6 +4,7 @@
 //! Precision and recall score the sentiment-bearing predictions; accuracy
 //! includes the neutral cases, "as ReviewSeer did".
 
+use serde::Serialize;
 use wf_corpus::CaseClass;
 use wf_types::Polarity;
 
@@ -16,7 +17,7 @@ pub struct Prediction {
 }
 
 /// Aggregate scores.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Scores {
     /// correct sentiment predictions / all sentiment predictions.
     pub precision: f64,

@@ -11,7 +11,7 @@
 
 use crate::durable::{DurableStorage, ShardRecoveryStats, SnapshotStats, StopReason};
 use crate::entity::Entity;
-use crate::faults::{FaultPlan, NodeHealth};
+use crate::faults::{executor_for, FaultPlan, NodeHealth};
 use crate::index::Indexer;
 use crate::miner::{FaultContext, MinerPipeline, PipelineStats, RunOpts};
 use crate::store::DataStore;
@@ -390,8 +390,9 @@ impl Cluster {
     }
 
     /// (Re-)indexes every stored entity, including miner annotations.
-    /// Shards owned by Down nodes are indexed by a healthy stand-in; with
-    /// no healthy node left they are skipped and counted. Each placed
+    /// Shards owned by Down nodes are indexed by the stand-in
+    /// `executor_for` picks, the node a miner run would use; with no
+    /// live node left they are skipped and counted. Each placed
     /// shard is gathered into one index segment, reading the shard's
     /// entities by reference under its read lock, and the segments are
     /// merged into the index once. Traced as one `cluster.rebuild_index`
@@ -399,7 +400,6 @@ impl Cluster {
     /// deliberately untraced to bound trace volume).
     pub fn rebuild_index(&self) -> IndexRebuildStats {
         let health = self.healths();
-        let health_of = |n: usize| health.get(n).copied().unwrap_or(NodeHealth::Up);
         let mut stats = IndexRebuildStats::default();
         // (shard, failed_over, skipped) per shard, for the scoreboard
         let mut shard_outcomes: Vec<(usize, bool, bool)> = Vec::new();
@@ -407,13 +407,7 @@ impl Cluster {
         let mut segments = Vec::new();
         for shard in 0..self.store.shard_count() {
             let mut span = root.child(format!("shard:{shard}"));
-            let executor = match health_of(shard) {
-                NodeHealth::Up | NodeHealth::Degraded => Some(shard),
-                NodeHealth::Down => {
-                    (0..self.store.shard_count()).find(|&n| health_of(n) != NodeHealth::Down)
-                }
-            };
-            let Some(executor) = executor else {
+            let Some(executor) = executor_for(shard, self.store.shard_count(), &health) else {
                 stats.skipped_shards += 1;
                 shard_outcomes.push((shard, false, true));
                 span.event("unplaced");
@@ -678,6 +672,28 @@ mod tests {
             cluster.indexer().contents(),
             naive_index_of(&cluster, 0..4).contents()
         );
+    }
+
+    #[test]
+    fn mining_and_rebuild_fail_over_to_the_same_up_node() {
+        // node 0 Down, node 1 Degraded: an Up node outranks a Degraded
+        // one, so both operations hand shard 0 to node 2
+        let cluster = seeded_cluster(3, 9);
+        cluster.set_health(NodeId(0), NodeHealth::Down);
+        cluster.set_health(NodeId(1), NodeHealth::Degraded);
+        let pipeline = MinerPipeline::new().add(Box::new(LengthMiner));
+        let stats = cluster.run_pipeline(&pipeline);
+        assert_eq!(stats.shards[0].executor, Some(2));
+        cluster.rebuild_index();
+        let traces = cluster.telemetry().recorder().last_traces(1);
+        let shard0 = traces[0].1[0].find("shard:0").expect("shard:0 span");
+        let failovers: Vec<&str> = shard0
+            .events
+            .iter()
+            .map(|e| e.label.as_str())
+            .filter(|l| l.starts_with("failover:"))
+            .collect();
+        assert_eq!(failovers, ["failover:node:2"]);
     }
 
     #[test]

@@ -597,7 +597,6 @@ impl ShardLog {
 pub struct DurableStorage {
     shards: Vec<ShardLog>,
     dir: Option<PathBuf>,
-    fsync_interval: u64,
     sim_now: AtomicU64,
     metrics: RwLock<Option<DurableMetrics>>,
     /// Mutation-path append failures are swallowed (the store API has no
@@ -614,7 +613,6 @@ impl DurableStorage {
         DurableStorage {
             shards,
             dir,
-            fsync_interval: DEFAULT_FSYNC_INTERVAL,
             sim_now: AtomicU64::new(0),
             metrics: RwLock::new(None),
             last_append_error: Mutex::new(None),
@@ -688,12 +686,6 @@ impl DurableStorage {
                 .store(recovery.stats.last_lsn + 1, Ordering::Relaxed);
         }
         Ok(storage)
-    }
-
-    /// Overrides the automatic fsync-marker cadence (min 1).
-    pub fn with_fsync_interval(mut self, every: u64) -> Self {
-        self.fsync_interval = every.max(1);
-        self
     }
 
     pub fn shard_count(&self) -> usize {
@@ -789,7 +781,7 @@ impl DurableStorage {
             }
         }
         let since = state.since_fsync.fetch_add(1, Ordering::Relaxed) + 1;
-        if since >= self.fsync_interval {
+        if since >= DEFAULT_FSYNC_INTERVAL {
             state.since_fsync.store(0, Ordering::Relaxed);
             let _ = self.sync_shard(shard);
         }
@@ -1097,9 +1089,15 @@ impl DurableStorage {
                 let victim = victim_frame(&bytes, stream)
                     .ok_or_else(|| Error::Config("cannot corrupt an empty WAL".into()))?;
                 let victim_lsn = victim.record().map(|r| r.lsn);
-                let flip = victim.offset
-                    + WAL_HEADER_BYTES
-                    + stream.next_in(victim.payload.len() as u64) as usize;
+                // an empty payload has no byte to flip: a byte of its
+                // CRC field (header bytes 4..8) takes the flip instead
+                let flip = if victim.payload.is_empty() {
+                    victim.offset + 4 + stream.next_in(4) as usize
+                } else {
+                    victim.offset
+                        + WAL_HEADER_BYTES
+                        + stream.next_in(victim.payload.len() as u64) as usize
+                };
                 bytes[flip] ^= 0x5A;
                 state.wal.replace(&bytes)?;
                 Ok(CorruptionOutcome {
@@ -1211,15 +1209,16 @@ mod tests {
 
     #[test]
     fn fsync_markers_appear_on_cadence() {
-        let storage = DurableStorage::in_memory(1).unwrap().with_fsync_interval(4);
-        for i in 0..8 {
+        let storage = DurableStorage::in_memory(1).unwrap();
+        let records = 2 * DEFAULT_FSYNC_INTERVAL;
+        for i in 0..records {
             storage.log(0, WalOp::Insert(entity(i, "x")));
         }
         let recovery = storage.recover_shard(0).unwrap();
-        assert_eq!(recovery.stats.replayed, 8);
+        assert_eq!(recovery.stats.replayed, records);
         assert_eq!(recovery.stats.fsync_points, 2);
-        // 8 data records + 2 markers, contiguous LSNs
-        assert_eq!(recovery.stats.last_lsn, 10);
+        // the data records + 2 markers, contiguous LSNs
+        assert_eq!(recovery.stats.last_lsn, records + 2);
         assert_eq!(recovery.stats.stop, StopReason::EndOfLog);
     }
 
@@ -1299,6 +1298,53 @@ mod tests {
         assert_eq!(recovery.stats.truncated_records, 10 - (victim - 1));
     }
 
+    /// Injects `BadCrc` into shard 0 under `seed` and returns the WAL
+    /// before and after, with the outcome.
+    fn flip_crc(storage: &DurableStorage, seed: u64) -> (Vec<u8>, Vec<u8>, CorruptionOutcome) {
+        let before = storage.shards[0].wal.read_all().unwrap();
+        let mut stream = crate::faults::FaultPlan::new(seed).stream("durable:0");
+        let outcome = storage
+            .inject_corruption(0, CorruptionKind::BadCrc, &mut stream)
+            .unwrap();
+        let after = storage.shards[0].wal.read_all().unwrap();
+        (before, after, outcome)
+    }
+
+    #[test]
+    fn bad_crc_on_a_lone_empty_frame_flips_its_checksum() {
+        // one frame: payload length 0, CRC of nothing (0)
+        let storage = DurableStorage::in_memory(1).unwrap();
+        with_wal(&storage, &[0; WAL_HEADER_BYTES]);
+        let (before, after, outcome) = flip_crc(&storage, 7);
+        let flip = outcome.offset as usize;
+        assert!((4..WAL_HEADER_BYTES).contains(&flip), "flip at {flip}");
+        assert_eq!(after.len(), before.len());
+        assert_eq!(after[flip], before[flip] ^ 0x5A);
+        let recovery = storage.recover_shard(0).unwrap();
+        assert_eq!(recovery.stats.stop, StopReason::BadCrc);
+    }
+
+    #[test]
+    fn bad_crc_on_an_empty_frame_leaves_the_next_frame_alone() {
+        let storage = storage_with_records(1);
+        let record = storage.shards[0].wal.read_all().unwrap();
+        let mut wal = vec![0; WAL_HEADER_BYTES];
+        wal.extend_from_slice(&record);
+        // try seeds until the draw picks the empty first frame, the one
+        // victim without a record
+        let (before, after, outcome) = (0..64)
+            .map(|seed| {
+                with_wal(&storage, &wal);
+                flip_crc(&storage, seed)
+            })
+            .find(|(_, _, outcome)| outcome.victim_lsn.is_none())
+            .expect("some seed picks the empty frame");
+        let flip = outcome.offset as usize;
+        assert!((4..WAL_HEADER_BYTES).contains(&flip), "flip at {flip}");
+        assert_eq!(after[flip], before[flip] ^ 0x5A);
+        assert_eq!(after[WAL_HEADER_BYTES..], before[WAL_HEADER_BYTES..]);
+    }
+
     #[test]
     fn repair_truncates_to_valid_prefix_and_resumes_lsns() {
         let storage = storage_with_records(10);
@@ -1342,6 +1388,31 @@ mod tests {
             recovery.stats.recovered_entities,
             recovery.stats.snapshot_entities
         );
+    }
+
+    #[test]
+    fn deeply_nested_snapshot_line_truncates_instead_of_aborting() {
+        let store = DataStore::single();
+        let storage = Arc::new(DurableStorage::in_memory(1).unwrap());
+        store.attach_durability(Arc::clone(&storage)).unwrap();
+        for i in 0..3 {
+            store.insert(entity(i, "snapshot doc"));
+        }
+        storage.snapshot_shard(&store, NodeId(0)).unwrap();
+        // header and first entity kept; the second entity line becomes
+        // 200,000 open brackets (snapshot lines carry no checksum)
+        let bytes = storage.shards[0].snapshot.read_all().unwrap();
+        let text = String::from_utf8(bytes).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        lines[2] = "[".repeat(200_000);
+        storage.shards[0]
+            .snapshot
+            .replace(lines.join("\n").as_bytes())
+            .unwrap();
+        let recovery = storage.recover_shard(0).unwrap();
+        assert!(recovery.stats.snapshot_truncated);
+        assert_eq!(recovery.stats.snapshot_declared, 3);
+        assert_eq!(recovery.stats.snapshot_entities, 1);
     }
 
     #[test]

@@ -23,7 +23,10 @@
 use crate::cluster::Cluster;
 use crate::entity::{Entity, SourceKind};
 use serde::Serialize;
-use wf_types::{NodeId, Result, RetryPolicy};
+use wf_types::{Error, NodeId, Result, RetryPolicy};
+
+/// How much a `Degraded` node amplifies every fault probability.
+const DEGRADED_FACTOR: f64 = 4.0;
 
 /// The four injectable fault classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,8 +101,6 @@ impl FaultRates {
 pub struct FaultPlan {
     seed: u64,
     rates: FaultRates,
-    /// Multiplier applied to fault probabilities on `Degraded` nodes.
-    degraded_factor: f64,
 }
 
 impl FaultPlan {
@@ -108,7 +109,6 @@ impl FaultPlan {
         FaultPlan {
             seed,
             rates: FaultRates::default(),
-            degraded_factor: 4.0,
         }
     }
 
@@ -119,11 +119,6 @@ impl FaultPlan {
 
     pub fn with_rates(mut self, rates: FaultRates) -> Self {
         self.rates = rates;
-        self
-    }
-
-    pub fn with_degraded_factor(mut self, factor: f64) -> Self {
-        self.degraded_factor = factor;
         self
     }
 
@@ -142,7 +137,6 @@ impl FaultPlan {
             state: self.seed ^ fnv1a(site.as_bytes()),
             rates: self.rates,
             amplify: 1.0,
-            degraded_factor: self.degraded_factor,
         }
     }
 }
@@ -162,7 +156,6 @@ pub struct FaultStream {
     state: u64,
     rates: FaultRates,
     amplify: f64,
-    degraded_factor: f64,
 }
 
 impl FaultStream {
@@ -192,12 +185,7 @@ impl FaultStream {
 
     /// Amplifies subsequent draws as if running on a `Degraded` node.
     pub fn degrade(&mut self) {
-        self.amplify = self.degraded_factor;
-    }
-
-    /// Restores normal (`Up`) fault probabilities.
-    pub fn restore(&mut self) {
-        self.amplify = 1.0;
+        self.amplify = DEGRADED_FACTOR;
     }
 
     fn chance(&mut self, p: f64) -> bool {
@@ -246,6 +234,120 @@ pub enum NodeHealth {
     Degraded,
     /// Unreachable: its shard must fail over or be skipped.
     Down,
+}
+
+/// The node that executes `shard` given per-node `health` (missing
+/// entries count as `Up`): its owner unless the owner is Down, in which
+/// case the first Up node stands in, else the first Degraded one. `None`
+/// when every node is Down. Miner runs and index rebuilds both place
+/// shards by this rule.
+pub(crate) fn executor_for(
+    shard: usize,
+    shard_count: usize,
+    health: &[NodeHealth],
+) -> Option<usize> {
+    let health_of = |n: usize| health.get(n).copied().unwrap_or_default();
+    match health_of(shard) {
+        NodeHealth::Up | NodeHealth::Degraded => Some(shard),
+        NodeHealth::Down => {
+            let first = |wanted| (0..shard_count).find(|&n| health_of(n) == wanted);
+            first(NodeHealth::Up).or_else(|| first(NodeHealth::Degraded))
+        }
+    }
+}
+
+/// One step of [`drive`], reported to its caller as it happens.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// An attempt drew `fault` and paid `latency_ms`; `over_budget` when
+    /// that spent the budget (the attempt then never runs).
+    Attempt {
+        fault: Option<FaultKind>,
+        latency_ms: u64,
+        over_budget: bool,
+    },
+    /// Retry number `retry` (1-based) first waits `backoff_ms`;
+    /// `over_budget` when that spent the budget (no retry follows).
+    Backoff {
+        retry: u32,
+        backoff_ms: u64,
+        over_budget: bool,
+    },
+}
+
+/// Why [`drive`] gave up.
+#[derive(Debug)]
+pub(crate) enum Halt {
+    /// The operation failed terminally, or transiently with no retries left.
+    Failed(Error),
+    /// The budget was spent, by an attempt's latency or (`backing_off`)
+    /// by a backoff.
+    Timeout { backing_off: bool },
+}
+
+/// An attempt's outcome when the caller words its own errors: a node
+/// blip or store conflict fails transiently, a service error terminally,
+/// and a slow or fault-free attempt goes through.
+pub(crate) fn admit(fault: Option<FaultKind>) -> Result<()> {
+    match fault {
+        Some(kind @ FaultKind::NodeDown) => Err(Error::Unavailable(kind.label().into())),
+        Some(kind @ FaultKind::StoreConflict) => Err(Error::Conflict(kind.label().into())),
+        Some(kind @ FaultKind::ServiceError) => Err(Error::Service(kind.label().into())),
+        Some(FaultKind::SlowResponse) | None => Ok(()),
+    }
+}
+
+/// The retry loop every faulted operation runs through: each attempt
+/// draws a fault from `stream` (none without one) and pays its latency;
+/// within the budget, `op` runs with the draw. A transient error backs
+/// off per `policy` and tries again while retries remain, unless the
+/// backoff spent the budget. `step` sees every attempt and backoff in
+/// order, so callers narrate them on their own spans and logs.
+pub(crate) fn drive<T>(
+    mut stream: Option<&mut FaultStream>,
+    policy: &RetryPolicy,
+    mut step: impl FnMut(Step),
+    mut op: impl FnMut(Option<FaultKind>) -> Result<T>,
+) -> std::result::Result<T, Halt> {
+    let mut elapsed = 0u64;
+    let mut retries = 0;
+    loop {
+        let (fault, latency_ms) = match stream.as_deref_mut() {
+            Some(s) => {
+                let fault = s.draw();
+                (fault, s.latency_ms(fault))
+            }
+            None => (None, 0),
+        };
+        elapsed += latency_ms;
+        let over_budget = elapsed > policy.timeout_budget_ms;
+        step(Step::Attempt {
+            fault,
+            latency_ms,
+            over_budget,
+        });
+        if over_budget {
+            return Err(Halt::Timeout { backing_off: false });
+        }
+        match op(fault) {
+            Ok(value) => return Ok(value),
+            Err(err) if err.is_transient() && retries < policy.max_retries => {
+                retries += 1;
+                let backoff_ms = policy.backoff_for(retries);
+                elapsed += backoff_ms;
+                let over_budget = elapsed > policy.timeout_budget_ms;
+                step(Step::Backoff {
+                    retry: retries,
+                    backoff_ms,
+                    over_budget,
+                });
+                if over_budget {
+                    return Err(Halt::Timeout { backing_off: true });
+                }
+            }
+            Err(err) => return Err(Halt::Failed(err)),
+        }
+    }
 }
 
 /// Record of one logical service call, attempts and all.
@@ -422,6 +524,65 @@ mod tests {
             amplified > normal * 2,
             "degraded {amplified} vs normal {normal}"
         );
+    }
+
+    #[test]
+    fn placement_prefers_up_over_degraded() {
+        use NodeHealth::{Degraded, Down, Up};
+        assert_eq!(executor_for(1, 3, &[Up, Degraded, Up]), Some(1));
+        assert_eq!(executor_for(0, 3, &[Down, Degraded, Up]), Some(2));
+        assert_eq!(executor_for(0, 3, &[Down, Degraded, Down]), Some(1));
+        assert_eq!(executor_for(1, 2, &[Down, Down]), None);
+        // nodes missing from the health list count as Up
+        assert_eq!(executor_for(0, 3, &[Down]), Some(1));
+    }
+
+    #[test]
+    fn drive_reports_every_step_and_stops_at_the_budget() {
+        let plan = FaultPlan::new(3).with_rates(FaultRates {
+            node_down: 1.0,
+            ..FaultRates::default()
+        });
+        let mut stream = plan.stream("x");
+        let policy = RetryPolicy {
+            max_retries: 5,
+            base_backoff_ms: 10,
+            max_backoff_ms: 100,
+            timeout_budget_ms: 25,
+        };
+        let mut steps = Vec::new();
+        let mut ops = 0;
+        let result = drive(
+            Some(&mut stream),
+            &policy,
+            |s| steps.push(s),
+            |_| {
+                ops += 1;
+                Err::<(), _>(Error::Unavailable("down".into()))
+            },
+        );
+        assert!(matches!(result, Err(Halt::Timeout { backing_off: true })));
+        let attempt = Step::Attempt {
+            fault: Some(FaultKind::NodeDown),
+            latency_ms: 1,
+            over_budget: false,
+        };
+        let backoff = |retry, backoff_ms, over_budget| Step::Backoff {
+            retry,
+            backoff_ms,
+            over_budget,
+        };
+        // 1 + 10 + 1 + 20 = 32 > 25: the second backoff ends the loop
+        assert_eq!(
+            steps,
+            [
+                attempt,
+                backoff(1, 10, false),
+                attempt,
+                backoff(2, 20, true)
+            ]
+        );
+        assert_eq!(ops, 2);
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //! Acquisition of other sources [...] is done by a set of ingestors that
 //! handle the unique delivery method and format of each source." Our
 //! ingestors normalize raw documents from any source into [`Entity`]s and
-//! feed the [`DataStore`], optionally indexing as they go.
+//! feed the [`DataStore`]; indexing is a separate pass over the store.
 
 use crate::entity::{Entity, SourceKind};
-use crate::faults::{FaultKind, FaultPlan, FaultStream};
-use crate::index::Indexer;
+use crate::faults::{self, FaultPlan, FaultStream, Halt, Step};
 use crate::store::DataStore;
 use crate::telemetry::Counter;
 use crate::trace::TraceSpan;
@@ -73,10 +72,9 @@ impl IngestMetrics {
     }
 }
 
-/// Normalizes raw documents into the store (and index, when given).
+/// Normalizes raw documents into the store.
 pub struct Ingestor<'a> {
     store: &'a DataStore,
-    indexer: Option<&'a Indexer>,
     stats: IngestStats,
     metrics: IngestMetrics,
     faults: Option<FaultStream>,
@@ -87,18 +85,11 @@ impl<'a> Ingestor<'a> {
     pub fn new(store: &'a DataStore) -> Self {
         Ingestor {
             store,
-            indexer: None,
             stats: IngestStats::default(),
             metrics: IngestMetrics::resolve(store),
             faults: None,
             retry: RetryPolicy::none(),
         }
-    }
-
-    /// Also index every ingested entity.
-    pub fn with_indexer(mut self, indexer: &'a Indexer) -> Self {
-        self.indexer = Some(indexer);
-        self
     }
 
     /// Subject every ingest to the plan's `"ingest"` fault stream, retried
@@ -143,61 +134,50 @@ impl<'a> Ingestor<'a> {
             self.stats.bytes += doc.text.len();
             self.metrics.documents.inc();
             self.metrics.bytes.add(doc.text.len() as u64);
-            let mut elapsed = 0u64;
-            for attempt in 0..=self.retry.max_retries {
-                let fault = stream.draw();
-                let latency = stream.latency_ms(fault);
-                elapsed += latency;
-                if let Some(s) = span.as_mut() {
-                    s.advance(latency);
-                    if let Some(kind) = fault {
-                        s.event(format!("fault:{}", kind.label()));
+            let step = |step| match step {
+                Step::Attempt {
+                    fault, latency_ms, ..
+                } => {
+                    if let Some(s) = span.as_mut() {
+                        s.advance(latency_ms);
+                        if let Some(kind) = fault {
+                            s.event(format!("fault:{}", kind.label()));
+                        }
                     }
                 }
-                if elapsed > self.retry.timeout_budget_ms {
+                Step::Backoff {
+                    retry, backoff_ms, ..
+                } => {
+                    self.stats.retries += 1;
+                    self.metrics.retries.inc();
+                    if let Some(s) = span.as_mut() {
+                        s.advance(backoff_ms);
+                        s.event(format!("retry:{retry} backoff:{backoff_ms}ms"));
+                    }
+                }
+            };
+            let err = match faults::drive(Some(stream), &self.retry, step, faults::admit) {
+                Ok(()) => break 'ingest Ok(self.store_doc(doc)),
+                Err(Halt::Timeout { .. }) => {
                     if let Some(s) = span.as_mut() {
                         s.event("timeout");
                     }
-                    self.stats.failed += 1;
-                    self.metrics.failed.inc();
-                    break 'ingest Err(Error::Timeout(format!(
+                    Error::Timeout(format!(
                         "ingest of {} exceeded {} sim ms",
                         doc.uri, self.retry.timeout_budget_ms
-                    )));
+                    ))
                 }
-                match fault {
-                    Some(FaultKind::ServiceError) => {
-                        self.stats.failed += 1;
-                        self.metrics.failed.inc();
-                        break 'ingest Err(Error::Service(format!(
-                            "injected ingest error for {}",
-                            doc.uri
-                        )));
-                    }
-                    Some(FaultKind::NodeDown) | Some(FaultKind::StoreConflict) => {
-                        if attempt == self.retry.max_retries {
-                            break;
-                        }
-                        self.stats.retries += 1;
-                        self.metrics.retries.inc();
-                        let backoff = self.retry.backoff_for(attempt + 1);
-                        elapsed += backoff;
-                        if let Some(s) = span.as_mut() {
-                            s.advance(backoff);
-                            s.event(format!("retry:{} backoff:{backoff}ms", attempt + 1));
-                        }
-                    }
-                    Some(FaultKind::SlowResponse) | None => {
-                        break 'ingest Ok(self.store_doc(doc));
-                    }
+                Err(Halt::Failed(err)) if err.is_transient() => Error::Unavailable(format!(
+                    "ingest of {} failed after {} retries",
+                    doc.uri, self.retry.max_retries
+                )),
+                Err(Halt::Failed(_)) => {
+                    Error::Service(format!("injected ingest error for {}", doc.uri))
                 }
-            }
+            };
             self.stats.failed += 1;
             self.metrics.failed.inc();
-            Err(Error::Unavailable(format!(
-                "ingest of {} failed after {} retries",
-                doc.uri, self.retry.max_retries
-            )))
+            Err(err)
         };
         if let (Some(mut span), Some(parent)) = (span, parent) {
             match &result {
@@ -211,17 +191,10 @@ impl<'a> Ingestor<'a> {
         result
     }
 
-    fn store_doc(&mut self, doc: RawDocument) -> DocId {
+    fn store_doc(&self, doc: RawDocument) -> DocId {
         let mut entity = Entity::new(doc.uri, doc.source, doc.text);
         entity.metadata = doc.metadata;
-        let id = self.store.insert(entity);
-        if let Some(indexer) = self.indexer {
-            // fetch back with the assigned id so conceptual tokens see it
-            if let Ok(stored) = self.store.get(id) {
-                indexer.index_entity(&stored);
-            }
-        }
-        id
+        self.store.insert(entity)
     }
 
     /// Ingests a batch; returns assigned ids in order (documents dropped
@@ -262,7 +235,6 @@ impl<'a> Ingestor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::Query;
 
     #[test]
     fn ingest_assigns_ids_and_counts() {
@@ -319,6 +291,38 @@ mod tests {
         assert_eq!(ids.len() + stats.failed, 50, "every doc stored or counted");
         assert_eq!(store.len(), ids.len());
         assert!(stats.retries > 0, "a 40% conflict rate must retry");
+    }
+
+    #[test]
+    fn ingest_stops_when_a_backoff_spends_the_budget() {
+        use crate::faults::FaultRates;
+        let store = DataStore::single();
+        let plan = FaultPlan::new(1).with_rates(FaultRates {
+            store_conflict: 1.0,
+            ..FaultRates::default()
+        });
+        // draw 1 (1 ms) + backoff 100 + draw 2 (1 ms) + backoff 200 = 302
+        let retry = RetryPolicy {
+            max_retries: 5,
+            base_backoff_ms: 100,
+            max_backoff_ms: 1_000,
+            timeout_budget_ms: 300,
+        };
+        let mut ing = Ingestor::new(&store).with_faults(&plan, retry);
+        let mut root = store.telemetry().trace_root("op");
+        let err = ing
+            .try_ingest(RawDocument::new("u", SourceKind::Web, "x"), Some(&mut root))
+            .unwrap_err();
+        assert!(matches!(err, Error::Timeout(_)), "{err}");
+        assert_eq!(root.elapsed_sim_ms(), 302);
+        root.finish();
+        let traces = store.telemetry().recorder().last_traces(1);
+        let doc = traces[0].1[0].find("op/doc:0").expect("doc span");
+        let faults = doc.events.iter().filter(|e| e.label.starts_with("fault:"));
+        assert_eq!(faults.count(), 2, "no draw after the spent backoff");
+        assert_eq!(ing.stats().retries, 2);
+        assert_eq!(ing.stats().failed, 1);
+        assert_eq!(store.len(), 0);
     }
 
     #[test]
@@ -408,18 +412,5 @@ mod tests {
             .count() as u64;
         assert_eq!(retry_events, stats.retries, "every retry marked on a span");
         assert_eq!(batch.attrs.get("stored").unwrap(), &ids.len().to_string());
-    }
-
-    #[test]
-    fn indexing_during_ingest() {
-        let store = DataStore::single();
-        let indexer = Indexer::new();
-        let mut ing = Ingestor::new(&store).with_indexer(&indexer);
-        ing.ingest(RawDocument::new("u", SourceKind::Web, "the quick fox"));
-        assert_eq!(indexer.doc_count(), 1);
-        assert_eq!(
-            indexer.query(&Query::Term("quick".into())).unwrap(),
-            vec![DocId(0)]
-        );
     }
 }

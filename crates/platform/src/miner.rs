@@ -17,7 +17,7 @@
 
 use crate::entity::Entity;
 use crate::evlog::{EvLog, Level};
-use crate::faults::{FaultKind, FaultPlan, FaultStream, NodeHealth};
+use crate::faults::{self, executor_for, FaultPlan, FaultStream, Halt, NodeHealth, Step};
 use crate::store::DataStore;
 use crate::trace::TraceSpan;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -137,23 +137,6 @@ impl FaultContext<'_> {
             plan: None,
             retry: RetryPolicy::none(),
             health: &[],
-        }
-    }
-
-    fn health_of(&self, node: usize) -> NodeHealth {
-        self.health.get(node).copied().unwrap_or(NodeHealth::Up)
-    }
-
-    /// The node that should execute `shard`, honoring failover: a Down
-    /// owner hands its shard to the first Up node, else the first
-    /// Degraded one. `None` when the whole cluster is down.
-    fn executor_for(&self, shard: usize, shard_count: usize) -> Option<usize> {
-        match self.health_of(shard) {
-            NodeHealth::Up | NodeHealth::Degraded => Some(shard),
-            NodeHealth::Down => {
-                let up = (0..shard_count).find(|&n| self.health_of(n) == NodeHealth::Up);
-                up.or_else(|| (0..shard_count).find(|&n| self.health_of(n) == NodeHealth::Degraded))
-            }
         }
     }
 }
@@ -302,7 +285,7 @@ impl MinerPipeline {
         let log = store.telemetry().evlog();
         let target = format!("miner.shard:{shard}");
         let docs = [("docs", ids.len().to_string())];
-        let Some(executor) = opts.faults.executor_for(shard, store.shard_count()) else {
+        let Some(executor) = executor_for(shard, store.shard_count(), opts.faults.health) else {
             span.event("unplaced");
             log.event_in(
                 Level::Error,
@@ -335,7 +318,7 @@ impl MinerPipeline {
             .plan
             .map(|p| p.stream(&format!("shard:{shard}")));
         if let Some(s) = stream.as_mut() {
-            if opts.faults.health_of(executor) == NodeHealth::Degraded {
+            if opts.faults.health.get(executor) == Some(&NodeHealth::Degraded) {
                 s.degrade();
             }
         }
@@ -496,8 +479,9 @@ struct FaultDraws<'a> {
 }
 
 impl FaultDraws<'_> {
-    /// Draws `id`'s injected faults on the span's simulated clock:
-    /// transient ones (node blip, store conflict) back off and retry,
+    /// Draws `id`'s injected faults through [`faults::drive`] on the
+    /// span's simulated clock: transient ones (node blip, store
+    /// conflict) back off and retry,
     /// terminal ones and exhausted budgets fail the entity. `None`
     /// admits the entity to the chain; `Some(reason)` fails it before
     /// the store is touched, so a later successful attempt bumps the
@@ -505,68 +489,68 @@ impl FaultDraws<'_> {
     fn draw(&mut self, id: DocId, span: &mut TraceSpan) -> Option<String> {
         let stream = self.stream.as_mut()?;
         let doc = || ("doc", id.0.to_string());
-        let mut elapsed = 0u64;
-        let mut attempt = 0;
-        loop {
-            let fault = stream.draw();
-            let latency = stream.latency_ms(fault);
-            elapsed += latency;
-            span.advance(latency);
-            if elapsed > self.retry.timeout_budget_ms {
-                return Some(self.timeout(id, span));
+        let mut last_fault = None;
+        let step = |step| match step {
+            Step::Attempt {
+                fault,
+                latency_ms,
+                over_budget,
+            } => {
+                span.advance(latency_ms);
+                if over_budget {
+                    return;
+                }
+                let Some(kind) = fault else { return };
+                last_fault = Some(kind);
+                self.faults += 1;
+                span.event(format!("fault:{} doc={}", kind.label(), id.0));
+                self.log.event_in(
+                    Level::Warn,
+                    span,
+                    self.target,
+                    "fault injected",
+                    &[doc(), ("kind", kind.label().to_string())],
+                );
             }
-            let kind = fault?;
-            self.faults += 1;
-            span.event(format!("fault:{} doc={}", kind.label(), id.0));
-            let kind_field = ("kind", kind.label().to_string());
-            self.log.event_in(
-                Level::Warn,
-                span,
-                self.target,
-                "fault injected",
-                &[doc(), kind_field.clone()],
-            );
-            match kind {
-                FaultKind::SlowResponse => return None,
-                FaultKind::ServiceError => {
-                    return Some(format!("fault:service_error doc={}", id.0));
+            Step::Backoff {
+                retry, backoff_ms, ..
+            } => {
+                self.retries += 1;
+                span.advance(backoff_ms);
+                span.event(format!("retry:{retry} doc={} backoff:{backoff_ms}ms", id.0));
+                self.log.event_in(
+                    Level::Info,
+                    span,
+                    self.target,
+                    "retrying entity",
+                    &[
+                        ("backoff_ms", backoff_ms.to_string()),
+                        doc(),
+                        ("retry", retry.to_string()),
+                    ],
+                );
+            }
+        };
+        match faults::drive(Some(stream), &self.retry, step, faults::admit) {
+            Ok(()) => None,
+            Err(Halt::Timeout { .. }) => Some(self.timeout(id, span)),
+            Err(Halt::Failed(err)) => {
+                let kind = last_fault.expect("a failed attempt drew a fault");
+                if !err.is_transient() {
+                    return Some(format!("fault:{} doc={}", kind.label(), id.0));
                 }
-                FaultKind::NodeDown | FaultKind::StoreConflict => {
-                    if attempt == self.retry.max_retries {
-                        self.log.event_in(
-                            Level::Error,
-                            span,
-                            self.target,
-                            "retries exhausted",
-                            &[doc(), kind_field],
-                        );
-                        return Some(format!(
-                            "fault:{} doc={} retries exhausted",
-                            kind.label(),
-                            id.0
-                        ));
-                    }
-                    attempt += 1;
-                    self.retries += 1;
-                    let backoff = self.retry.backoff_for(attempt);
-                    elapsed += backoff;
-                    span.advance(backoff);
-                    span.event(format!("retry:{attempt} doc={} backoff:{backoff}ms", id.0));
-                    self.log.event_in(
-                        Level::Info,
-                        span,
-                        self.target,
-                        "retrying entity",
-                        &[
-                            ("backoff_ms", backoff.to_string()),
-                            doc(),
-                            ("retry", attempt.to_string()),
-                        ],
-                    );
-                    if elapsed > self.retry.timeout_budget_ms {
-                        return Some(self.timeout(id, span));
-                    }
-                }
+                self.log.event_in(
+                    Level::Error,
+                    span,
+                    self.target,
+                    "retries exhausted",
+                    &[doc(), ("kind", kind.label().to_string())],
+                );
+                Some(format!(
+                    "fault:{} doc={} retries exhausted",
+                    kind.label(),
+                    id.0
+                ))
             }
         }
     }

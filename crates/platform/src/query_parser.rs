@@ -23,16 +23,25 @@
 //! A regex pattern runs to whitespace or to a `)` that closes none of its
 //! own groups, so `regex:(a|b)` keeps its alternation. Patterns are
 //! validated at parse time, so a malformed pattern is a parse error
-//! rather than a deferred execution error.
+//! rather than a deferred execution error. Parentheses and `NOT` nest at
+//! most [`MAX_NESTING`] levels deep, so hostile input fails with an error
+//! instead of exhausting the parser's stack.
 
 use crate::index::Query;
 use crate::regex::Regex;
 use wf_types::{Error, Result};
 
+/// Levels of parentheses and `NOT` a query may nest.
+pub const MAX_NESTING: usize = 128;
+
 /// Parses a query string into the indexer's [`Query`] AST.
 pub fn parse_query(input: &str) -> Result<Query> {
     let tokens = lex(input)?;
-    let mut parser = QueryParser { tokens, pos: 0 };
+    let mut parser = QueryParser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let query = parser.or_expr()?;
     if parser.pos != parser.tokens.len() {
         return Err(Error::Query(format!(
@@ -200,11 +209,26 @@ fn classify(raw: &str) -> Result<Tok> {
 struct QueryParser {
     tokens: Vec<Tok>,
     pos: usize,
+    /// Parentheses and `NOT`s open around the current position.
+    depth: usize,
 }
 
 impl QueryParser {
     fn peek(&self) -> Option<&Tok> {
         self.tokens.get(self.pos)
+    }
+
+    /// Parses with `parse` one nesting level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Query>) -> Result<Query> {
+        if self.depth == MAX_NESTING {
+            return Err(Error::Query(format!(
+                "query nests deeper than {MAX_NESTING} levels of parentheses and NOT"
+            )));
+        }
+        self.depth += 1;
+        let query = parse(self);
+        self.depth -= 1;
+        query
     }
 
     fn or_expr(&mut self) -> Result<Query> {
@@ -244,7 +268,7 @@ impl QueryParser {
         match self.peek() {
             Some(Tok::Not) => {
                 self.pos += 1;
-                Ok(Query::Not(Box::new(self.unary()?)))
+                Ok(Query::Not(Box::new(self.nested(Self::unary)?)))
             }
             _ => self.atom(),
         }
@@ -258,7 +282,7 @@ impl QueryParser {
         self.pos += 1;
         Ok(match tok {
             Tok::LParen => {
-                let inner = self.or_expr()?;
+                let inner = self.nested(Self::or_expr)?;
                 if self.peek() != Some(&Tok::RParen) {
                     return Err(Error::Query("unclosed parenthesis".into()));
                 }
@@ -497,5 +521,26 @@ mod tests {
         assert_eq!(indexer.query(&q).unwrap(), vec![DocId(0)]);
         let q = parse_query("regex:(overheat|chorus)s?").unwrap();
         assert_eq!(indexer.query(&q).unwrap(), vec![DocId(1), DocId(2)]);
+    }
+
+    #[test]
+    fn nesting_is_limited() {
+        let nest = |levels: usize| format!("{}camera{}", "(".repeat(levels), ")".repeat(levels));
+        assert_eq!(
+            parse_query(&nest(MAX_NESTING)).unwrap(),
+            Query::Term("camera".into())
+        );
+        for levels in [MAX_NESTING + 1, 10_000] {
+            let err = parse_query(&nest(levels)).unwrap_err().to_string();
+            assert!(err.contains("deeper than 128 levels"), "{err}");
+        }
+        let nots = format!("{}camera", "NOT ".repeat(1_000));
+        let err = parse_query(&nots).unwrap_err().to_string();
+        assert!(err.contains("deeper than 128 levels"), "{err}");
+        // parentheses and NOT share one budget
+        let mixed = format!("{}camera{}", "NOT (".repeat(65), ")".repeat(65));
+        assert!(parse_query(&mixed).is_err());
+        let mixed = format!("{}camera{}", "NOT (".repeat(64), ")".repeat(64));
+        assert!(parse_query(&mixed).is_ok());
     }
 }

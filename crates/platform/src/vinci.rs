@@ -14,7 +14,7 @@
 //! [`CallOutcome`] (attempts, backoffs, injected faults, simulated time).
 
 use crate::evlog::{EvLog, Level};
-use crate::faults::{CallOutcome, FaultKind, FaultPlan, FaultStream};
+use crate::faults::{self, CallOutcome, FaultKind, FaultPlan, FaultStream, Halt, Step};
 use crate::telemetry::{Counter, Histogram, Telemetry};
 use crate::trace::TraceSpan;
 use parking_lot::{Mutex, RwLock};
@@ -387,10 +387,11 @@ impl ServiceBus {
         (result, outcome)
     }
 
-    /// The attempt loop: draw fault → apply latency/budget → invoke →
-    /// retry transient failures with backoff. When a span is supplied it
-    /// advances in lockstep with `outcome.sim_elapsed_ms`, so events land
-    /// at exact simulated offsets.
+    /// One logical call through [`faults::drive`]: each attempt's fault
+    /// and latency, then the handler, with transient failures retried
+    /// after a backoff. When a span is supplied it advances in lockstep
+    /// with `outcome.sim_elapsed_ms`, so events land at exact simulated
+    /// offsets.
     fn drive_call(
         &self,
         name: &str,
@@ -406,113 +407,100 @@ impl ServiceBus {
                 *stream = Some(plan.stream(&format!("svc:{name}")));
             }
         }
-        loop {
-            outcome.attempts += 1;
-            let fault = stream.as_mut().and_then(|s| s.draw());
-            if let Some(kind) = fault {
-                outcome.injected.push(kind);
-                if let Some(s) = span.as_deref_mut() {
-                    s.event(format!("fault:{}", kind.label()));
-                }
-                self.log_call_event(
-                    name,
-                    Level::Warn,
-                    span.as_deref(),
-                    outcome.sim_elapsed_ms,
-                    "fault injected",
-                    &[
-                        ("attempt", outcome.attempts.to_string()),
-                        ("kind", kind.label().to_string()),
-                    ],
-                );
-            }
-            let latency = stream.as_ref().map(|s| s.latency_ms(fault)).unwrap_or(0);
-            outcome.sim_elapsed_ms += latency;
-            if let Some(s) = span.as_deref_mut() {
-                s.advance(latency);
-            }
-            if outcome.sim_elapsed_ms > policy.timeout_budget_ms {
-                if let Some(s) = span.as_deref_mut() {
-                    s.event("timeout");
-                }
-                self.log_call_event(
-                    name,
-                    Level::Error,
-                    span.as_deref(),
-                    outcome.sim_elapsed_ms,
-                    "call timeout",
-                    &[
-                        ("budget_ms", policy.timeout_budget_ms.to_string()),
-                        ("elapsed_ms", outcome.sim_elapsed_ms.to_string()),
-                    ],
-                );
-                return Err(Error::Timeout(format!(
-                    "call to {name} exceeded {} sim ms",
-                    policy.timeout_budget_ms
-                )));
-            }
-            let attempt_result = match fault {
-                Some(FaultKind::NodeDown) => Err(Error::Unavailable(format!(
-                    "injected outage calling {name}"
-                ))),
-                Some(FaultKind::ServiceError) => {
-                    Err(Error::Service(format!("injected handler error in {name}")))
-                }
-                Some(FaultKind::StoreConflict) => Err(Error::Conflict(format!(
-                    "injected update conflict in {name}"
-                ))),
-                // a slow response still reaches the handler
-                Some(FaultKind::SlowResponse) | None => match entry.service.read().as_ref() {
-                    Some(service) => service.handle(request),
-                    None => Err(Error::Service(format!("service {name} unregistered"))),
-                },
-            };
-            match attempt_result {
-                Ok(value) => return Ok(value),
-                Err(err) if err.is_transient() && outcome.retries < policy.max_retries => {
-                    outcome.retries += 1;
-                    let backoff = policy.backoff_for(outcome.retries);
-                    outcome.backoffs_ms.push(backoff);
-                    outcome.sim_elapsed_ms += backoff;
+        let step = |step| match step {
+            Step::Attempt {
+                fault, latency_ms, ..
+            } => {
+                outcome.attempts += 1;
+                if let Some(kind) = fault {
+                    outcome.injected.push(kind);
                     if let Some(s) = span.as_deref_mut() {
-                        s.event(format!("retry:{} backoff:{backoff}ms", outcome.retries));
-                        s.advance(backoff);
+                        s.event(format!("fault:{}", kind.label()));
                     }
                     self.log_call_event(
                         name,
-                        Level::Info,
+                        Level::Warn,
                         span.as_deref(),
                         outcome.sim_elapsed_ms,
-                        "retrying transient failure",
+                        "fault injected",
                         &[
-                            ("backoff_ms", backoff.to_string()),
-                            ("retry", outcome.retries.to_string()),
+                            ("attempt", outcome.attempts.to_string()),
+                            ("kind", kind.label().to_string()),
                         ],
                     );
-                    if outcome.sim_elapsed_ms > policy.timeout_budget_ms {
-                        if let Some(s) = span.as_deref_mut() {
-                            s.event("timeout");
-                        }
-                        self.log_call_event(
-                            name,
-                            Level::Error,
-                            span.as_deref(),
-                            outcome.sim_elapsed_ms,
-                            "call timeout",
-                            &[
-                                ("budget_ms", policy.timeout_budget_ms.to_string()),
-                                ("elapsed_ms", outcome.sim_elapsed_ms.to_string()),
-                            ],
-                        );
-                        return Err(Error::Timeout(format!(
-                            "call to {name} exceeded {} sim ms while backing off",
-                            policy.timeout_budget_ms
-                        )));
-                    }
                 }
-                Err(err) => return Err(err),
+                outcome.sim_elapsed_ms += latency_ms;
+                if let Some(s) = span.as_deref_mut() {
+                    s.advance(latency_ms);
+                }
             }
+            Step::Backoff {
+                retry, backoff_ms, ..
+            } => {
+                outcome.retries = retry;
+                outcome.backoffs_ms.push(backoff_ms);
+                outcome.sim_elapsed_ms += backoff_ms;
+                if let Some(s) = span.as_deref_mut() {
+                    s.event(format!("retry:{retry} backoff:{backoff_ms}ms"));
+                    s.advance(backoff_ms);
+                }
+                self.log_call_event(
+                    name,
+                    Level::Info,
+                    span.as_deref(),
+                    outcome.sim_elapsed_ms,
+                    "retrying transient failure",
+                    &[
+                        ("backoff_ms", backoff_ms.to_string()),
+                        ("retry", retry.to_string()),
+                    ],
+                );
+            }
+        };
+        let attempt = |fault| match fault {
+            Some(FaultKind::NodeDown) => Err(Error::Unavailable(format!(
+                "injected outage calling {name}"
+            ))),
+            Some(FaultKind::ServiceError) => {
+                Err(Error::Service(format!("injected handler error in {name}")))
+            }
+            Some(FaultKind::StoreConflict) => Err(Error::Conflict(format!(
+                "injected update conflict in {name}"
+            ))),
+            // a slow response still reaches the handler
+            Some(FaultKind::SlowResponse) | None => match entry.service.read().as_ref() {
+                Some(service) => service.handle(request),
+                None => Err(Error::Service(format!("service {name} unregistered"))),
+            },
+        };
+        let backing_off = match faults::drive(stream.as_mut(), &policy, step, attempt) {
+            Ok(value) => return Ok(value),
+            Err(Halt::Failed(err)) => return Err(err),
+            Err(Halt::Timeout { backing_off }) => backing_off,
+        };
+        if let Some(s) = span.as_deref_mut() {
+            s.event("timeout");
         }
+        self.log_call_event(
+            name,
+            Level::Error,
+            span.as_deref(),
+            outcome.sim_elapsed_ms,
+            "call timeout",
+            &[
+                ("budget_ms", policy.timeout_budget_ms.to_string()),
+                ("elapsed_ms", outcome.sim_elapsed_ms.to_string()),
+            ],
+        );
+        let during = if backing_off {
+            " while backing off"
+        } else {
+            ""
+        };
+        Err(Error::Timeout(format!(
+            "call to {name} exceeded {} sim ms{during}",
+            policy.timeout_budget_ms
+        )))
     }
 
     /// True when a service is registered (handler present).

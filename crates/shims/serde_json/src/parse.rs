@@ -1,12 +1,20 @@
 //! Recursive-descent JSON parser producing [`Value`] trees.
+//!
+//! Like serde_json, it refuses to nest arrays and objects more than
+//! [`MAX_DEPTH`] deep, so hostile input fails with an error instead of
+//! exhausting the stack.
 
 use serde::{Error, Number, Value};
 use std::collections::BTreeMap;
+
+/// Arrays and objects one value may nest, serde_json's recursion limit.
+pub const MAX_DEPTH: usize = 128;
 
 pub fn parse(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -20,6 +28,8 @@ pub fn parse(input: &str) -> Result<Value, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -52,11 +62,22 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses a container with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -274,6 +295,17 @@ mod tests {
     fn control_chars_escaped_and_parsed() {
         let original = Value::String("\u{0001}\u{001f}".into());
         assert_eq!(parse(&original.to_json_string()).unwrap(), original);
+    }
+
+    #[test]
+    fn nesting_stops_at_the_recursion_limit() {
+        let nest = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err().to_string();
+        assert!(err.contains("recursion limit exceeded"), "{err}");
+        // far past the limit, unclosed, and mixed with objects
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&r#"{"a":["#.repeat(100)).is_err());
     }
 
     #[test]
