@@ -1,6 +1,8 @@
 //! Minimal argument parsing for the `wfsm` binary (no external deps).
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// A parsed command line: subcommand, `--key value` options, positionals.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -51,9 +53,33 @@ impl ParsedArgs {
     }
 
     /// True when a boolean flag was given.
-    #[allow(dead_code)] // parser API surface; exercised in tests and future commands
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
+    }
+
+    /// An option parsed as `T`, if given: `bad --NAME: …` when it does not
+    /// parse.
+    pub fn parse_opt<T: FromStr<Err: Display>>(&self, name: &str) -> Result<Option<T>, String> {
+        self.opt(name)
+            .map(|v| v.parse().map_err(|e| format!("bad --{name}: {e}")))
+            .transpose()
+    }
+
+    /// An option parsed as `T`, or `default` when absent.
+    pub fn parse_or<T: FromStr<Err: Display>>(&self, name: &str, default: T) -> Result<T, String> {
+        Ok(self.parse_opt(name)?.unwrap_or(default))
+    }
+
+    /// [`ParsedArgs::parse_or`] for a count or rate that must be at least 1.
+    pub fn positive_or<T>(&self, name: &str, default: T) -> Result<T, String>
+    where
+        T: FromStr<Err: Display> + PartialOrd + From<u8>,
+    {
+        let value = self.parse_or(name, default)?;
+        if value < T::from(1u8) {
+            return Err(format!("--{name} must be at least 1"));
+        }
+        Ok(value)
     }
 
     /// Splits a comma-separated option value.

@@ -419,12 +419,8 @@ impl Cluster {
                 shard_outcomes.push((shard, true, false));
                 span.event(format!("failover:node:{executor}"));
             }
-            let mut segment = self.indexer.segment();
-            let mut indexed_here = 0;
-            self.store.visit_shard(NodeId(shard as u32), |e| {
-                segment.add(e);
-                indexed_here += 1;
-            });
+            let segment = self.indexer.shard_segment(&self.store, shard);
+            let indexed_here = segment.len();
             segments.push(segment);
             stats.indexed += indexed_here;
             span.attr("indexed", indexed_here.to_string());

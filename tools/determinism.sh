@@ -28,6 +28,9 @@ mined=$work/mined
 "$wfsm" mine --input "$docs4" --subjects camera,battery --data-dir "$mined" \
     --metrics "$work/mined.json" > /dev/null
 cp -r "$mined" "$work/mined.before"
+# review corpora for the text rows
+"$wfsm" gen-corpus --domain camera --out "$work/camera.txt" --docs 40 > /dev/null
+"$wfsm" gen-corpus --domain music --out "$work/music.txt" --docs 40 > /dev/null
 
 # row NAME ARGS...: run `wfsm ARGS` twice and compare
 row() {
@@ -54,12 +57,19 @@ row() {
 
 chaos=(--chaos-seed 20050405 --fail-rate 0.15)
 
+# text commands
+row analyze           analyze --subjects camera,battery,lens --file "$work/camera.txt"
+row entities          entities --file "$work/camera.txt"
+row features          features "$work/camera.txt" "$work/music.txt" --top 10
+row gen-corpus        gen-corpus --domain camera --out @ART@ --docs 5 --seed 1
+
 # mining under chaos: report, WAL and snapshots reproduce per seed
 for seed in 20050405 3405691582 3735928559; do
     row "mine-chaos-$seed" mine --input "$docs2" --data-dir @ART@ --chaos-seed "$seed" --fail-rate 0.2
 done
 row mine-metrics      mine --input "$docs4" --chaos-seed 20050405 --fail-rate 0.2 --metrics @ART@
 row metrics-file      metrics --file "$work/mined.json"
+row metrics-file-json metrics --file "$work/mined.json" --json
 row metrics-input     metrics --input "$docs4" --chaos-seed 20050405 --fail-rate 0.2 --format json
 for fmt in json chrome text; do
     row "trace-$fmt"  trace --input "$docs4" --chaos-seed 20050405 --fail-rate 0.2 --format "$fmt"
@@ -77,6 +87,7 @@ for fmt in text collapsed json; do
     row "profile-$fmt" profile --workload serve "${chaos[@]}" --format "$fmt"
 done
 row profile-mine      profile --workload mine "${chaos[@]}" --format collapsed
+row diff              diff "$work/profile-json.1" "$work/profile-json.2"
 for fmt in text json; do
     row "logs-$fmt"   logs --workload serve "${chaos[@]}" --format "$fmt"
 done
@@ -84,7 +95,9 @@ row logs-filtered     logs --level warn --target serving.
 row recover-text      recover --data-dir "$mined"
 row recover-json      recover --data-dir "$mined" --format json
 row query             query --data-dir "$mined" --subject camera
+row query-negative    query --data-dir "$mined" --subject battery --polarity -
 row search            search --data-dir "$mined" --query 'excellent AND NOT terrible' --explain
+row help              help
 
 # reading a data dir repairs nothing
 if ! diff -r "$work/mined.before" "$mined" > /dev/null; then
