@@ -17,6 +17,7 @@ impl ParsedArgs {
     /// Parses `args` (without the program name). The first non-flag token
     /// is the subcommand; `--key value` pairs become options; `--flag`
     /// followed by another `--` token or nothing becomes a boolean flag.
+    /// An option or flag given twice is an error.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<ParsedArgs, String> {
         let mut parsed = ParsedArgs::default();
         let mut iter = args.into_iter().peekable();
@@ -24,6 +25,9 @@ impl ParsedArgs {
             if let Some(key) = arg.strip_prefix("--") {
                 if key.is_empty() {
                     return Err("empty option name '--'".into());
+                }
+                if parsed.options.contains_key(key) || parsed.flag(key) {
+                    return Err(format!("option --{key} given more than once"));
                 }
                 match iter.peek() {
                     Some(next) if !next.starts_with("--") => {
@@ -149,6 +153,23 @@ mod tests {
     fn empty_input() {
         let p = parse(&[]);
         assert!(p.command.is_empty());
+    }
+
+    #[test]
+    fn repeated_option_or_flag_is_error() {
+        for tokens in [
+            &["gen-corpus", "--docs", "1", "--docs", "3"][..],
+            &["serve", "--docs", "1", "--docs"],
+            &["doctor", "--format", "json", "--json", "--json"],
+        ] {
+            let err = ParsedArgs::parse(tokens.iter().map(|s| s.to_string())).unwrap_err();
+            let key = if tokens.contains(&"--json") {
+                "--json"
+            } else {
+                "--docs"
+            };
+            assert_eq!(err, format!("option {key} given more than once"));
+        }
     }
 
     #[test]

@@ -80,3 +80,27 @@ fn deeply_nested_snapshot_line_is_reported_truncated() {
     assert_eq!(shard0["snapshot_truncated"], true, "{shard0:?}");
     cleanup(&dir);
 }
+
+#[test]
+fn repeated_option_exits_with_an_error_and_writes_nothing() {
+    let base = std::env::temp_dir().join(format!("wfsm-hostile-repeat-{}", std::process::id()));
+    std::fs::remove_dir_all(&base).ok();
+    std::fs::create_dir_all(&base).unwrap();
+    let out_file = base.join("corpus.txt");
+    let out = wfsm(&[
+        "gen-corpus",
+        "--domain",
+        "camera",
+        "--out",
+        out_file.to_str().unwrap(),
+        "--docs",
+        "1",
+        "--docs",
+        "3",
+    ]);
+    assert!(!out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--docs given more than once"), "{stderr}");
+    assert!(!out_file.exists(), "a rejected command wrote its output");
+    std::fs::remove_dir_all(&base).ok();
+}

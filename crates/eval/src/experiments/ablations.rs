@@ -4,8 +4,10 @@
 //! companion work evaluated.
 
 use super::scale::ExperimentScale;
+use super::Report;
 use crate::harness;
-use crate::metrics::{score, Scores};
+use crate::metrics::{pct, score, Scores};
+use crate::report::render_table;
 use wf_corpus::{camera_reviews, music_reviews};
 use wf_features::{CandidateHeuristic, FeatureExtractor, SelectionMetric};
 use wf_sentiment::AnalyzerConfig;
@@ -128,6 +130,48 @@ pub fn feature_extraction_ablations(scale: &ExperimentScale) -> Vec<FeatureAblat
         }
     }
     rows
+}
+
+/// The ablations' report: the analyzer rule table, then the
+/// feature-extraction design-space table.
+pub(crate) fn ablations_report(scale: &ExperimentScale) -> Report {
+    let rows: Vec<Vec<String>> = analyzer_ablations(scale)
+        .rows
+        .iter()
+        .map(|row| {
+            let s = &row.scores;
+            vec![
+                row.label.clone(),
+                pct(s.precision),
+                pct(s.recall),
+                pct(s.accuracy),
+            ]
+        })
+        .collect();
+    let mut out = render_table(
+        "Ablation: relationship-analysis rules (product review datasets)",
+        &["Variant", "Precision", "Recall", "Accuracy"],
+        &rows,
+    );
+    let fx_rows: Vec<Vec<String>> = feature_extraction_ablations(scale)
+        .iter()
+        .map(|r| {
+            vec![
+                r.heuristic.as_str().to_string(),
+                format!("{:?}", r.metric),
+                pct(r.precision_at_20),
+                r.candidates.to_string(),
+            ]
+        })
+        .collect();
+    outln!(out);
+    out += &render_table(
+        "Ablation: feature extraction design space (camera corpus)",
+        &["Heuristic", "Metric", "P@20", "Candidates"],
+        &fx_rows,
+    );
+    outln!(out);
+    Report::without_json(out)
 }
 
 #[cfg(test)]

@@ -4,6 +4,8 @@
 //! brand name, and (b) the downstream effect: sentiment false positives
 //! from off-topic pages with and without disambiguation.
 
+use super::{ExperimentScale, Report};
+use crate::metrics::pct;
 use wf_corpus::ambiguity::{
     ambiguity_corpus, brand_context_terms, climbing_context_terms, AMBIGUOUS_BRAND,
 };
@@ -105,6 +107,46 @@ pub fn disambiguation_study(seed: u64, n_on: usize, n_off: usize) -> Disambiguat
         kept_on_topic,
         total_on_topic,
     }
+}
+
+/// The study's report. It runs at one fixed size and seed, so both
+/// scales print the same.
+pub(crate) fn disambiguation_report(_scale: &ExperimentScale) -> Report {
+    let r = disambiguation_study(20050405, 120, 180);
+    let mut out = String::new();
+    outln!(
+        out,
+        "Disambiguation study: ambiguous brand \"Apex\" (camera vs summit)\n"
+    );
+    outln!(
+        out,
+        "on-topic spot fraction:        {}",
+        pct(r.on_topic_fraction)
+    );
+    outln!(
+        out,
+        "accept-all baseline accuracy:  {}",
+        pct(r.baseline_accuracy)
+    );
+    outln!(
+        out,
+        "disambiguator verdict accuracy:{}",
+        pct(r.verdict_accuracy)
+    );
+    outln!(out);
+    outln!(
+        out,
+        "spurious sentiment records from off-topic pages: {} -> {} after filtering",
+        r.spurious_without,
+        r.spurious_with
+    );
+    outln!(
+        out,
+        "on-topic sentiment records kept: {}/{}",
+        r.kept_on_topic,
+        r.total_on_topic
+    );
+    Report::without_json(out)
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! Runners for the paper's figures (1–5).
 
 use super::scale::ExperimentScale;
+use super::Report;
+use crate::report::{render_bar_chart, render_table};
 use std::time::Instant;
 use wf_corpus::{camera_reviews, pharma_web, GeneratedDoc};
 use wf_platform::{Cluster, ClusterReport, Ingestor, MinerPipeline, RawDocument, SourceKind};
@@ -59,6 +61,53 @@ pub fn fig1(scale: &ExperimentScale) -> Fig1Result {
         mining_secs,
         indexing_secs,
     }
+}
+
+/// Figure 1's report: stage throughput and the per-node entity balance.
+/// The stage times are wall-clock, so they vary from run to run.
+pub(crate) fn fig1_report(scale: &ExperimentScale) -> Report {
+    let r = fig1(scale);
+    let (docs, cluster) = (r.ingested_docs, &r.report);
+    let per_sec = |secs: f64| docs as f64 / secs.max(1e-9);
+    let mut out = String::new();
+    outln!(
+        out,
+        "Figure 1. WebFountain platform dataflow (simulated cluster)\n"
+    );
+    outln!(
+        out,
+        "ingest:   {docs} docs, {} bytes in {:.3}s ({:.0} docs/s)",
+        r.ingested_bytes,
+        r.ingest_secs,
+        per_sec(r.ingest_secs)
+    );
+    outln!(
+        out,
+        "mining:   spotter + sentiment miner over {} nodes in {:.3}s ({:.0} docs/s)",
+        cluster.nodes,
+        r.mining_secs,
+        per_sec(r.mining_secs)
+    );
+    outln!(
+        out,
+        "indexing: {} docs, {} terms, {} concepts in {:.3}s\n",
+        cluster.indexed_docs,
+        cluster.distinct_terms,
+        cluster.distinct_concepts,
+        r.indexing_secs
+    );
+    let rows: Vec<Vec<String>> = cluster
+        .per_node_entities
+        .iter()
+        .enumerate()
+        .map(|(i, n)| vec![format!("node:{i}"), n.to_string()])
+        .collect();
+    out += &render_table("Per-node entity balance", &["Node", "Entities"], &rows);
+    outln!(out);
+    let json = serde_json::json!({
+        "docs": docs, "nodes": cluster.nodes, "concepts": cluster.distinct_concepts,
+    });
+    Report::with_json(out, "fig1", json)
 }
 
 fn camera_subjects() -> SubjectList {
@@ -131,6 +180,28 @@ pub fn fig2(scale: &ExperimentScale) -> Fig2Result {
         .collect();
     products.sort_by(|a, b| a.0.cmp(&b.0));
     Fig2Result { features, products }
+}
+
+/// Figure 2's report: one text bar chart per tracked feature.
+pub(crate) fn fig2_report(scale: &ExperimentScale) -> Report {
+    let r = fig2(scale);
+    let mut out = String::new();
+    outln!(
+        out,
+        "Figure 2 (inset). Digital Camera Customer Satisfaction"
+    );
+    outln!(out, "% of pages with positive sentiment\n");
+    for (fi, feature) in r.features.iter().enumerate() {
+        let series: Vec<(String, f64)> = r
+            .products
+            .iter()
+            .map(|(p, pcts)| (p.clone(), pcts[fi]))
+            .collect();
+        out += &render_bar_chart(&format!("[{feature}]"), &series, 40);
+        outln!(out);
+    }
+    let json = serde_json::json!({"products": r.products.len(), "features": r.features});
+    Report::with_json(out, "fig2", json)
 }
 
 /// The product a review page is about: its most-mentioned subject.
@@ -223,6 +294,57 @@ pub fn fig3(scale: &ExperimentScale) -> Fig3Result {
     }
 }
 
+/// Figure 3's report: each subject's hits and both query paths' times.
+/// The times are wall-clock, so they vary from run to run.
+pub(crate) fn fig3_report(scale: &ExperimentScale) -> Report {
+    let r = fig3(scale);
+    let mut out = String::new();
+    outln!(
+        out,
+        "Figure 3. Sentiment mining without a predefined subject list\n"
+    );
+    outln!(
+        out,
+        "offline pass: {} docs analyzed and indexed in {:.3}s\n",
+        r.indexed_docs,
+        r.offline_secs
+    );
+    let rows: Vec<Vec<String>> = r
+        .queries
+        .iter()
+        .map(|q| {
+            vec![
+                q.subject.clone(),
+                q.positive.to_string(),
+                q.negative.to_string(),
+                format!("{:.1}", q.indexed_secs * 1e6),
+                format!("{:.1}", q.runtime_secs * 1e6),
+                format!("{:.0}x", q.runtime_secs / q.indexed_secs),
+            ]
+        })
+        .collect();
+    out += &render_table(
+        "Real-time sentiment queries: the index vs run-time analysis (+ and - query each)",
+        &[
+            "Subject",
+            "+ hits",
+            "- hits",
+            "indexed (us)",
+            "run-time (us)",
+            "ratio",
+        ],
+        &rows,
+    );
+    outln!(out);
+    let json = r.queries.iter().map(|q| {
+        serde_json::json!({
+            "subject": q.subject, "positive": q.positive, "negative": q.negative,
+            "latency_us": q.indexed_secs * 1e6, "runtime_latency_us": q.runtime_secs * 1e6,
+        })
+    });
+    Report::with_json(out, "fig3", serde_json::Value::Array(json.collect()))
+}
+
 /// Figure 4: the GUI's product × sentiment matrix, with product names
 /// masked ("Product A", "Product B", ...) as the paper does.
 #[derive(Debug, Clone)]
@@ -259,6 +381,29 @@ pub fn fig4(scale: &ExperimentScale) -> Fig4Result {
         })
         .collect();
     Fig4Result { rows }
+}
+
+/// Figure 4's report: the masked product × polarity matrix.
+pub(crate) fn fig4_report(scale: &ExperimentScale) -> Report {
+    let r = fig4(scale);
+    let rows: Vec<Vec<String>> = r
+        .rows
+        .iter()
+        .map(|(name, pos, neg, neu)| {
+            vec![
+                name.clone(),
+                pos.to_string(),
+                neg.to_string(),
+                neu.to_string(),
+            ]
+        })
+        .collect();
+    let out = render_table(
+        "Figure 4. Sentiment mining result matrix (pharmaceutical web, names masked)",
+        &["Product", "positive", "negative", "neutral"],
+        &rows,
+    ) + "\n";
+    Report::with_json(out, "fig4_rows", serde_json::json!(r.rows.len()))
 }
 
 fn pharma_subjects() -> SubjectList {
@@ -307,6 +452,23 @@ pub fn fig5(scale: &ExperimentScale) -> Fig5Result {
         }
     }
     Fig5Result { subject, sentences }
+}
+
+/// Figure 5's report: the first 20 marked sentences, under a header that
+/// gives how many there are in all.
+pub(crate) fn fig5_report(scale: &ExperimentScale) -> Report {
+    let r = fig5(scale);
+    let (total, shown) = (r.sentences.len(), r.sentences.len().min(20));
+    let mut out = String::new();
+    outln!(
+        out,
+        "Figure 5. Sentiment-bearing sentences for {} ({shown} of {total} shown)\n",
+        r.subject
+    );
+    for (polarity, text) in r.sentences.iter().take(20) {
+        outln!(out, "[{polarity}] {text}");
+    }
+    Report::with_json(out, "fig5_sentences", serde_json::json!(total))
 }
 
 #[cfg(test)]

@@ -1,8 +1,10 @@
 //! Runners for the paper's tables (2–5).
 
 use super::scale::ExperimentScale;
+use super::Report;
 use crate::harness;
-use crate::metrics::{score, score_without_i_class, Scores};
+use crate::metrics::{pct, score, score_without_i_class, Scores};
+use crate::report::render_table;
 use serde::Serialize;
 use wf_corpus::{camera_reviews, music_reviews, petroleum_news, petroleum_web, pharma_web, Corpus};
 use wf_features::{FeatureExtractor, ScoredFeature, Selection, CHI2_99};
@@ -43,6 +45,38 @@ pub fn table2(scale: &ExperimentScale) -> Table2Result {
         camera_precision,
         music_precision,
     }
+}
+
+/// Table 2's report: the top 20 feature terms of both domains and the
+/// extraction precision (paper: 97% camera, 100% music).
+pub(crate) fn table2_report(scale: &ExperimentScale) -> Report {
+    let r = table2(scale);
+    let terms = |top: &[ScoredFeature]| top.iter().map(|f| f.term.clone()).collect::<Vec<_>>();
+    let (camera, music) = (terms(&r.camera_top), terms(&r.music_top));
+    let rows: Vec<Vec<String>> = (0..20)
+        .map(|i| {
+            let term = |list: &[String]| list.get(i).cloned().unwrap_or_default();
+            vec![(i + 1).to_string(), term(&camera), term(&music)]
+        })
+        .collect();
+    let mut out = render_table(
+        "Table 2. Top 20 feature terms extracted by bBNP-L (rank order)",
+        &["#", "Digital Camera", "Music Albums"],
+        &rows,
+    );
+    outln!(
+        out,
+        "\nfeature extraction precision: camera {} (paper 97%), music {} (paper 100%)",
+        pct(r.camera_precision),
+        pct(r.music_precision)
+    );
+    let json = serde_json::json!({
+        "camera_precision": r.camera_precision,
+        "music_precision": r.music_precision,
+        "camera_top": camera,
+        "music_top": music,
+    });
+    Report::with_json(out, "table2", json)
 }
 
 fn vocabulary_precision(extracted: &[ScoredFeature], gold: &[&str]) -> f64 {
@@ -96,6 +130,43 @@ pub fn table3(scale: &ExperimentScale) -> Table3Result {
         products: product_counts,
         features: feature_counts,
     }
+}
+
+/// Table 3's report: the seven most-referenced products and features,
+/// the totals, and the ratio (paper: features referenced ≈13× more).
+pub(crate) fn table3_report(scale: &ExperimentScale) -> Report {
+    let r = table3(scale);
+    let mut rows: Vec<Vec<String>> = (0..7)
+        .map(|i| {
+            let (product, feature) = (r.products.get(i), r.features.get(i));
+            let name = |c: Option<&(String, usize)>| c.map(|(n, _)| n.clone()).unwrap_or_default();
+            let refs =
+                |c: Option<&(String, usize)>| c.map(|(_, n)| n.to_string()).unwrap_or_default();
+            vec![name(product), refs(product), name(feature), refs(feature)]
+        })
+        .collect();
+    rows.push(vec![
+        format!("{} Products", r.products.len()),
+        r.product_total.to_string(),
+        format!("{} Features", r.feature_count),
+        r.feature_total.to_string(),
+    ]);
+    let mut out = render_table(
+        "Table 3. Product name vs feature term references (digital camera D+)",
+        &["Product", "# refs", "Feature", "# refs"],
+        &rows,
+    );
+    outln!(
+        out,
+        "\nfeature/product reference ratio: {:.1}x (paper: 12.4x)",
+        r.ratio()
+    );
+    let json = serde_json::json!({
+        "product_total": r.product_total,
+        "feature_total": r.feature_total,
+        "ratio": r.ratio(),
+    });
+    Report::with_json(out, "table3", json)
 }
 
 fn count_references(corpus: &Corpus, terms: &[&str]) -> Vec<(String, usize)> {
@@ -155,6 +226,55 @@ pub fn table4(scale: &ExperimentScale) -> Table4Result {
     }
 }
 
+/// Table 4's report: each system's measured row beside the paper's
+/// (paper: SM 87 P / 56 R / 85.6 A; collocation 18 P / 70 R; ReviewSeer
+/// 88.4 A at document level).
+pub(crate) fn table4_report(scale: &ExperimentScale) -> Report {
+    let r = table4(scale);
+    let (sm, colloc) = (&r.sm, &r.collocation);
+    let na = || "N/A".to_string();
+    let rows = vec![
+        vec![
+            "SM (measured)".into(),
+            pct(sm.precision),
+            pct(sm.recall),
+            pct(sm.accuracy),
+        ],
+        text_row(["SM (paper)", "87%", "56%", "85.6%"]),
+        vec![
+            "Collocation (measured)".into(),
+            pct(colloc.precision),
+            pct(colloc.recall),
+            na(),
+        ],
+        text_row(["Collocation (paper)", "18%", "70%", "N/A"]),
+        vec![
+            "ReviewSeer (measured)".into(),
+            na(),
+            na(),
+            pct(r.reviewseer_doc_accuracy),
+        ],
+        text_row(["ReviewSeer (paper)", "N/A", "N/A", "88.4%"]),
+    ];
+    let mut out = render_table(
+        "Table 4. Performance comparison on the product review datasets",
+        &["Algorithm", "Precision", "Recall", "Accuracy"],
+        &rows,
+    );
+    outln!(
+        out,
+        "\n(mentions evaluated: {}, gold sentiment cases: {})",
+        sm.total,
+        sm.gold_sentiment
+    );
+    let json = serde_json::json!({
+        "sm": {"precision": sm.precision, "recall": sm.recall, "accuracy": sm.accuracy},
+        "collocation": {"precision": colloc.precision, "recall": colloc.recall},
+        "reviewseer_doc_accuracy": r.reviewseer_doc_accuracy,
+    });
+    Report::with_json(out, "table4", json)
+}
+
 /// One Table 5 row.
 #[derive(Debug, Clone, Serialize)]
 pub struct Table5Row {
@@ -205,6 +325,58 @@ pub fn table5(scale: &ExperimentScale) -> Table5Result {
         })
         .collect();
     Table5Result { rows }
+}
+
+/// Table 5's report: SM per domain and ReviewSeer on the web row, beside
+/// the paper's ranges (paper: SM 86–91 P / 90–93 A; ReviewSeer 38 A, 68 A
+/// without the I class).
+pub(crate) fn table5_report(scale: &ExperimentScale) -> Report {
+    let r = table5(scale);
+    let na = || "N/A".to_string();
+    let mut rows: Vec<Vec<String>> = r
+        .rows
+        .iter()
+        .map(|row| {
+            let label = format!("SM ({})", row.label);
+            vec![label, pct(row.sm.precision), pct(row.sm.accuracy), na()]
+        })
+        .collect();
+    // ReviewSeer row: the paper reports one web-document number
+    if let Some(web) = r.rows.first() {
+        rows.push(vec![
+            "ReviewSeer (Web, measured)".into(),
+            na(),
+            pct(web.reviewseer.accuracy),
+            pct(web.reviewseer_without_i.accuracy),
+        ]);
+    }
+    rows.push(text_row(["SM (paper)", "86-91%", "90-93%", "N/A"]));
+    rows.push(text_row(["ReviewSeer (paper)", "N/A", "38%", "68%"]));
+    let out = render_table(
+        "Table 5. General web documents and news articles",
+        &[
+            "System (domain)",
+            "Precision",
+            "Accuracy",
+            "Acc. w/o I class",
+        ],
+        &rows,
+    ) + "\n";
+    let json = r.rows.iter().map(|row| {
+        serde_json::json!({
+            "domain": row.label,
+            "sm_precision": row.sm.precision,
+            "sm_accuracy": row.sm.accuracy,
+            "reviewseer_accuracy": row.reviewseer.accuracy,
+            "reviewseer_accuracy_without_i": row.reviewseer_without_i.accuracy,
+        })
+    });
+    Report::with_json(out, "table5", serde_json::Value::Array(json.collect()))
+}
+
+/// A report table row of fixed cells.
+fn text_row(cells: [&str; 4]) -> Vec<String> {
+    cells.map(String::from).to_vec()
 }
 
 /// Confidence-threshold feature selection used in ablations.

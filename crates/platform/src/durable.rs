@@ -588,7 +588,8 @@ impl ShardLog {
     }
 }
 
-/// The durable layer under a [`DataStore`]: one [`ShardLog`] per shard.
+/// The durable layer under a [`DataStore`]: one shard log (a WAL sink and
+/// a snapshot sink) per shard.
 ///
 /// Attach via `DataStore::attach_durability` (or through the cluster);
 /// from then on every insert/update/delete appends a WAL record under

@@ -17,7 +17,7 @@
 //!   the `health.alerts.fired` / `health.alerts.resolved` counters, so
 //!   alerts are part of the deterministic telemetry snapshot;
 //! - [`DoctorReport`] assembles SLO status, the alert log, the worst
-//!   histogram [`Exemplar`]s (each checked against the flight recorder:
+//!   histogram [`Exemplar`](crate::telemetry::Exemplar)s (each checked against the flight recorder:
 //!   `live == true` means `wfsm trace` can still dump the causal tree),
 //!   and the cluster's per-node scoreboard into canonical JSON or a
 //!   text report — same seed ⇒ byte-identical output.
