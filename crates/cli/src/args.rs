@@ -17,17 +17,20 @@ impl ParsedArgs {
     /// Parses `args` (without the program name). The first non-flag token
     /// is the subcommand; `--key value` pairs become options; `--flag`
     /// followed by another `--` token or nothing becomes a boolean flag.
-    /// An option or flag given twice is an error.
+    /// A bare `--`, or an option or flag given twice, is an error that
+    /// names the subcommand, as the command table's errors do.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<ParsedArgs, String> {
         let mut parsed = ParsedArgs::default();
+        let mut problem = None;
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
                 if key.is_empty() {
-                    return Err("empty option name '--'".into());
+                    problem.get_or_insert_with(|| "empty option name '--'".to_string());
+                    continue;
                 }
                 if parsed.options.contains_key(key) || parsed.flag(key) {
-                    return Err(format!("option --{key} given more than once"));
+                    problem.get_or_insert_with(|| format!("option --{key} given more than once"));
                 }
                 match iter.peek() {
                     Some(next) if !next.starts_with("--") => {
@@ -42,7 +45,12 @@ impl ParsedArgs {
                 parsed.positional.push(arg);
             }
         }
-        Ok(parsed)
+        match problem {
+            None => Ok(parsed),
+            // read on to the subcommand, so the error can name it
+            Some(problem) if parsed.command.is_empty() => Err(format!("wfsm: {problem}")),
+            Some(problem) => Err(format!("wfsm {}: {problem}", parsed.command)),
+        }
     }
 
     /// The value of an option.
@@ -168,12 +176,27 @@ mod tests {
             } else {
                 "--docs"
             };
-            assert_eq!(err, format!("option {key} given more than once"));
+            let command = tokens[0];
+            assert_eq!(
+                err,
+                format!("wfsm {command}: option {key} given more than once")
+            );
         }
     }
 
     #[test]
     fn bare_double_dash_is_error() {
         assert!(ParsedArgs::parse(vec!["--".to_string()]).is_err());
+    }
+
+    #[test]
+    fn parse_error_names_the_subcommand_wherever_it_stands() {
+        let err = ParsedArgs::parse(["--docs", "1", "--docs", "2", "serve"].map(String::from));
+        assert_eq!(
+            err.unwrap_err(),
+            "wfsm serve: option --docs given more than once"
+        );
+        let err = ParsedArgs::parse(["--".to_string()]).unwrap_err();
+        assert_eq!(err, "wfsm: empty option name '--'");
     }
 }

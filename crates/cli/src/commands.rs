@@ -179,13 +179,14 @@ pub const COMMANDS: &[Command] = &[
                 [--queue N] [--seed S]
       Run the same deterministic workload and query its structured event
       log: leveled records on the simulated clock with stable targets
-      (bus.svc:*, miner.shard:*, store.shard:*, durable.shard:*,
-      serving.loop), key=value fields and trace correlation IDs that
-      resolve in `wfsm trace`. Filters AND together: --level is a
-      maximum severity, --target a prefix match, positional KEY=VALUE
-      terms match record fields exactly. The header reports the
-      conservation law (emitted = kept + sampled + dropped). Same seed
-      ⇒ byte-identical output (text and json).",
+      (bus.svc:*, ingest, miner.shard:*, index.shard:*, store.shard:*,
+      durable.shard:*, serving.loop), key=value fields and trace
+      correlation IDs that resolve in `wfsm trace`. Filters AND
+      together: --level is a maximum severity, --target a prefix
+      match, positional KEY=VALUE terms match record fields exactly.
+      The header reports the conservation law (emitted = kept +
+      sampled + dropped). Same seed ⇒ byte-identical output (text and
+      json).",
         options: &[serve::OBSERVED, serve::LOOP, CHAOS,
                    &["level", "target", "trace", "since", "until", "format"]],
         flags: &[], positionals: true, run: serve::logs },

@@ -5,14 +5,8 @@ mod args;
 mod commands;
 
 fn main() {
-    let parsed = match args::ParsedArgs::parse(std::env::args().skip(1)) {
-        Ok(parsed) => parsed,
-        Err(err) => {
-            eprintln!("error: {err}");
-            std::process::exit(2);
-        }
-    };
-    match commands::run(&parsed) {
+    let parsed = args::ParsedArgs::parse(std::env::args().skip(1));
+    match parsed.and_then(|parsed| commands::run(&parsed)) {
         Ok(report) => print!("{report}"),
         Err(err) => {
             eprintln!("error: {err}");

@@ -104,3 +104,20 @@ fn repeated_option_exits_with_an_error_and_writes_nothing() {
     assert!(!out_file.exists(), "a rejected command wrote its output");
     std::fs::remove_dir_all(&base).ok();
 }
+
+/// A parse error exits like every other argument error: 1, naming the
+/// command.
+#[test]
+fn repeated_option_exits_1_naming_the_command() {
+    let out = wfsm(&["serve", "--docs", "1", "--docs", "2"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        stderr,
+        "error: wfsm serve: option --docs given more than once\n"
+    );
+    let out = wfsm(&["serve", "--qsp", "5"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr, "error: wfsm serve: unknown option --qsp\n");
+}

@@ -11,7 +11,7 @@
 
 use crate::durable::{DurableStorage, ShardRecoveryStats, SnapshotStats, StopReason};
 use crate::entity::Entity;
-use crate::faults::{executor_for, FaultPlan, NodeHealth};
+use crate::faults::{self, FaultPlan, Narrator, NodeHealth};
 use crate::index::Indexer;
 use crate::miner::{FaultContext, MinerPipeline, PipelineStats, RunOpts};
 use crate::store::DataStore;
@@ -390,9 +390,10 @@ impl Cluster {
     }
 
     /// (Re-)indexes every stored entity, including miner annotations.
-    /// Shards owned by Down nodes are indexed by the stand-in
-    /// `executor_for` picks, the node a miner run would use; with no
-    /// live node left they are skipped and counted. Each placed
+    /// Shards are placed as a miner run places them: one owned by a Down
+    /// node is indexed by a stand-in, and with no live node left it is
+    /// skipped and counted; either event lands on the shard's span and
+    /// under the `index.shard:N` log target. Each placed
     /// shard is gathered into one index segment, reading the shard's
     /// entities by reference under its read lock, and the segments are
     /// merged into the index once. Traced as one `cluster.rebuild_index`
@@ -405,19 +406,21 @@ impl Cluster {
         let mut shard_outcomes: Vec<(usize, bool, bool)> = Vec::new();
         let mut root = self.telemetry.trace_root("cluster.rebuild_index");
         let mut segments = Vec::new();
-        for shard in 0..self.store.shard_count() {
+        let sizes = self.store.shard_sizes();
+        let log = self.telemetry.evlog();
+        for (shard, &docs) in sizes.iter().enumerate() {
             let mut span = root.child(format!("shard:{shard}"));
-            let Some(executor) = executor_for(shard, self.store.shard_count(), &health) else {
+            let target = format!("index.shard:{shard}");
+            let narrator = &mut Narrator::new(log, &target, Some(&mut span), None);
+            let Some(executor) = faults::place(shard, sizes.len(), &health, docs, narrator) else {
                 stats.skipped_shards += 1;
                 shard_outcomes.push((shard, false, true));
-                span.event("unplaced");
                 span.finish();
                 continue;
             };
             if executor != shard {
                 stats.failed_over += 1;
                 shard_outcomes.push((shard, true, false));
-                span.event(format!("failover:node:{executor}"));
             }
             let segment = self.indexer.shard_segment(&self.store, shard);
             let indexed_here = segment.len();

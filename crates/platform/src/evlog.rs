@@ -28,9 +28,10 @@
 
 use crate::trace::{SpanId, TraceId, TraceSpan};
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default ring capacity (matches the flight recorder's scale).
@@ -81,6 +82,23 @@ impl Level {
             Level::Info => 2,
             Level::Debug => 3,
         }
+    }
+}
+
+/// Written as its lowercase [`Level::label`], not the variant name the
+/// derive would write.
+impl Serialize for Level {
+    fn to_value(&self) -> Value {
+        Value::from(self.label())
+    }
+}
+
+impl Deserialize for Level {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let label = v
+            .as_str()
+            .ok_or_else(|| serde::Error::custom("level is not a string"))?;
+        Level::parse(label).map_err(serde::Error::custom)
     }
 }
 
@@ -217,17 +235,23 @@ impl EvLog {
         }
     }
 
-    /// Offers one record; returns whether it was admitted to the ring.
-    /// A full ring evicts its oldest record (counted as `dropped`).
-    pub fn emit(&self, rec: EvRecord) -> bool {
+    /// Counts one arrival and asks the sampler whether it is kept
+    /// (`false`, uncounted, when the log is disabled).
+    fn offer(&self, target: &str, level: Level, sim_ms: u64) -> bool {
         if !self.enabled {
             return false;
         }
         self.emitted.fetch_add(1, Ordering::Relaxed);
-        if !self.admit(&rec.target, rec.level, rec.sim_ms) {
+        let admitted = self.admit(target, level, sim_ms);
+        if !admitted {
             self.sampled.fetch_add(1, Ordering::Relaxed);
-            return false;
         }
+        admitted
+    }
+
+    /// Stores an admitted record; a full ring evicts its oldest record
+    /// (counted as `dropped`).
+    fn push(&self, rec: EvRecord) {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let evicted = self.slots[(seq as usize) % self.slots.len()]
             .lock()
@@ -236,10 +260,18 @@ impl EvLog {
         if evicted {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        true
     }
 
-    /// Convenience emission without trace context.
+    /// Offers one record; returns whether it was admitted to the ring.
+    pub fn emit(&self, rec: EvRecord) -> bool {
+        let admitted = self.offer(&rec.target, rec.level, rec.sim_ms);
+        if admitted {
+            self.push(rec);
+        }
+        admitted
+    }
+
+    /// Emission without trace context: events that belong to no span.
     pub fn event(
         &self,
         level: Level,
@@ -265,31 +297,41 @@ impl EvLog {
         })
     }
 
-    /// Convenience emission correlated to `span`: the record inherits
-    /// the span's trace/span ids and its current simulated time.
-    pub fn event_in(
+    /// Writes one event on a traced path: `label` (when given) becomes a
+    /// point event on `span`, and the record carries the span's trace
+    /// and span ids and its current simulated time, so `wfsm trace` and
+    /// `wfsm logs` tell the same story. The record's message and fields
+    /// are built only once the sampler has admitted it. Returns whether
+    /// the record was admitted.
+    pub fn note(
         &self,
+        span: &mut TraceSpan,
         level: Level,
-        span: &TraceSpan,
         target: &str,
-        message: impl Into<String>,
-        fields: &[(&str, String)],
+        label: Option<String>,
+        message: &str,
+        fields: &[(&str, &dyn Display)],
     ) -> bool {
-        if !self.enabled {
+        if let Some(label) = label {
+            span.event(label);
+        }
+        let sim_ms = span.end_sim_ms();
+        if !self.offer(target, level, sim_ms) {
             return false;
         }
-        self.emit(EvRecord {
-            sim_ms: span.start_sim_ms() + span.elapsed_sim_ms(),
+        self.push(EvRecord {
+            sim_ms,
             level,
             target: target.to_string(),
-            message: message.into(),
+            message: message.to_string(),
             fields: fields
                 .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
+                .map(|(k, v)| (k.to_string(), v.to_string()))
                 .collect(),
             trace: Some(span.trace_id()),
             span: Some(span.span_id()),
-        })
+        });
+        true
     }
 
     /// Retained records in emission-sequence order (raw ids intact —
@@ -332,10 +374,12 @@ impl EvLog {
             .collect();
         views.sort();
         EvLogSnapshot {
-            emitted: self.emitted(),
-            kept: self.kept(),
-            sampled: self.sampled(),
-            dropped: self.dropped(),
+            counters: EvCounters {
+                emitted: self.emitted(),
+                kept: self.kept(),
+                sampled: self.sampled(),
+                dropped: self.dropped(),
+            },
             records: views,
         }
     }
@@ -343,7 +387,7 @@ impl EvLog {
 
 /// One canonicalized record: raw span ids gone (interleaving-dependent),
 /// trace renumbered 1..N in deterministic order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EvView {
     pub sim_ms: u64,
     pub level: Level,
@@ -382,32 +426,37 @@ impl PartialOrd for EvView {
     }
 }
 
-/// Point-in-time, canonicalized event-log export with conservation
-/// counters. Like `TelemetrySnapshot`, it round-trips through its own
-/// JSON (`to_json_string` ↔ `from_json_str`) byte-identically.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EvLogSnapshot {
+/// The conservation counters of one log: `emitted == kept + sampled +
+/// dropped`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct EvCounters {
     pub emitted: u64,
     pub kept: u64,
     pub sampled: u64,
     pub dropped: u64,
+}
+
+/// Point-in-time, canonicalized event-log export with conservation
+/// counters. Its JSON is derived, and round-trips byte-identically
+/// (`to_json_string` ↔ `from_json_str`).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct EvLogSnapshot {
+    pub counters: EvCounters,
     pub records: Vec<EvView>,
 }
 
 impl EvLogSnapshot {
     /// The conservation law every snapshot obeys.
     pub fn conserved(&self) -> bool {
-        self.emitted == self.kept + self.sampled + self.dropped
+        let c = self.counters;
+        c.emitted == c.kept + c.sampled + c.dropped
     }
 
     /// A copy retaining only records matching `filter` (counters keep
     /// describing the full log — filtering is a view, not a re-run).
     pub fn filtered(&self, filter: &LogFilter) -> EvLogSnapshot {
         EvLogSnapshot {
-            emitted: self.emitted,
-            kept: self.kept,
-            sampled: self.sampled,
-            dropped: self.dropped,
+            counters: self.counters,
             records: self
                 .records
                 .iter()
@@ -420,12 +469,13 @@ impl EvLogSnapshot {
     /// Fixed-layout text export: a counter header, then one line per
     /// record — `[  sim ms] LEVEL target message k=v … trace=N`.
     pub fn to_text(&self) -> String {
+        let c = self.counters;
         let mut out = format!(
             "evlog: emitted={} kept={} sampled={} dropped={} shown={}\n",
-            self.emitted,
-            self.kept,
-            self.sampled,
-            self.dropped,
+            c.emitted,
+            c.kept,
+            c.sampled,
+            c.dropped,
             self.records.len()
         );
         for r in &self.records {
@@ -448,49 +498,10 @@ impl EvLogSnapshot {
         out
     }
 
-    /// Canonical JSON value (sorted keys via `BTreeMap`-backed objects).
-    pub fn to_json(&self) -> Value {
-        let mut counters: BTreeMap<String, Value> = BTreeMap::new();
-        counters.insert("dropped".into(), Value::from(self.dropped));
-        counters.insert("emitted".into(), Value::from(self.emitted));
-        counters.insert("kept".into(), Value::from(self.kept));
-        counters.insert("sampled".into(), Value::from(self.sampled));
-        let records: Vec<Value> = self
-            .records
-            .iter()
-            .map(|r| {
-                let mut obj: BTreeMap<String, Value> = BTreeMap::new();
-                obj.insert(
-                    "fields".into(),
-                    Value::Object(
-                        r.fields
-                            .iter()
-                            .map(|(k, v)| (k.clone(), Value::from(v.as_str())))
-                            .collect(),
-                    ),
-                );
-                obj.insert("level".into(), Value::from(r.level.label()));
-                obj.insert("message".into(), Value::from(r.message.as_str()));
-                obj.insert("sim_ms".into(), Value::from(r.sim_ms));
-                obj.insert("target".into(), Value::from(r.target.as_str()));
-                obj.insert(
-                    "trace".into(),
-                    r.trace.map(Value::from).unwrap_or(Value::Null),
-                );
-                Value::Object(obj)
-            })
-            .collect();
-        let mut root: BTreeMap<String, Value> = BTreeMap::new();
-        root.insert("counters".into(), Value::Object(counters));
-        root.insert("records".into(), Value::Array(records));
-        Value::Object(root)
-    }
-
     /// Pretty canonical JSON, newline-terminated: the `wfsm logs
     /// --format json` payload, byte-identical for same-seed runs.
     pub fn to_json_string(&self) -> String {
-        let mut out =
-            serde_json::to_string_pretty(&self.to_json()).expect("Value renders infallibly");
+        let mut out = serde_json::to_string_pretty(self).expect("Value renders infallibly");
         out.push('\n');
         out
     }
@@ -498,75 +509,8 @@ impl EvLogSnapshot {
     /// Parses [`EvLogSnapshot::to_json_string`] output back; the pair
     /// forms a fixpoint (`parse(export(s)) == s`).
     pub fn from_json_str(text: &str) -> Result<EvLogSnapshot, String> {
-        let value: Value =
-            serde_json::from_str(text).map_err(|e| format!("invalid evlog JSON: {e}"))?;
-        let counters = need_object(&value, "counters")?;
-        let records = match value.get("records") {
-            Some(Value::Array(items)) => items,
-            _ => return Err("evlog JSON missing \"records\" array".into()),
-        };
-        let mut views = Vec::with_capacity(records.len());
-        for item in records {
-            let fields = match item.get("fields") {
-                Some(Value::Object(map)) => map
-                    .iter()
-                    .map(|(k, v)| {
-                        v.as_str()
-                            .map(|s| (k.clone(), s.to_string()))
-                            .ok_or_else(|| format!("record field {k:?} is not a string"))
-                    })
-                    .collect::<Result<BTreeMap<_, _>, String>>()?,
-                _ => return Err("record missing \"fields\" object".into()),
-            };
-            let level = item
-                .get("level")
-                .and_then(Value::as_str)
-                .ok_or("record missing \"level\"")
-                .and_then(|s| Level::parse(s).map_err(|_| "record has invalid \"level\""))
-                .map_err(String::from)?;
-            let trace = match item.get("trace") {
-                Some(Value::Null) | None => None,
-                Some(v) => Some(v.as_u64().ok_or("record \"trace\" is not a number")?),
-            };
-            views.push(EvView {
-                sim_ms: need_u64(item, "sim_ms")?,
-                level,
-                target: need_str(item, "target")?,
-                message: need_str(item, "message")?,
-                fields,
-                trace,
-            });
-        }
-        Ok(EvLogSnapshot {
-            emitted: need_u64(&Value::Object(counters.clone()), "emitted")?,
-            kept: need_u64(&Value::Object(counters.clone()), "kept")?,
-            sampled: need_u64(&Value::Object(counters.clone()), "sampled")?,
-            dropped: need_u64(&Value::Object(counters.clone()), "dropped")?,
-            records: views,
-        })
+        serde_json::from_str(text).map_err(|e| format!("invalid evlog JSON: {e}"))
     }
-}
-
-fn need_object<'a>(value: &'a Value, key: &str) -> Result<&'a BTreeMap<String, Value>, String> {
-    match value.get(key) {
-        Some(Value::Object(map)) => Ok(map),
-        _ => Err(format!("evlog JSON missing {key:?} object")),
-    }
-}
-
-fn need_u64(value: &Value, key: &str) -> Result<u64, String> {
-    value
-        .get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("evlog JSON missing numeric {key:?}"))
-}
-
-fn need_str(value: &Value, key: &str) -> Result<String, String> {
-    value
-        .get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("evlog JSON missing string {key:?}"))
 }
 
 /// The `wfsm logs` filter grammar, applied to canonicalized records:
@@ -714,19 +658,60 @@ mod tests {
     }
 
     #[test]
-    fn event_in_correlates_to_a_resolvable_trace() {
+    fn note_writes_the_span_event_and_its_correlated_record() {
         let recorder = FlightRecorder::with_capacity(8);
         let log = EvLog::with_capacity(8);
         let mut span = recorder.root("op");
         span.advance(3);
-        log.event_in(Level::Error, &span, "t", "boom", &[("k", "v".to_string())]);
+        let label = Some("boom:1".to_string());
+        log.note(&mut span, Level::Error, "t", label, "boom", &[("k", &"v")]);
+        let id = span.span_id();
         span.finish();
         let records = log.records();
         assert_eq!(records.len(), 1);
         let trace = records[0].trace.expect("correlated");
         assert!(recorder.contains_trace(trace));
+        assert_eq!(records[0].span, Some(id));
         assert_eq!(records[0].sim_ms, 3);
         assert_eq!(records[0].fields.get("k").map(String::as_str), Some("v"));
+        let event = &recorder.trace(trace)[0].events[0];
+        assert_eq!((event.at_sim_ms, event.label.as_str()), (3, "boom:1"));
+    }
+
+    #[test]
+    fn note_builds_no_record_the_sampler_refuses() {
+        struct Counted<'a>(&'a std::cell::Cell<u32>);
+        impl std::fmt::Display for Counted<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                self.0.set(self.0.get() + 1);
+                f.write_str("v")
+            }
+        }
+        let recorder = FlightRecorder::with_capacity(8);
+        let log = EvLog::with_capacity(8).with_sampling(1, 1_000);
+        let mut span = recorder.root("op");
+        let built = std::cell::Cell::new(0);
+        for _ in 0..3 {
+            log.note(
+                &mut span,
+                Level::Info,
+                "t",
+                None,
+                "m",
+                &[("k", &Counted(&built))],
+            );
+        }
+        assert_eq!((log.emitted(), log.sampled(), built.get()), (3, 2, 1));
+        let off = EvLog::with_capacity(0);
+        off.note(
+            &mut span,
+            Level::Info,
+            "t",
+            None,
+            "m",
+            &[("k", &Counted(&built))],
+        );
+        assert_eq!((off.emitted(), built.get()), (0, 1));
     }
 
     #[test]

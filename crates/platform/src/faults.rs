@@ -22,8 +22,11 @@
 
 use crate::cluster::Cluster;
 use crate::entity::{Entity, SourceKind};
+use crate::evlog::{EvLog, Level};
+use crate::trace::TraceSpan;
 use serde::Serialize;
-use wf_types::{Error, NodeId, Result, RetryPolicy};
+use std::fmt::Display;
+use wf_types::{DocId, Error, NodeId, Result, RetryPolicy};
 
 /// How much a `Degraded` node amplifies every fault probability.
 const DEGRADED_FACTOR: f64 = 4.0;
@@ -239,13 +242,8 @@ pub enum NodeHealth {
 /// The node that executes `shard` given per-node `health` (missing
 /// entries count as `Up`): its owner unless the owner is Down, in which
 /// case the first Up node stands in, else the first Degraded one. `None`
-/// when every node is Down. Miner runs and index rebuilds both place
-/// shards by this rule.
-pub(crate) fn executor_for(
-    shard: usize,
-    shard_count: usize,
-    health: &[NodeHealth],
-) -> Option<usize> {
+/// when every node is Down.
+fn executor_for(shard: usize, shard_count: usize, health: &[NodeHealth]) -> Option<usize> {
     let health_of = |n: usize| health.get(n).copied().unwrap_or_default();
     match health_of(shard) {
         NodeHealth::Up | NodeHealth::Degraded => Some(shard),
@@ -256,23 +254,183 @@ pub(crate) fn executor_for(
     }
 }
 
+/// Places `shard` (holding `docs` entities) by [`executor_for`] and
+/// writes the outcome through `narrator`: `unplaced` when no node can
+/// take it, `failover:node:N` when a stand-in does. Miner runs and index
+/// rebuilds both place their shards here.
+pub(crate) fn place(
+    shard: usize,
+    shard_count: usize,
+    health: &[NodeHealth],
+    docs: usize,
+    narrator: &mut Narrator<'_>,
+) -> Option<usize> {
+    let executor = executor_for(shard, shard_count, health);
+    match executor {
+        None => narrator.note(
+            Level::Error,
+            Some("unplaced".to_string()),
+            "shard unplaced: no healthy node",
+            &[("docs", &docs)],
+            &[],
+        ),
+        Some(node) if node != shard => narrator.note(
+            Level::Warn,
+            Some(format!("failover:node:{node}")),
+            "shard failed over",
+            &[("executor", &node)],
+            &[],
+        ),
+        Some(_) => {}
+    }
+    executor
+}
+
+/// Where a faulted operation writes its events: each one is a point
+/// event on the operation's span and a record in the event log, written
+/// together by [`EvLog::note`]. An untraced operation writes only the
+/// record, stamped with the simulated time the operation has spent.
+pub(crate) struct Narrator<'a> {
+    log: &'a EvLog,
+    target: &'a str,
+    span: Option<&'a mut TraceSpan>,
+    /// The document the operation is for (a miner's entity): its labels
+    /// gain ` doc=N` and its records a `doc` field, in place of the
+    /// attempt number and elapsed time an operation without one records.
+    doc: Option<DocId>,
+    /// Simulated milliseconds the operation has spent.
+    elapsed_ms: u64,
+}
+
+impl<'a> Narrator<'a> {
+    pub(crate) fn new(
+        log: &'a EvLog,
+        target: &'a str,
+        span: Option<&'a mut TraceSpan>,
+        doc: Option<DocId>,
+    ) -> Self {
+        Narrator {
+            log,
+            target,
+            span,
+            doc,
+            elapsed_ms: 0,
+        }
+    }
+
+    fn advance(&mut self, sim_ms: u64) {
+        self.elapsed_ms += sim_ms;
+        if let Some(span) = self.span.as_deref_mut() {
+            span.advance(sim_ms);
+        }
+    }
+
+    /// Writes one event: `label` on the span (when traced and given) and
+    /// a record carrying `fields`, then the `doc` field when there is a
+    /// doc, else `undocumented`.
+    pub(crate) fn note(
+        &mut self,
+        level: Level,
+        label: Option<String>,
+        message: &str,
+        fields: &[(&str, &dyn Display)],
+        undocumented: &[(&str, &dyn Display)],
+    ) {
+        let doc = self.doc.map(|d| d.0);
+        let mut all = fields.to_vec();
+        match &doc {
+            Some(doc) => all.push(("doc", doc)),
+            None => all.extend_from_slice(undocumented),
+        }
+        match self.span.as_deref_mut() {
+            Some(span) => {
+                self.log
+                    .note(span, level, self.target, label, message, &all);
+            }
+            None if self.log.enabled() => {
+                let owned: Vec<(&str, String)> =
+                    all.iter().map(|(k, v)| (*k, v.to_string())).collect();
+                self.log
+                    .event(level, self.target, self.elapsed_ms, message, &owned);
+            }
+            None => {}
+        }
+    }
+
+    /// `head`, then ` doc=N` when there is a doc, then `tail`.
+    fn label(&self, head: &str, tail: &str) -> Option<String> {
+        Some(match self.doc {
+            Some(doc) => format!("{head} doc={}{tail}", doc.0),
+            None => format!("{head}{tail}"),
+        })
+    }
+
+    /// Attempt number `attempt` drew `kind`: a `fault:KIND` event.
+    fn fault(&mut self, kind: FaultKind, attempt: u32) {
+        let label = self.label(&format!("fault:{}", kind.label()), "");
+        let kind = kind.label();
+        self.note(
+            Level::Warn,
+            label,
+            "fault injected",
+            &[("kind", &kind)],
+            &[("attempt", &attempt)],
+        );
+    }
+
+    /// Retry number `retry` waits `backoff_ms` first: a `retry:N` event.
+    fn retry(&mut self, retry: u32, backoff_ms: u64) {
+        let label = self.label(
+            &format!("retry:{retry}"),
+            &format!(" backoff:{backoff_ms}ms"),
+        );
+        self.note(
+            Level::Info,
+            label,
+            "retrying transient failure",
+            &[("backoff_ms", &backoff_ms), ("retry", &retry)],
+            &[],
+        );
+    }
+
+    /// The budget ran out: a `timeout` event.
+    fn timeout(&mut self, budget_ms: u64) {
+        let label = self.label("timeout", "");
+        let elapsed_ms = self.elapsed_ms;
+        self.note(
+            Level::Error,
+            label,
+            "timeout",
+            &[("budget_ms", &budget_ms)],
+            &[("elapsed_ms", &elapsed_ms)],
+        );
+    }
+
+    /// A transient failure with no retry left: a record with no span
+    /// event (the failure already shows as its attempt's `fault:` event).
+    fn exhausted(&mut self, fault: Option<FaultKind>, attempt: u32) {
+        let kind = fault.map(FaultKind::label);
+        let kind = kind.as_ref().map(|k| ("kind", k as &dyn Display));
+        self.note(
+            Level::Error,
+            None,
+            "retries exhausted",
+            kind.as_slice(),
+            &[("attempt", &attempt)],
+        );
+    }
+}
+
 /// One step of [`drive`], reported to its caller as it happens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Step {
-    /// An attempt drew `fault` and paid `latency_ms`; `over_budget` when
-    /// that spent the budget (the attempt then never runs).
+    /// An attempt drew `fault` and paid `latency_ms`.
     Attempt {
         fault: Option<FaultKind>,
         latency_ms: u64,
-        over_budget: bool,
     },
-    /// Retry number `retry` (1-based) first waits `backoff_ms`;
-    /// `over_budget` when that spent the budget (no retry follows).
-    Backoff {
-        retry: u32,
-        backoff_ms: u64,
-        over_budget: bool,
-    },
+    /// Retry number `retry` (1-based) first waits `backoff_ms`.
+    Backoff { retry: u32, backoff_ms: u64 },
 }
 
 /// Why [`drive`] gave up.
@@ -301,15 +459,19 @@ pub(crate) fn admit(fault: Option<FaultKind>) -> Result<()> {
 /// draws a fault from `stream` (none without one) and pays its latency;
 /// within the budget, `op` runs with the draw. A transient error backs
 /// off per `policy` and tries again while retries remain, unless the
-/// backoff spent the budget. `step` sees every attempt and backoff in
-/// order, so callers narrate them on their own spans and logs.
+/// backoff spent the budget.
+///
+/// `narrator` keeps the operation's clock and writes every drawn
+/// fault, backoff, timeout and exhausted retry, so no caller records a
+/// step itself; `step` then sees every attempt and backoff in order for
+/// the caller's own counts.
 pub(crate) fn drive<T>(
     mut stream: Option<&mut FaultStream>,
     policy: &RetryPolicy,
+    narrator: &mut Narrator<'_>,
     mut step: impl FnMut(Step),
     mut op: impl FnMut(Option<FaultKind>) -> Result<T>,
 ) -> std::result::Result<T, Halt> {
-    let mut elapsed = 0u64;
     let mut retries = 0;
     loop {
         let (fault, latency_ms) = match stream.as_deref_mut() {
@@ -319,14 +481,13 @@ pub(crate) fn drive<T>(
             }
             None => (None, 0),
         };
-        elapsed += latency_ms;
-        let over_budget = elapsed > policy.timeout_budget_ms;
-        step(Step::Attempt {
-            fault,
-            latency_ms,
-            over_budget,
-        });
-        if over_budget {
+        narrator.advance(latency_ms);
+        if let Some(kind) = fault {
+            narrator.fault(kind, retries + 1);
+        }
+        step(Step::Attempt { fault, latency_ms });
+        if narrator.elapsed_ms > policy.timeout_budget_ms {
+            narrator.timeout(policy.timeout_budget_ms);
             return Err(Halt::Timeout { backing_off: false });
         }
         match op(fault) {
@@ -334,18 +495,23 @@ pub(crate) fn drive<T>(
             Err(err) if err.is_transient() && retries < policy.max_retries => {
                 retries += 1;
                 let backoff_ms = policy.backoff_for(retries);
-                elapsed += backoff_ms;
-                let over_budget = elapsed > policy.timeout_budget_ms;
+                narrator.advance(backoff_ms);
+                narrator.retry(retries, backoff_ms);
                 step(Step::Backoff {
                     retry: retries,
                     backoff_ms,
-                    over_budget,
                 });
-                if over_budget {
+                if narrator.elapsed_ms > policy.timeout_budget_ms {
+                    narrator.timeout(policy.timeout_budget_ms);
                     return Err(Halt::Timeout { backing_off: true });
                 }
             }
-            Err(err) => return Err(Halt::Failed(err)),
+            Err(err) => {
+                if err.is_transient() {
+                    narrator.exhausted(fault, retries + 1);
+                }
+                return Err(Halt::Failed(err));
+            }
         }
     }
 }
@@ -552,9 +718,11 @@ mod tests {
         };
         let mut steps = Vec::new();
         let mut ops = 0;
+        let log = EvLog::with_capacity(16);
         let result = drive(
             Some(&mut stream),
             &policy,
+            &mut Narrator::new(&log, "t", None, None),
             |s| steps.push(s),
             |_| {
                 ops += 1;
@@ -565,24 +733,64 @@ mod tests {
         let attempt = Step::Attempt {
             fault: Some(FaultKind::NodeDown),
             latency_ms: 1,
-            over_budget: false,
         };
-        let backoff = |retry, backoff_ms, over_budget| Step::Backoff {
-            retry,
-            backoff_ms,
-            over_budget,
-        };
+        let backoff = |retry, backoff_ms| Step::Backoff { retry, backoff_ms };
         // 1 + 10 + 1 + 20 = 32 > 25: the second backoff ends the loop
+        assert_eq!(steps, [attempt, backoff(1, 10), attempt, backoff(2, 20)]);
+        assert_eq!(ops, 2);
+        // untraced, each record is stamped with the time spent so far
+        let records: Vec<(u64, String)> = log
+            .records()
+            .into_iter()
+            .map(|r| (r.sim_ms, r.message))
+            .collect();
+        let at = |ms, message: &str| (ms, message.to_string());
         assert_eq!(
-            steps,
+            records,
             [
-                attempt,
-                backoff(1, 10, false),
-                attempt,
-                backoff(2, 20, true)
+                at(1, "fault injected"),
+                at(11, "retrying transient failure"),
+                at(12, "fault injected"),
+                at(32, "retrying transient failure"),
+                at(32, "timeout"),
             ]
         );
-        assert_eq!(ops, 2);
+    }
+
+    #[test]
+    fn place_writes_each_failover_and_unplaced_shard_once() {
+        use crate::trace::FlightRecorder;
+        use NodeHealth::{Down, Up};
+        let recorder = FlightRecorder::with_capacity(8);
+        let log = EvLog::with_capacity(8);
+        let mut span = recorder.root("op");
+        let mut place_on = |shard, health: &[NodeHealth]| {
+            place(
+                shard,
+                2,
+                health,
+                5,
+                &mut Narrator::new(&log, "t", Some(&mut span), None),
+            )
+        };
+        assert_eq!(place_on(0, &[Up, Up]), Some(0));
+        assert_eq!(place_on(0, &[Down, Up]), Some(1));
+        assert_eq!(place_on(0, &[Down, Down]), None);
+        let trace = span.trace_id();
+        span.finish();
+        let labels: Vec<String> = recorder.trace(trace)[0]
+            .events
+            .iter()
+            .map(|e| e.label.clone())
+            .collect();
+        assert_eq!(labels, ["failover:node:1", "unplaced"]);
+        let records = log.records();
+        let fields: Vec<_> = records.iter().map(|r| (r.level, &r.fields)).collect();
+        assert_eq!(fields.len(), 2);
+        assert_eq!(fields[0].0, Level::Warn);
+        assert_eq!(fields[0].1.get("executor").map(String::as_str), Some("1"));
+        assert_eq!(fields[1].0, Level::Error);
+        assert_eq!(fields[1].1.get("docs").map(String::as_str), Some("5"));
     }
 
     #[test]

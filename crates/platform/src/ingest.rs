@@ -7,7 +7,7 @@
 //! feed the [`DataStore`]; indexing is a separate pass over the store.
 
 use crate::entity::{Entity, SourceKind};
-use crate::faults::{self, FaultPlan, FaultStream, Halt, Step};
+use crate::faults::{self, FaultPlan, FaultStream, Halt, Narrator, Step};
 use crate::store::DataStore;
 use crate::telemetry::Counter;
 use crate::trace::TraceSpan;
@@ -115,10 +115,11 @@ impl<'a> Ingestor<'a> {
     /// terminal fault or exhausted budget drops the document and counts it
     /// in `stats().failed`.
     ///
-    /// With a `parent` span the ingest is a `doc:<seq>` child span (`seq`
-    /// is this ingestor's running document count): injected faults,
-    /// retries and timeouts become span events, and the parent clock
-    /// advances by the simulated time the ingest consumed.
+    /// Injected faults, retries, timeouts and exhausted retries are
+    /// recorded under the `ingest` log target. With a `parent` span the
+    /// ingest is a `doc:<seq>` child span (`seq` is this ingestor's
+    /// running document count) that carries them as events, and the
+    /// parent clock advances by the simulated time the ingest consumed.
     pub fn try_ingest(
         &mut self,
         doc: RawDocument,
@@ -134,39 +135,26 @@ impl<'a> Ingestor<'a> {
             self.stats.bytes += doc.text.len();
             self.metrics.documents.inc();
             self.metrics.bytes.add(doc.text.len() as u64);
-            let step = |step| match step {
-                Step::Attempt {
-                    fault, latency_ms, ..
-                } => {
-                    if let Some(s) = span.as_mut() {
-                        s.advance(latency_ms);
-                        if let Some(kind) = fault {
-                            s.event(format!("fault:{}", kind.label()));
-                        }
-                    }
-                }
-                Step::Backoff {
-                    retry, backoff_ms, ..
-                } => {
+            let step = |step| {
+                if let Step::Backoff { .. } = step {
                     self.stats.retries += 1;
                     self.metrics.retries.inc();
-                    if let Some(s) = span.as_mut() {
-                        s.advance(backoff_ms);
-                        s.event(format!("retry:{retry} backoff:{backoff_ms}ms"));
-                    }
                 }
             };
-            let err = match faults::drive(Some(stream), &self.retry, step, faults::admit) {
+            let log = self.store.telemetry().evlog();
+            let mut narrator = Narrator::new(log, "ingest", span.as_mut(), None);
+            let err = match faults::drive(
+                Some(stream),
+                &self.retry,
+                &mut narrator,
+                step,
+                faults::admit,
+            ) {
                 Ok(()) => break 'ingest Ok(self.store_doc(doc)),
-                Err(Halt::Timeout { .. }) => {
-                    if let Some(s) = span.as_mut() {
-                        s.event("timeout");
-                    }
-                    Error::Timeout(format!(
-                        "ingest of {} exceeded {} sim ms",
-                        doc.uri, self.retry.timeout_budget_ms
-                    ))
-                }
+                Err(Halt::Timeout { .. }) => Error::Timeout(format!(
+                    "ingest of {} exceeded {} sim ms",
+                    doc.uri, self.retry.timeout_budget_ms
+                )),
                 Err(Halt::Failed(err)) if err.is_transient() => Error::Unavailable(format!(
                     "ingest of {} failed after {} retries",
                     doc.uri, self.retry.max_retries

@@ -94,7 +94,7 @@ pub use durable::{
 };
 pub use entity::{Annotation, Attrs, AttrsIter, Entity, SourceKind};
 pub use evlog::{
-    EvLog, EvLogSnapshot, EvRecord, EvView, Level, LogFilter, DEFAULT_EVLOG_CAPACITY,
+    EvCounters, EvLog, EvLogSnapshot, EvRecord, EvView, Level, LogFilter, DEFAULT_EVLOG_CAPACITY,
     DEFAULT_SAMPLE_BURST, DEFAULT_SAMPLE_REFILL_MS,
 };
 pub use faults::{

@@ -17,7 +17,7 @@
 
 use crate::entity::Entity;
 use crate::evlog::{EvLog, Level};
-use crate::faults::{self, executor_for, FaultPlan, FaultStream, Halt, NodeHealth, Step};
+use crate::faults::{self, FaultPlan, FaultStream, Halt, Narrator, NodeHealth, Step};
 use crate::store::DataStore;
 use crate::trace::TraceSpan;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -284,16 +284,14 @@ impl MinerPipeline {
         let ids = store.shard_ids(NodeId(shard as u32));
         let log = store.telemetry().evlog();
         let target = format!("miner.shard:{shard}");
-        let docs = [("docs", ids.len().to_string())];
-        let Some(executor) = executor_for(shard, store.shard_count(), opts.faults.health) else {
-            span.event("unplaced");
-            log.event_in(
-                Level::Error,
-                span,
-                &target,
-                "shard unplaced: no healthy node",
-                &docs,
-            );
+        let placed = faults::place(
+            shard,
+            store.shard_count(),
+            opts.faults.health,
+            ids.len(),
+            &mut Narrator::new(log, &target, Some(span), None),
+        );
+        let Some(executor) = placed else {
             return ShardOutcome {
                 shard,
                 failed: ids.len(),
@@ -303,16 +301,6 @@ impl MinerPipeline {
             };
         };
         let failed_over = executor != shard;
-        if failed_over {
-            span.event(format!("failover:node:{executor}"));
-            log.event_in(
-                Level::Warn,
-                span,
-                &target,
-                "shard failed over",
-                &[("executor", executor.to_string())],
-            );
-        }
         let mut stream = opts
             .faults
             .plan
@@ -343,8 +331,17 @@ impl MinerPipeline {
                 ..ShardOutcome::default()
             },
             Err(_) => {
-                span.event("panicked");
-                log.event_in(Level::Error, span, &target, "shard worker panicked", &docs);
+                let label = Some("panicked".to_string());
+                let docs = ids.len();
+                let message = "shard worker panicked";
+                log.note(
+                    span,
+                    Level::Error,
+                    &target,
+                    label,
+                    message,
+                    &[("docs", &docs)],
+                );
                 // conservative accounting: a crashed worker forfeits the
                 // shard, so every entity in it counts as failed
                 ShardOutcome {
@@ -488,87 +485,37 @@ impl FaultDraws<'_> {
     /// entity version exactly once.
     fn draw(&mut self, id: DocId, span: &mut TraceSpan) -> Option<String> {
         let stream = self.stream.as_mut()?;
-        let doc = || ("doc", id.0.to_string());
         let mut last_fault = None;
         let step = |step| match step {
-            Step::Attempt {
-                fault,
-                latency_ms,
-                over_budget,
-            } => {
-                span.advance(latency_ms);
-                if over_budget {
-                    return;
+            Step::Attempt { fault, .. } => {
+                if let Some(kind) = fault {
+                    last_fault = Some(kind);
+                    self.faults += 1;
                 }
-                let Some(kind) = fault else { return };
-                last_fault = Some(kind);
-                self.faults += 1;
-                span.event(format!("fault:{} doc={}", kind.label(), id.0));
-                self.log.event_in(
-                    Level::Warn,
-                    span,
-                    self.target,
-                    "fault injected",
-                    &[doc(), ("kind", kind.label().to_string())],
-                );
             }
-            Step::Backoff {
-                retry, backoff_ms, ..
-            } => {
-                self.retries += 1;
-                span.advance(backoff_ms);
-                span.event(format!("retry:{retry} doc={} backoff:{backoff_ms}ms", id.0));
-                self.log.event_in(
-                    Level::Info,
-                    span,
-                    self.target,
-                    "retrying entity",
-                    &[
-                        ("backoff_ms", backoff_ms.to_string()),
-                        doc(),
-                        ("retry", retry.to_string()),
-                    ],
-                );
-            }
+            Step::Backoff { .. } => self.retries += 1,
         };
-        match faults::drive(Some(stream), &self.retry, step, faults::admit) {
+        let mut narrator = Narrator::new(self.log, self.target, Some(span), Some(id));
+        let drawn = faults::drive(
+            Some(stream),
+            &self.retry,
+            &mut narrator,
+            step,
+            faults::admit,
+        );
+        match drawn {
             Ok(()) => None,
-            Err(Halt::Timeout { .. }) => Some(self.timeout(id, span)),
+            Err(Halt::Timeout { .. }) => Some(format!("timeout doc={}", id.0)),
             Err(Halt::Failed(err)) => {
-                let kind = last_fault.expect("a failed attempt drew a fault");
-                if !err.is_transient() {
-                    return Some(format!("fault:{} doc={}", kind.label(), id.0));
-                }
-                self.log.event_in(
-                    Level::Error,
-                    span,
-                    self.target,
-                    "retries exhausted",
-                    &[doc(), ("kind", kind.label().to_string())],
-                );
-                Some(format!(
-                    "fault:{} doc={} retries exhausted",
-                    kind.label(),
-                    id.0
-                ))
+                let kind = last_fault.expect("a failed attempt drew a fault").label();
+                let exhausted = if err.is_transient() {
+                    " retries exhausted"
+                } else {
+                    ""
+                };
+                Some(format!("fault:{kind} doc={}{exhausted}", id.0))
             }
         }
-    }
-
-    /// Marks `id` as timed out: its retries outran the budget.
-    fn timeout(&self, id: DocId, span: &mut TraceSpan) -> String {
-        span.event(format!("timeout doc={}", id.0));
-        self.log.event_in(
-            Level::Error,
-            span,
-            self.target,
-            "entity timeout",
-            &[
-                ("budget_ms", self.retry.timeout_budget_ms.to_string()),
-                ("doc", id.0.to_string()),
-            ],
-        );
-        format!("timeout doc={}", id.0)
     }
 }
 

@@ -242,7 +242,9 @@ impl Profile {
         out
     }
 
-    /// Canonical JSON export of the tree plus aggregates.
+    /// Canonical JSON export of the tree plus aggregates. Written by
+    /// hand, not derived: it exports the computed `attributed_milli`,
+    /// and the serde shim has no attribute for a computed field.
     pub fn to_json(&self) -> Value {
         fn node_json(node: &ProfileNode) -> Value {
             let mut o = BTreeMap::new();

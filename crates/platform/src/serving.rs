@@ -294,7 +294,10 @@ impl ServingReport {
         (self.cache_hits * 1000).checked_div(lookups).unwrap_or(0)
     }
 
-    /// Canonical JSON (BTreeMap-sorted keys; excludes `answers`).
+    /// Canonical JSON (BTreeMap-sorted keys; excludes `answers`). Written
+    /// by hand, not derived: it exports the computed
+    /// `cache_hit_rate_milli` and leaves `answers` out, and the serde
+    /// shim has neither a computed-field nor a skip attribute.
     pub fn to_json(&self) -> Value {
         let mut o = BTreeMap::new();
         o.insert(
@@ -671,13 +674,13 @@ impl<'a> ServeLoop<'a> {
             };
             let executed = match fault {
                 Some(kind) if kind != FaultKind::SlowResponse => {
-                    span.event(format!("fault:{}", kind.label()));
-                    self.telemetry.evlog().event_in(
+                    self.telemetry.evlog().note(
+                        &mut span,
                         Level::Warn,
-                        &span,
                         "serving.loop",
+                        Some(format!("fault:{}", kind.label())),
                         "fault injected",
-                        &[("kind", kind.label().to_string()), ("seq", seq.to_string())],
+                        &[("kind", &kind.label()), ("seq", &seq)],
                     );
                     let err = Error::Unavailable(format!("injected {}", kind.label()));
                     (
@@ -726,16 +729,13 @@ impl<'a> ServeLoop<'a> {
                 counter_errors.inc();
                 report.errors += 1;
                 span.attr("outcome", "error");
-                self.telemetry.evlog().event_in(
+                self.telemetry.evlog().note(
+                    &mut span,
                     Level::Error,
-                    &span,
                     "serving.loop",
+                    None,
                     "query failed",
-                    &[
-                        ("client", req.client.to_string()),
-                        ("error", body.clone()),
-                        ("seq", seq.to_string()),
-                    ],
+                    &[("client", &req.client), ("error", &body), ("seq", &seq)],
                 );
             }
         }

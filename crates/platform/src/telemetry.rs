@@ -519,7 +519,9 @@ impl TelemetrySnapshot {
     }
 
     /// Canonical JSON tree: object keys are `BTreeMap`-sorted, histogram
-    /// buckets ascend, the overflow bound renders as `null`.
+    /// buckets ascend, the overflow bound renders as `null`. Written by
+    /// hand, not derived: each histogram exports computed percentiles,
+    /// and the serde shim has no attribute for a computed field.
     pub fn to_json(&self) -> Value {
         let mut root = BTreeMap::new();
         root.insert(

@@ -14,7 +14,7 @@
 //! [`CallOutcome`] (attempts, backoffs, injected faults, simulated time).
 
 use crate::evlog::{EvLog, Level};
-use crate::faults::{self, CallOutcome, FaultKind, FaultPlan, FaultStream, Halt, Step};
+use crate::faults::{self, CallOutcome, FaultKind, FaultPlan, FaultStream, Halt, Narrator, Step};
 use crate::telemetry::{Counter, Histogram, Telemetry};
 use crate::trace::TraceSpan;
 use parking_lot::{Mutex, RwLock};
@@ -51,6 +51,8 @@ struct ServiceEntry {
     flushed_errors: AtomicU64,
     /// Per-service simulated-latency histogram (`bus.service.<name>.sim_ms`).
     latency: Arc<Histogram>,
+    /// The service's event-log target, `bus.svc:<name>`.
+    target: String,
     /// Persistent per-service fault stream so consecutive calls advance
     /// one deterministic sequence instead of replaying the same draws.
     fault_stream: Mutex<Option<FaultStream>>,
@@ -65,6 +67,7 @@ impl ServiceEntry {
             flushed_calls: AtomicU64::new(0),
             flushed_errors: AtomicU64::new(0),
             latency: telemetry.histogram(&format!("bus.service.{name}.sim_ms")),
+            target: format!("bus.svc:{name}"),
             fault_stream: Mutex::new(None),
         }
     }
@@ -227,37 +230,6 @@ impl ServiceBus {
             .add(errors.saturating_sub(prev));
     }
 
-    /// Emits a structured event for a call anomaly: correlated to the
-    /// call's span when traced (so `wfsm logs --trace N` joins back to
-    /// the flight recorder), stamped with the in-call simulated offset
-    /// otherwise.
-    fn log_call_event(
-        &self,
-        name: &str,
-        level: Level,
-        span: Option<&TraceSpan>,
-        offset_ms: u64,
-        message: &str,
-        fields: &[(&str, String)],
-    ) {
-        if !self.metrics.evlog.enabled() {
-            return;
-        }
-        let target = format!("bus.svc:{name}");
-        match span {
-            Some(s) => {
-                self.metrics
-                    .evlog
-                    .event_in(level, s, &target, message, fields);
-            }
-            None => {
-                self.metrics
-                    .evlog
-                    .event(level, &target, offset_ms, message, fields);
-            }
-        }
-    }
-
     /// Calls a service by name (retrying per the installed policy when a
     /// fault plan is active).
     pub fn call(&self, name: &str, request: &Value) -> Result<Value> {
@@ -284,33 +256,26 @@ impl ServiceBus {
     ) -> (Result<Value>, CallOutcome) {
         let mut outcome = CallOutcome::start(name);
         self.metrics.calls.inc();
-        let entry = match self.services.read().get(name).cloned() {
-            Some(entry) => entry,
-            None => {
-                match parent {
-                    Some(parent) => {
-                        let mut span = parent.child(format!("bus:{name}#0"));
-                        span.event("error: no such service");
-                        self.log_call_event(
-                            name,
-                            Level::Error,
-                            Some(&span),
-                            0,
-                            "no such service",
-                            &[],
-                        );
-                        span.finish();
-                    }
-                    None => {
-                        self.log_call_event(name, Level::Error, None, 0, "no such service", &[])
-                    }
-                }
-                self.metrics.errors.inc();
-                return (
-                    Err(Error::Service(format!("no such service: {name}"))),
-                    outcome,
-                );
+        let log = &self.metrics.evlog;
+        let Some(entry) = self.services.read().get(name).cloned() else {
+            let mut span = parent.map(|p| p.child(format!("bus:{name}#0")));
+            let label = Some("error: no such service".to_string());
+            let target = format!("bus.svc:{name}");
+            Narrator::new(log, &target, span.as_mut(), None).note(
+                Level::Error,
+                label,
+                "no such service",
+                &[],
+                &[],
+            );
+            if let Some(span) = span {
+                span.finish();
             }
+            self.metrics.errors.inc();
+            return (
+                Err(Error::Service(format!("no such service: {name}"))),
+                outcome,
+            );
         };
         let seq = entry.calls.fetch_add(1, Ordering::Relaxed) + 1;
         let mut span = parent
@@ -324,26 +289,25 @@ impl ServiceBus {
             }
             None => request,
         };
-        let policy = self.retry_policy();
-        let result = self.drive_call(name, &entry, request, policy, &mut outcome, span.as_mut());
+        let mut narrator = Narrator::new(log, &entry.target, span.as_mut(), None);
+        let result = self.drive_call(name, &entry, request, &mut outcome, &mut narrator);
         if let Err(err) = &result {
-            // timeouts already logged an error-level record in drive_call
-            if !matches!(err, Error::Timeout(_)) {
-                self.log_call_event(
-                    name,
+            entry.errors.fetch_add(1, Ordering::Relaxed);
+            let label = format!("error: {err}");
+            // the retry loop already recorded timeouts and exhausted retries
+            if err.is_transient() || matches!(err, Error::Timeout(_)) {
+                if let Some(span) = span.as_mut() {
+                    span.event(label);
+                }
+            } else {
+                narrator.note(
                     Level::Error,
-                    span.as_ref(),
-                    outcome.sim_elapsed_ms,
+                    Some(label),
                     "call failed",
-                    &[
-                        ("attempts", outcome.attempts.to_string()),
-                        ("error", err.to_string()),
-                    ],
+                    &[("attempts", &outcome.attempts), ("error", err)],
+                    &[],
                 );
             }
-        }
-        if result.is_err() {
-            entry.errors.fetch_add(1, Ordering::Relaxed);
         }
         outcome.ok = result.is_ok();
         self.metrics.retries.add(outcome.retries as u64);
@@ -376,9 +340,6 @@ impl ServiceBus {
         if let Some(mut s) = span {
             s.attr("attempts", outcome.attempts.to_string());
             s.attr("ok", outcome.ok.to_string());
-            if let Err(err) = &result {
-                s.event(format!("error: {err}"));
-            }
             s.finish();
         }
         if let Some(parent) = parent {
@@ -389,17 +350,15 @@ impl ServiceBus {
 
     /// One logical call through [`faults::drive`]: each attempt's fault
     /// and latency, then the handler, with transient failures retried
-    /// after a backoff. When a span is supplied it advances in lockstep
-    /// with `outcome.sim_elapsed_ms`, so events land at exact simulated
-    /// offsets.
+    /// after a backoff. `narrator` advances the call's span (when traced)
+    /// in lockstep with `outcome.sim_elapsed_ms` and writes every step.
     fn drive_call(
         &self,
         name: &str,
         entry: &ServiceEntry,
         request: &Value,
-        policy: RetryPolicy,
         outcome: &mut CallOutcome,
-        mut span: Option<&mut TraceSpan>,
+        narrator: &mut Narrator<'_>,
     ) -> Result<Value> {
         let mut stream = entry.fault_stream.lock();
         if stream.is_none() {
@@ -408,53 +367,15 @@ impl ServiceBus {
             }
         }
         let step = |step| match step {
-            Step::Attempt {
-                fault, latency_ms, ..
-            } => {
+            Step::Attempt { fault, latency_ms } => {
                 outcome.attempts += 1;
-                if let Some(kind) = fault {
-                    outcome.injected.push(kind);
-                    if let Some(s) = span.as_deref_mut() {
-                        s.event(format!("fault:{}", kind.label()));
-                    }
-                    self.log_call_event(
-                        name,
-                        Level::Warn,
-                        span.as_deref(),
-                        outcome.sim_elapsed_ms,
-                        "fault injected",
-                        &[
-                            ("attempt", outcome.attempts.to_string()),
-                            ("kind", kind.label().to_string()),
-                        ],
-                    );
-                }
+                outcome.injected.extend(fault);
                 outcome.sim_elapsed_ms += latency_ms;
-                if let Some(s) = span.as_deref_mut() {
-                    s.advance(latency_ms);
-                }
             }
-            Step::Backoff {
-                retry, backoff_ms, ..
-            } => {
+            Step::Backoff { retry, backoff_ms } => {
                 outcome.retries = retry;
                 outcome.backoffs_ms.push(backoff_ms);
                 outcome.sim_elapsed_ms += backoff_ms;
-                if let Some(s) = span.as_deref_mut() {
-                    s.event(format!("retry:{retry} backoff:{backoff_ms}ms"));
-                    s.advance(backoff_ms);
-                }
-                self.log_call_event(
-                    name,
-                    Level::Info,
-                    span.as_deref(),
-                    outcome.sim_elapsed_ms,
-                    "retrying transient failure",
-                    &[
-                        ("backoff_ms", backoff_ms.to_string()),
-                        ("retry", retry.to_string()),
-                    ],
-                );
             }
         };
         let attempt = |fault| match fault {
@@ -473,34 +394,22 @@ impl ServiceBus {
                 None => Err(Error::Service(format!("service {name} unregistered"))),
             },
         };
-        let backing_off = match faults::drive(stream.as_mut(), &policy, step, attempt) {
-            Ok(value) => return Ok(value),
-            Err(Halt::Failed(err)) => return Err(err),
-            Err(Halt::Timeout { backing_off }) => backing_off,
-        };
-        if let Some(s) = span.as_deref_mut() {
-            s.event("timeout");
+        let policy = self.retry_policy();
+        match faults::drive(stream.as_mut(), &policy, narrator, step, attempt) {
+            Ok(value) => Ok(value),
+            Err(Halt::Failed(err)) => Err(err),
+            Err(Halt::Timeout { backing_off }) => {
+                let during = if backing_off {
+                    " while backing off"
+                } else {
+                    ""
+                };
+                Err(Error::Timeout(format!(
+                    "call to {name} exceeded {} sim ms{during}",
+                    policy.timeout_budget_ms
+                )))
+            }
         }
-        self.log_call_event(
-            name,
-            Level::Error,
-            span.as_deref(),
-            outcome.sim_elapsed_ms,
-            "call timeout",
-            &[
-                ("budget_ms", policy.timeout_budget_ms.to_string()),
-                ("elapsed_ms", outcome.sim_elapsed_ms.to_string()),
-            ],
-        );
-        let during = if backing_off {
-            " while backing off"
-        } else {
-            ""
-        };
-        Err(Error::Timeout(format!(
-            "call to {name} exceeded {} sim ms{during}",
-            policy.timeout_budget_ms
-        )))
     }
 
     /// True when a service is registered (handler present).

@@ -129,7 +129,7 @@ fn chaos_evlog_exports_are_byte_identical() {
         b.to_json_string(),
         "json export drifted"
     );
-    assert!(a.emitted > 0, "chaos run must emit events");
+    assert!(a.counters.emitted > 0, "chaos run must emit events");
     assert!(a.conserved(), "emitted != kept + sampled + dropped");
     assert!(
         a.records.iter().any(|r| r.target == "serving.loop"),
@@ -179,7 +179,7 @@ fn filtered_view_keeps_conservation_header() {
     };
     filter.add_term("kind=node_down").unwrap();
     let view = snapshot.filtered(&filter);
-    assert_eq!(view.emitted, snapshot.emitted, "counters must not shrink");
+    assert_eq!(view.counters, snapshot.counters, "counters must not shrink");
     assert!(view.records.len() < snapshot.records.len());
     for r in &view.records {
         assert!(r.level.rank() <= Level::Warn.rank(), "level leaked: {r:?}");

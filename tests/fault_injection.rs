@@ -449,6 +449,131 @@ fn batch_size_never_changes_a_chaos_run() {
     }
 }
 
+/// Scenario 11: each fault-path event is written once, to its span and
+/// its log record together. One chaos scenario runs through the bus
+/// (traced), a faulted ingestor, the miner and two index rebuilds (one
+/// Down node, then none up). Every `fault:`, `retry:`, `timeout`,
+/// `unplaced` and `failover:` span event has exactly one record with its
+/// trace, span and simulated time, and every record those paths write
+/// stands at a span event: a `retries exhausted` record at its final
+/// fault, a bus `call failed` at the call's `error:` event.
+#[test]
+fn every_fault_event_has_exactly_one_log_record() {
+    use std::collections::BTreeMap;
+    use wf_platform::{Ingestor, RawDocument};
+    let mut exhausted = 0;
+    for seed in [20050405, 3405691582, 3735928559] {
+        let plan = FaultPlan::uniform(seed, 0.2);
+        // a budget one slow response and a backoff can spend
+        let retry = RetryPolicy {
+            max_retries: 2,
+            base_backoff_ms: 10,
+            max_backoff_ms: 80,
+            timeout_budget_ms: 260,
+        };
+        let cluster = ChaosCluster::new(4, 40)
+            .plan(plan.clone())
+            .retry(retry)
+            .down(NodeId(2))
+            .build()
+            .unwrap();
+        let tele = Arc::clone(cluster.telemetry());
+        cluster.bus().register(
+            "svc",
+            Arc::new(|_: &serde_json::Value| Ok(serde_json::json!(1))),
+        );
+        let mut root = tele.trace_root("scenario");
+        for _ in 0..12 {
+            let _ = cluster
+                .bus()
+                .call_detailed("svc", &serde_json::json!({}), Some(&mut root));
+        }
+        let _ = cluster
+            .bus()
+            .call_detailed("missing", &serde_json::json!({}), Some(&mut root));
+        let docs = (0..16).map(|i| RawDocument::new(format!("u{i}"), SourceKind::Web, "text"));
+        Ingestor::new(cluster.store())
+            .with_faults(&plan, retry)
+            .ingest_batch_traced(docs, &mut root);
+        root.finish();
+        cluster.run_pipeline(&touch_pipeline());
+        cluster.rebuild_index();
+        for n in 0..4 {
+            cluster.set_health(NodeId(n), NodeHealth::Down);
+        }
+        cluster.rebuild_index();
+
+        let log = tele.evlog();
+        assert_eq!((log.sampled(), log.dropped()), (0, 0), "seed {seed}");
+        // each event label prefix and the message of its record
+        let kinds = [
+            ("fault:", "fault injected"),
+            ("retry:", "retrying transient failure"),
+            ("timeout", "timeout"),
+            ("unplaced", "shard unplaced: no healthy node"),
+            ("failover:", "shard failed over"),
+        ];
+        let message_of = |label: &str| {
+            kinds
+                .iter()
+                .find(|(prefix, _)| label.starts_with(prefix))
+                .map(|(_, message)| message.to_string())
+        };
+        // (trace, span, sim ms, message) → how many events / records
+        let mut events: BTreeMap<_, usize> = BTreeMap::new();
+        let mut instants = std::collections::BTreeSet::new();
+        for span in tele.recorder().records() {
+            for e in &span.events {
+                instants.insert((span.trace, span.id, e.at_sim_ms));
+                if let Some(message) = message_of(&e.label) {
+                    *events
+                        .entry((span.trace, span.id, e.at_sim_ms, message))
+                        .or_default() += 1;
+                }
+            }
+        }
+        let mut records: BTreeMap<_, usize> = BTreeMap::new();
+        let fault_paths = ["bus.svc:", "ingest", "miner.shard:", "index.shard:"];
+        for r in log.records() {
+            if !fault_paths.iter().any(|t| r.target.starts_with(t)) {
+                continue;
+            }
+            let (trace, span) = (r.trace.expect("traced"), r.span.expect("traced"));
+            assert!(
+                instants.contains(&(trace, span, r.sim_ms)),
+                "seed {seed}: {r:?} stands at no span event"
+            );
+            if kinds.iter().any(|(_, message)| r.message == *message) {
+                *records
+                    .entry((trace, span, r.sim_ms, r.message.clone()))
+                    .or_default() += 1;
+            }
+        }
+        assert!(events.values().all(|&n| n == 1), "seed {seed}");
+        assert_eq!(events, records, "seed {seed}");
+        let written = |what: &str| events.keys().filter(|k| k.3 == what).count();
+        for what in [
+            "fault injected",
+            "retrying transient failure",
+            "timeout",
+            "shard failed over",
+            "shard unplaced: no healthy node",
+        ] {
+            assert!(written(what) > 0, "seed {seed}: no {what:?}");
+        }
+        let targets: Vec<String> = log.records().into_iter().map(|r| r.target).collect();
+        for target in ["ingest", "index.shard:2", "index.shard:0", "bus.svc:svc"] {
+            assert!(targets.iter().any(|t| t == target), "seed {seed}: {target}");
+        }
+        let records = log.records();
+        exhausted += records
+            .iter()
+            .filter(|r| r.message == "retries exhausted")
+            .count();
+    }
+    assert!(exhausted > 0, "no operation ran out of retries");
+}
+
 mod properties {
     use super::*;
     use proptest::prelude::*;

@@ -90,6 +90,7 @@ row profile-mine      profile --workload mine "${chaos[@]}" --format collapsed
 row diff              diff "$work/profile-json.1" "$work/profile-json.2"
 for fmt in text json; do
     row "logs-$fmt"   logs --workload serve "${chaos[@]}" --format "$fmt"
+    row "logs-mine-$fmt" logs --workload mine "${chaos[@]}" --format "$fmt"
 done
 row logs-filtered     logs --level warn --target serving.
 row recover-text      recover --data-dir "$mined"
