@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 use wf_platform::{
-    default_slos, ChaosCluster, DoctorReport, Entity, EntityMiner, HealthEngine, MinerPipeline,
+    default_slos, ChaosCluster, DoctorReport, EntityEdit, EntityMiner, HealthEngine, MinerPipeline,
 };
 use wf_types::{NodeId, Result, RetryPolicy};
 
@@ -20,7 +20,7 @@ impl EntityMiner for TouchMiner {
     fn name(&self) -> &str {
         "touch"
     }
-    fn process(&self, entity: &mut Entity) -> Result<()> {
+    fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
         entity.metadata.insert("touched".into(), "1".into());
         Ok(())
     }

@@ -7,7 +7,7 @@
 //! `artifacts/BENCH_telemetry.json` under the workspace root.
 
 use std::time::Instant;
-use wf_platform::{ChaosCluster, Entity, EntityMiner, MinerPipeline, Query};
+use wf_platform::{ChaosCluster, EntityEdit, EntityMiner, MinerPipeline, Query};
 use wf_types::{NodeId, Result, RetryPolicy};
 
 struct TouchMiner;
@@ -15,7 +15,7 @@ impl EntityMiner for TouchMiner {
     fn name(&self) -> &str {
         "touch"
     }
-    fn process(&self, entity: &mut Entity) -> Result<()> {
+    fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
         entity.metadata.insert("touched".into(), "1".into());
         Ok(())
     }

@@ -9,8 +9,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 use wf_platform::{
-    DataStore, Entity, EntityMiner, FaultContext, FaultPlan, MinerPipeline, RunOpts, SourceKind,
-    Telemetry, DEFAULT_TRACE_CAPACITY,
+    DataStore, Entity, EntityEdit, EntityMiner, FaultContext, FaultPlan, MinerPipeline, RunOpts,
+    SourceKind, Telemetry, DEFAULT_TRACE_CAPACITY,
 };
 use wf_types::{Result, RetryPolicy};
 
@@ -19,7 +19,7 @@ impl EntityMiner for TouchMiner {
     fn name(&self) -> &str {
         "touch"
     }
-    fn process(&self, entity: &mut Entity) -> Result<()> {
+    fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
         entity.metadata.insert("touched".into(), "1".into());
         Ok(())
     }

@@ -46,7 +46,39 @@ pub struct Command {
     /// Whether bare arguments are accepted (the command checks their
     /// number and form itself).
     pub positionals: bool,
+    /// Modes that leave some of the declared options unread.
+    pub modes: &'static [Mode],
     pub run: fn(&ParsedArgs) -> Result<String, String>,
+}
+
+/// A mode of a command, chosen by its options, and the options it never
+/// reads: giving one of them is an error.
+pub struct Mode {
+    pub when: When,
+    pub unread: &'static [&'static [&'static str]],
+}
+
+/// What chooses a [`Mode`].
+pub enum When {
+    /// `--KEY` is given.
+    Given(&'static str),
+    /// `--KEY` is given this value.
+    Is(&'static str, &'static str),
+    /// `--KEY` is not given.
+    Absent(&'static str),
+}
+
+impl Mode {
+    /// How an error names this mode, if `args` choose it.
+    fn chosen(&self, args: &ParsedArgs) -> Option<String> {
+        match self.when {
+            When::Given(key) => args.opt(key).map(|_| format!("with --{key}")),
+            When::Is(key, value) => {
+                (args.opt(key) == Some(value)).then(|| format!("with --{key} {value}"))
+            }
+            When::Absent(key) => args.opt(key).is_none().then(|| format!("without --{key}")),
+        }
+    }
 }
 
 /// Every subcommand, in the order `wfsm help` lists them.
@@ -55,14 +87,14 @@ pub const COMMANDS: &[Command] = &[
     Command { name: "analyze", help: "--subjects A,B[,C...] [--file PATH]
       Target-level sentiment for each subject mention (text from stdin
       or --file).",
-        options: &[&["subjects", "file"]], flags: &[], positionals: false, run: text::analyze },
+        options: &[&["subjects", "file"]], flags: &[], positionals: false, modes: &[], run: text::analyze },
     Command { name: "entities", help: "[--file PATH]
       Named entities plus their mention sentiment (no subject list).",
-        options: &[&["file"]], flags: &[], positionals: false, run: text::entities },
+        options: &[&["file"]], flags: &[], positionals: false, modes: &[], run: text::entities },
     Command { name: "features", help: "<D_PLUS.txt> <D_MINUS.txt> [--top N]
       Feature terms by bBNP + likelihood ratio; inputs are one document
       per line.",
-        options: &[&["top"]], flags: &[], positionals: true, run: text::features },
+        options: &[&["top"]], flags: &[], positionals: true, modes: &[], run: text::features },
     Command { name: "mine", help: "--input DOCS.txt [--data-dir DIR] [--subjects A,B]
                 [--chaos-seed S] [--fail-rate P] [--metrics M.json]
                 [--explain]
@@ -79,7 +111,7 @@ pub const COMMANDS: &[Command] = &[
       per-plan-node query profile (postings scanned, sim-ms) for
       representative boolean / phrase / range / regex queries.",
         options: &[mine::RUN, CHAOS, &["metrics"]],
-        flags: &["explain"], positionals: false, run: mine::mine },
+        flags: &["explain"], positionals: false, modes: &[], run: mine::mine },
     Command { name: "metrics", help: "--file M.json [--format table|json]
   wfsm metrics  --input DOCS.txt [--subjects A,B] [--chaos-seed S]
                 [--fail-rate P] [--data-dir DIR] [--format table|json]
@@ -88,11 +120,13 @@ pub const COMMANDS: &[Command] = &[
       human-readable table (default) or canonical JSON (--format json;
       --json is accepted as an alias).",
         options: &[mine::RUN, CHAOS, &["file", "format"]],
-        flags: &["json"], positionals: false, run: mine::metrics },
+        flags: &["json"], positionals: false,
+        modes: &[Mode { when: When::Given("file"), unread: &[mine::RUN, CHAOS] }],
+        run: mine::metrics },
     Command { name: "query", help: "--data-dir DIR --subject NAME [--polarity +|-]
       Query a mined data dir for a subject's sentiment-bearing sentences.",
         options: &[&["data-dir", "subject", "polarity"]],
-        flags: &[], positionals: false, run: mine::query },
+        flags: &[], positionals: false, modes: &[], run: mine::query },
     Command { name: "search", help: "--data-dir DIR --query 'camera AND (battery OR \"picture quality\")'
                 [--explain]
       Boolean/phrase/meta/concept/regex/range search over a data dir's
@@ -102,7 +136,7 @@ pub const COMMANDS: &[Command] = &[
       repair); a shard whose replay stopped early answers from its
       valid prefix and adds one warning line.",
         options: &[&["data-dir", "query"]],
-        flags: &["explain"], positionals: false, run: mine::search },
+        flags: &["explain"], positionals: false, modes: &[], run: mine::search },
     Command { name: "trace", help: "--input DOCS.txt [--subjects A,B] [--chaos-seed S]
                 [--fail-rate P] [--data-dir DIR] [--last N]
                 [--format text|json|chrome]
@@ -111,7 +145,7 @@ pub const COMMANDS: &[Command] = &[
       JSON tree (json), or a Chrome trace_event file for chrome://tracing
       (chrome). Same seed ⇒ byte-identical output.",
         options: &[mine::RUN, CHAOS, &["last", "format"]],
-        flags: &[], positionals: false, run: mine::trace },
+        flags: &[], positionals: false, modes: &[], run: mine::trace },
     Command { name: "doctor", help: "[--chaos-seed S] [--fail-rate P] [--docs N] [--rounds N]
                 [--format text|json]
       Run a deterministic health workload on a simulated 4-node cluster
@@ -122,12 +156,12 @@ pub const COMMANDS: &[Command] = &[
       and two nodes are degraded/downed so SLOs breach. Same seed ⇒
       byte-identical output.",
         options: &[CHAOS, &["docs", "rounds", "format"]],
-        flags: &[], positionals: false, run: health::doctor },
+        flags: &[], positionals: false, modes: &[], run: health::doctor },
     Command { name: "top", help: "[--chaos-seed S] [--fail-rate P] [--docs N] [--watch N]
       Per-node scoreboard for the same workload: one-shot by default,
       or N deterministic refresh frames (one workload round each) with
       --watch N.",
-        options: &[CHAOS, &["docs", "watch"]], flags: &[], positionals: false, run: health::top },
+        options: &[CHAOS, &["docs", "watch"]], flags: &[], positionals: false, modes: &[], run: health::top },
     Command { name: "serve", help: "[--docs N] [--subject NAME | --top K [--polarity +|-|0]]
                 [--clients C] [--qps Q] [--requests R] [--cache N]
                 [--queue N] [--seed S] [--chaos-seed S] [--fail-rate P]
@@ -146,7 +180,7 @@ pub const COMMANDS: &[Command] = &[
       and later restarted via snapshot+WAL replay. Same seed ⇒
       byte-identical --format json output.",
         options: &[serve::LOOP, CHAOS, &["docs", "subject", "top", "polarity", "data-dir", "format"]],
-        flags: &[], positionals: false, run: serve::serve },
+        flags: &[], positionals: false, modes: serve::MODES, run: serve::serve },
     Command { name: "timeline", help: "[--workload serve|mine] [--interval MS] [--docs N]
                 [--chaos-seed S] [--fail-rate P] [--format table|json]
       Run a deterministic workload — the serving request loop (default)
@@ -157,7 +191,7 @@ pub const COMMANDS: &[Command] = &[
       (--clients --qps --requests --cache --queue --seed) apply to the
       serve workload. Same seed ⇒ byte-identical --format json output.",
         options: &[serve::OBSERVED, serve::LOOP, CHAOS, &["format"]],
-        flags: &[], positionals: false, run: serve::timeline },
+        flags: &[], positionals: false, modes: serve::MINE_WORKLOAD, run: serve::timeline },
     Command { name: "profile", help: "[--workload serve|mine] [--last N]
                 [--format text|collapsed|json] [--docs N]
                 [--chaos-seed S] [--fail-rate P] [--interval MS]
@@ -170,7 +204,7 @@ pub const COMMANDS: &[Command] = &[
       mining path. Formats: annotated tree with top hotspots (text),
       flamegraph collapsed stacks (collapsed), canonical JSON (json).",
         options: &[serve::OBSERVED, serve::LOOP, CHAOS, &["last", "format"]],
-        flags: &[], positionals: false, run: serve::profile },
+        flags: &[], positionals: false, modes: serve::MINE_WORKLOAD, run: serve::profile },
     Command { name: "logs", help: "[--workload serve|mine] [--level error|warn|info|debug]
                 [--target PREFIX] [--trace ID] [--since MS] [--until MS]
                 [--format text|json] [KEY=VALUE ...] [--docs N]
@@ -189,7 +223,7 @@ pub const COMMANDS: &[Command] = &[
       json).",
         options: &[serve::OBSERVED, serve::LOOP, CHAOS,
                    &["level", "target", "trace", "since", "until", "format"]],
-        flags: &[], positionals: true, run: serve::logs },
+        flags: &[], positionals: true, modes: serve::MINE_WORKLOAD, run: serve::logs },
     Command { name: "diff", help: "RUN_A.json RUN_B.json [--format text|json]
       Compare two exported run artifacts — telemetry snapshots from
       `mine --metrics`/`wfsm metrics --format json`, or profile trees
@@ -199,7 +233,7 @@ pub const COMMANDS: &[Command] = &[
       (ok | changed | regressed) that tools/bench_gate.py can consume.
       Same-seed runs diff to \"ok\"; a perturbed run yields deterministic
       non-empty attribution.",
-        options: &[&["format"]], flags: &[], positionals: true, run: diff::diff },
+        options: &[&["format"]], flags: &[], positionals: true, modes: &[], run: diff::diff },
     Command { name: "recover", help: "--data-dir DIR [--format text|json]
       Read-only recovery report over a durable data dir written by `mine
       --data-dir` / `serve --data-dir`: per shard, what the snapshot
@@ -207,16 +241,16 @@ pub const COMMANDS: &[Command] = &[
       replay stopped (end_of_log | torn_tail | bad_crc | bad_payload).
       Never repairs anything, so running it twice over the same dir is
       byte-identical (--format json is canonical).",
-        options: &[&["data-dir", "format"]], flags: &[], positionals: false, run: mine::recover },
+        options: &[&["data-dir", "format"]], flags: &[], positionals: false, modes: &[], run: mine::recover },
     Command { name: "gen-corpus", help: "--domain camera|music|petroleum|pharma --out DOCS.txt
                 [--docs N] [--seed S]
       Write a synthetic gold-labeled evaluation corpus, one document per
       line (feed it back into `wfsm mine`).",
         options: &[&["domain", "out", "docs", "seed"]],
-        flags: &[], positionals: false, run: text::gen_corpus },
+        flags: &[], positionals: false, modes: &[], run: text::gen_corpus },
     Command { name: "help", help: "
       This message.",
-        options: &[], flags: &[], positionals: false, run: |_| Ok(usage()) },
+        options: &[], flags: &[], positionals: false, modes: &[], run: |_| Ok(usage()) },
 ];
 
 /// Dispatches a parsed command line. Returns the report to print.
@@ -233,7 +267,8 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
 
 impl Command {
     /// Rejects an option, flag or bare argument this command does not
-    /// declare, naming it and the command.
+    /// declare, or an option its chosen mode never reads, naming it and
+    /// the command.
     fn check(&self, args: &ParsedArgs) -> Result<(), String> {
         let takes = |key: &str| self.options.iter().any(|group| group.contains(&key));
         let is_flag = |key: &str| self.flags.contains(&key);
@@ -249,6 +284,12 @@ impl Command {
             }
         } else if let (false, Some(stray)) = (self.positionals, args.positional.first()) {
             format!("unexpected argument {stray:?}")
+        } else if let Some((key, mode)) = self.modes.iter().find_map(|mode| {
+            let chosen = mode.chosen(args)?;
+            let mut unread = mode.unread.iter().flat_map(|group| group.iter());
+            Some((unread.find(|k| args.opt(k).is_some())?, chosen))
+        }) {
+            format!("--{key} is not read {mode}")
         } else {
             return Ok(());
         };

@@ -10,6 +10,29 @@ pub(super) const LOOP: &[&str] = &["seed", "clients", "qps", "requests", "cache"
 /// serve-loop options.
 pub(super) const OBSERVED: &[&str] = &["workload", "interval", "docs"];
 
+/// `serve`'s one-shot modes build the workload without the loop or the
+/// chaos options, and only `--top` reads `--polarity`.
+pub(super) const MODES: &[Mode] = &[
+    Mode {
+        when: When::Given("subject"),
+        unread: &[LOOP, CHAOS, &["top", "polarity"]],
+    },
+    Mode {
+        when: When::Given("top"),
+        unread: &[LOOP, CHAOS],
+    },
+    Mode {
+        when: When::Absent("top"),
+        unread: &[&["polarity"]],
+    },
+];
+
+/// `--workload mine` runs no serve loop.
+pub(super) const MINE_WORKLOAD: &[Mode] = &[Mode {
+    when: When::Is("workload", "mine"),
+    unread: &[LOOP],
+}];
+
 /// [`wf_corpus::serving_corpus`] as raw documents, the corpus behind
 /// `serve` and the observed workloads of `timeline`, `profile` and `logs`.
 fn serving_docs(n: usize) -> Vec<RawDocument> {

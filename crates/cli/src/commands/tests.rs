@@ -1297,3 +1297,76 @@ fn every_command_has_a_determinism_row() {
         );
     }
 }
+
+#[test]
+fn serve_one_shot_rejects_loop_and_chaos_options() {
+    let dir = temp_data_dir("oneshot");
+    for mode in [["--subject", "Canon"], ["--top", "2"]] {
+        for key in serve::LOOP.iter().chain(CHAOS) {
+            let option = format!("--{key}");
+            let tokens = ["serve", "--docs", "4", "--data-dir", dir.to_str().unwrap()];
+            let tokens = [&tokens[..], &mode, &[&option, "1"]].concat();
+            let err = run_tokens(&tokens).unwrap_err();
+            assert_eq!(
+                err,
+                format!("wfsm serve: --{key} is not read with {}", mode[0])
+            );
+            assert!(!dir.exists(), "{tokens:?} wrote {dir:?}");
+        }
+    }
+}
+
+#[test]
+fn serve_rejects_subject_with_top_and_polarity_without_top() {
+    let err = run_tokens(&["serve", "--top", "2", "--subject", "Canon"]).unwrap_err();
+    assert_eq!(err, "wfsm serve: --top is not read with --subject");
+    let err = run_tokens(&["serve", "--subject", "Canon", "--polarity", "-"]).unwrap_err();
+    assert_eq!(err, "wfsm serve: --polarity is not read with --subject");
+    let err = run_tokens(&["serve", "--docs", "4", "--polarity", "-"]).unwrap_err();
+    assert_eq!(err, "wfsm serve: --polarity is not read without --top");
+}
+
+#[test]
+fn mine_workload_rejects_serve_loop_options() {
+    for command in ["timeline", "profile", "logs"] {
+        for key in serve::LOOP {
+            let option = format!("--{key}");
+            let tokens = [command, "--workload", "mine", "--docs", "4", &option, "1"];
+            let err = run_tokens(&tokens).unwrap_err();
+            assert_eq!(
+                err,
+                format!("wfsm {command}: --{key} is not read with --workload mine")
+            );
+        }
+    }
+}
+
+#[test]
+fn metrics_file_rejects_run_and_chaos_options() {
+    let docs = temp_file("metricsfiledocs", "The Canon takes excellent pictures.\n");
+    let snapshot = temp_file("metricsfile", &Telemetry::new().snapshot().to_json_string());
+    for (key, value) in [
+        ("input", docs.to_str().unwrap()),
+        ("subjects", "Canon"),
+        ("data-dir", "unused"),
+        ("chaos-seed", "1"),
+        ("fail-rate", "0.5"),
+    ] {
+        let option = format!("--{key}");
+        let tokens = [
+            "metrics",
+            "--file",
+            snapshot.to_str().unwrap(),
+            &option,
+            value,
+        ];
+        let err = run_tokens(&tokens).unwrap_err();
+        assert_eq!(
+            err,
+            format!("wfsm metrics: --{key} is not read with --file")
+        );
+    }
+    assert!(run_tokens(&["metrics", "--file", snapshot.to_str().unwrap(), "--json"]).is_ok());
+    std::fs::remove_file(docs).ok();
+    std::fs::remove_file(snapshot).ok();
+}

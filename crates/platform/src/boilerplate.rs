@@ -10,7 +10,7 @@
 //! corpus miner annotates flagged spans with `template` annotations so
 //! downstream miners can skip them.
 
-use crate::entity::{Annotation, Entity};
+use crate::entity::Annotation;
 use crate::miner::CorpusMiner;
 use crate::store::DataStore;
 use std::collections::{HashMap, HashSet};
@@ -139,18 +139,18 @@ impl CorpusMiner for TemplateDetector {
     fn run(&self, store: &DataStore) -> Result<()> {
         let templates = self.template_keys(store);
         for id in store.ids() {
-            store.update(id, |entity: &mut Entity| {
+            store.update(id, |entity| {
                 entity.clear_annotations("template");
-                let site = site_of(&entity.uri);
+                let site = site_of(entity.uri);
                 let Some(keys) = templates.get(&site) else {
                     return;
                 };
-                let text = entity.text.clone();
-                for span in segments(&text) {
+                let text = entity.text;
+                for span in segments(text) {
                     if span.len() < self.config.min_segment_len {
                         continue;
                     }
-                    if keys.contains(&segment_key(span.slice(&text))) {
+                    if keys.contains(&segment_key(span.slice(text))) {
                         entity.annotate(Annotation::new("template", span));
                     }
                 }
@@ -163,7 +163,7 @@ impl CorpusMiner for TemplateDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entity::SourceKind;
+    use crate::entity::{Entity, SourceKind};
     use wf_types::DocId;
 
     const FOOTER: &str = "Copyright Example Corp, all rights reserved.";

@@ -586,7 +586,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entity::{Entity, SourceKind};
+    use crate::entity::{Entity, EntityEdit, SourceKind};
     use crate::miner::EntityMiner;
 
     struct LengthMiner;
@@ -594,7 +594,7 @@ mod tests {
         fn name(&self) -> &str {
             "length"
         }
-        fn process(&self, entity: &mut Entity) -> Result<()> {
+        fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
             entity
                 .metadata
                 .insert("length".into(), entity.text.len().to_string());
@@ -619,9 +619,9 @@ mod tests {
     fn naive_index_of(cluster: &Cluster, shards: std::ops::Range<u32>) -> Indexer {
         let naive = Indexer::naive();
         for shard in shards {
-            cluster
-                .store()
-                .visit_shard(NodeId(shard), |e| naive.index_entity(e));
+            cluster.store().read_shard(NodeId(shard), |read| {
+                read.all().for_each(|e| naive.index_entity(e))
+            });
         }
         naive
     }

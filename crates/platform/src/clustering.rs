@@ -8,7 +8,6 @@
 //! iteration cap. The miner writes each entity's cluster id into its
 //! metadata.
 
-use crate::entity::Entity;
 use crate::miner::CorpusMiner;
 use crate::store::DataStore;
 use std::collections::HashMap;
@@ -224,7 +223,7 @@ impl CorpusMiner for ClusteringMiner {
     fn run(&self, store: &DataStore) -> Result<()> {
         let clustering = cluster_documents(store, self.k, self.max_iterations);
         for (doc, cluster) in clustering.assignments {
-            store.update(doc, |entity: &mut Entity| {
+            store.update(doc, |entity| {
                 entity
                     .metadata
                     .insert("cluster".into(), cluster.to_string());
@@ -237,7 +236,7 @@ impl CorpusMiner for ClusteringMiner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entity::SourceKind;
+    use crate::entity::{Entity, SourceKind};
 
     fn two_topic_store() -> DataStore {
         let store = DataStore::single();

@@ -8,7 +8,6 @@
 //! duplicate clusters. Detected duplicates get `duplicate-of` metadata
 //! pointing at the cluster's lowest id.
 
-use crate::entity::Entity;
 use crate::miner::CorpusMiner;
 use crate::store::DataStore;
 use std::collections::{HashMap, HashSet};
@@ -228,7 +227,7 @@ impl CorpusMiner for DuplicateDetector {
                 if member == representative {
                     continue;
                 }
-                store.update(member, |entity: &mut Entity| {
+                store.update(member, |entity| {
                     entity
                         .metadata
                         .insert("duplicate-of".into(), representative.to_string());
@@ -242,7 +241,7 @@ impl CorpusMiner for DuplicateDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entity::SourceKind;
+    use crate::entity::{Entity, SourceKind};
 
     fn seed(texts: &[&str]) -> DataStore {
         let store = DataStore::new(2).unwrap();

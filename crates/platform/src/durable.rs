@@ -32,13 +32,13 @@
 //! rather than wall time. Same seed ⇒ byte-identical logs, snapshots
 //! and recovery reports everywhere.
 
-use crate::entity::Entity;
+use crate::entity::{Annotation, Entity};
 use crate::evlog::{EvLog, Level};
 use crate::faults::FaultStream;
 use crate::store::DataStore;
 use crate::telemetry::{Counter, Telemetry};
 use parking_lot::{Mutex, RwLock};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -72,28 +72,30 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// One logged mutation. Insert/Update carry the full post-state so
-/// replay is idempotent: applying a record twice lands the same entity.
+/// One logged mutation. Each record carries the full post-state of what
+/// it changes, so replay is idempotent: applying a record twice lands
+/// the same entity.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
+    /// The whole entity, as ingested.
     Insert(Entity),
-    Update(Entity),
+    /// What a [`DataStore::update`] left: the only fields it can change.
+    Annotate(Annotated),
     Delete(DocId),
     /// Fsync-point marker: every record before it reached the sink's
     /// stable storage.
     Fsync,
 }
 
-impl WalOp {
-    /// Stable label used in the JSON payload's `op` field.
-    pub fn label(&self) -> &'static str {
-        match self {
-            WalOp::Insert(_) => "insert",
-            WalOp::Update(_) => "update",
-            WalOp::Delete(_) => "delete",
-            WalOp::Fsync => "fsync",
-        }
-    }
+/// A document's annotations, metadata and version after an update.
+/// Replay sets them on the entity the snapshot or an earlier insert
+/// holds; the text, uri and source never change after ingest.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Annotated {
+    pub doc: DocId,
+    pub version: u64,
+    pub metadata: BTreeMap<String, String>,
+    pub annotations: Vec<Annotation>,
 }
 
 /// One framed WAL entry: per-shard monotonic LSN (starting at 1),
@@ -107,24 +109,23 @@ pub struct WalRecord {
 
 impl WalRecord {
     /// Canonical JSON payload (sorted keys via the `BTreeMap`-backed
-    /// `Value`); entities ride along via their serde representation.
-    fn to_payload(&self) -> Result<String> {
+    /// `Value`): the op's stable label, and its body in its serde
+    /// representation.
+    fn to_payload(&self) -> String {
+        let (op, body) = match &self.op {
+            WalOp::Insert(e) => ("insert", Some(("entity", e.to_value()))),
+            WalOp::Annotate(a) => ("annotate", Some(("annotated", a.to_value()))),
+            WalOp::Delete(doc) => ("delete", Some(("doc", Value::from(doc.as_u64())))),
+            WalOp::Fsync => ("fsync", None),
+        };
         let mut obj: BTreeMap<String, Value> = BTreeMap::new();
-        obj.insert("lsn".into(), Value::from(self.lsn));
-        obj.insert("op".into(), Value::from(self.op.label()));
-        obj.insert("sim_ms".into(), Value::from(self.sim_ms));
-        match &self.op {
-            WalOp::Insert(e) | WalOp::Update(e) => {
-                let entity = serde_json::to_value(e)
-                    .map_err(|e| Error::Service(format!("serialize wal entity: {e}")))?;
-                obj.insert("entity".into(), entity);
-            }
-            WalOp::Delete(doc) => {
-                obj.insert("doc".into(), Value::from(doc.as_u64()));
-            }
-            WalOp::Fsync => {}
+        if let Some((key, value)) = body {
+            obj.insert(key.into(), value);
         }
-        Ok(Value::Object(obj).to_json_string())
+        obj.insert("lsn".into(), Value::from(self.lsn));
+        obj.insert("op".into(), Value::from(op));
+        obj.insert("sim_ms".into(), Value::from(self.sim_ms));
+        Value::Object(obj).to_json_string()
     }
 
     fn from_payload(payload: &str) -> Option<WalRecord> {
@@ -133,7 +134,7 @@ impl WalRecord {
         let sim_ms = value.get("sim_ms")?.as_u64()?;
         let op = match value.get("op")?.as_str()? {
             "insert" => WalOp::Insert(serde_json::from_value(value.get("entity")?).ok()?),
-            "update" => WalOp::Update(serde_json::from_value(value.get("entity")?).ok()?),
+            "annotate" => WalOp::Annotate(serde_json::from_value(value.get("annotated")?).ok()?),
             "delete" => WalOp::Delete(DocId(value.get("doc")?.as_u64()?)),
             "fsync" => WalOp::Fsync,
             _ => return None,
@@ -142,13 +143,13 @@ impl WalRecord {
     }
 
     /// `[len u32 LE][crc32(payload) u32 LE][payload]`.
-    pub fn encode(&self) -> Result<Vec<u8>> {
-        let payload = self.to_payload()?;
+    pub fn encode(&self) -> Vec<u8> {
+        let payload = self.to_payload();
         let mut out = Vec::with_capacity(WAL_HEADER_BYTES + payload.len());
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&crc32(payload.as_bytes()).to_le_bytes());
         out.extend_from_slice(payload.as_bytes());
-        Ok(out)
+        out
     }
 }
 
@@ -767,20 +768,16 @@ impl DurableStorage {
             sim_ms: self.sim_now(),
             op,
         };
-        match record.encode().and_then(|bytes| {
-            state.wal.append(&bytes)?;
-            Ok(bytes.len() as u64)
-        }) {
-            Ok(bytes) => self.with_metrics(|m| {
-                m.appended.inc();
-                m.bytes_appended.add(bytes);
-            }),
-            Err(err) => {
-                self.with_metrics(|m| m.append_errors.inc());
-                *self.last_append_error.lock() = Some(err.to_string());
-                return;
-            }
+        let bytes = record.encode();
+        if let Err(err) = state.wal.append(&bytes) {
+            self.with_metrics(|m| m.append_errors.inc());
+            *self.last_append_error.lock() = Some(err.to_string());
+            return;
         }
+        self.with_metrics(|m| {
+            m.appended.inc();
+            m.bytes_appended.add(bytes.len() as u64);
+        });
         let since = state.since_fsync.fetch_add(1, Ordering::Relaxed) + 1;
         if since >= DEFAULT_FSYNC_INTERVAL {
             state.since_fsync.store(0, Ordering::Relaxed);
@@ -796,7 +793,7 @@ impl DurableStorage {
             sim_ms: self.sim_now(),
             op: WalOp::Fsync,
         };
-        let bytes = record.encode()?;
+        let bytes = record.encode();
         state.wal.append(&bytes)?;
         state.wal.sync()?;
         self.with_metrics(|m| {
@@ -923,11 +920,21 @@ impl DurableStorage {
                 stats.stop = StopReason::BadPayload;
                 break;
             };
-            stats.wal_records += 1;
-            stats.last_lsn = record.lsn;
             match record.op {
-                WalOp::Insert(entity) | WalOp::Update(entity) => {
+                WalOp::Insert(entity) => {
                     map.insert(entity.id, entity);
+                    stats.replayed += 1;
+                }
+                WalOp::Annotate(a) => {
+                    // only a doc the snapshot or an earlier insert holds
+                    // can take annotations
+                    let Some(entity) = map.get_mut(&a.doc) else {
+                        stats.stop = StopReason::BadPayload;
+                        break;
+                    };
+                    entity.version = a.version;
+                    entity.metadata = a.metadata;
+                    entity.annotations = a.annotations;
                     stats.replayed += 1;
                 }
                 WalOp::Delete(doc) => {
@@ -936,6 +943,8 @@ impl DurableStorage {
                 }
                 WalOp::Fsync => stats.fsync_points += 1,
             }
+            stats.wal_records += 1;
+            stats.last_lsn = record.lsn;
             valid = frame.end();
         }
         if stats.stop == StopReason::EndOfLog && valid < bytes.len() {
@@ -1199,7 +1208,7 @@ mod tests {
             sim_ms: 42,
             op: WalOp::Insert(entity(3, "hello world")),
         };
-        let bytes = record.encode().unwrap();
+        let bytes = record.encode();
         let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
         let crc = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
         let payload = &bytes[8..8 + len];
@@ -1265,6 +1274,28 @@ mod tests {
         assert_eq!(recovery.stats.replayed, 3);
         assert_eq!(recovery.stats.recovered_entities, 1);
         assert_eq!(recovery.entities[0].id, a);
+    }
+
+    #[test]
+    fn annotate_of_an_unknown_doc_stops_replay() {
+        let storage = storage_with_records(2);
+        let annotated = |doc| Annotated {
+            doc: DocId(doc),
+            version: 2,
+            metadata: BTreeMap::from([("k".to_string(), "v".to_string())]),
+            annotations: Vec::new(),
+        };
+        storage.log(0, WalOp::Annotate(annotated(1)));
+        storage.log(0, WalOp::Annotate(annotated(7)));
+        storage.log(0, WalOp::Insert(entity(7, "too late")));
+        let recovery = storage.recover_shard(0).unwrap();
+        assert_eq!(recovery.stats.stop, StopReason::BadPayload);
+        assert_eq!(recovery.stats.last_lsn, 3);
+        assert_eq!(recovery.stats.truncated_records, 2);
+        let mut expected = entity(1, "doc 1");
+        expected.version = 2;
+        expected.metadata.insert("k".into(), "v".into());
+        assert_eq!(recovery.entities, vec![entity(0, "doc 0"), expected]);
     }
 
     #[test]

@@ -181,40 +181,12 @@ impl Entity {
         self
     }
 
-    /// Makes `self` equal to `other`, keeping `self`'s own buffers for the
-    /// text, uri and metadata when `other` holds the same values. Writing
-    /// a mined copy back this way leaves the fields a miner did not touch
-    /// where ingest allocated them; taking the copy's buffers scatters
-    /// them, and later scans over the store (index builds) slow down.
-    pub(crate) fn assign(&mut self, mut other: Entity) {
-        if self.text == other.text {
-            other.text = std::mem::take(&mut self.text);
-        }
-        if self.uri == other.uri {
-            other.uri = std::mem::take(&mut self.uri);
-        }
-        if self.metadata == other.metadata {
-            other.metadata = std::mem::take(&mut self.metadata);
-        }
-        *self = other;
-    }
-
-    /// Adds an annotation.
-    pub fn annotate(&mut self, annotation: Annotation) {
-        self.annotations.push(annotation);
-    }
-
     /// All annotations of a given kind.
     pub fn annotations_of<'a>(
         &'a self,
         kind: &'a str,
     ) -> impl Iterator<Item = &'a Annotation> + 'a {
         self.annotations.iter().filter(move |a| a.kind == kind)
-    }
-
-    /// Removes all annotations of a kind (used when a miner re-runs).
-    pub fn clear_annotations(&mut self, kind: &str) {
-        self.annotations.retain(|a| a.kind != kind);
     }
 
     /// Serializes the entity as the XML representation the paper's data
@@ -253,6 +225,44 @@ impl Entity {
     }
 }
 
+/// What a miner, or any [`DataStore::update`](crate::DataStore::update),
+/// sees of a stored entity. The document itself (id, source, uri and
+/// text) is lent read-only: an entity is immutable after ingest, except
+/// for its annotations and metadata, which the view owns and may change.
+#[derive(Debug)]
+pub struct EntityEdit<'a> {
+    pub id: DocId,
+    pub source: SourceKind,
+    pub uri: &'a str,
+    pub text: &'a str,
+    pub metadata: BTreeMap<String, String>,
+    pub annotations: Vec<Annotation>,
+}
+
+impl<'a> EntityEdit<'a> {
+    /// A view of `entity` holding copies of its annotations and metadata.
+    pub fn of(entity: &'a Entity) -> Self {
+        EntityEdit {
+            id: entity.id,
+            source: entity.source,
+            uri: &entity.uri,
+            text: &entity.text,
+            metadata: entity.metadata.clone(),
+            annotations: entity.annotations.clone(),
+        }
+    }
+
+    /// Adds an annotation.
+    pub fn annotate(&mut self, annotation: Annotation) {
+        self.annotations.push(annotation);
+    }
+
+    /// Removes all annotations of a kind (used when a miner re-runs).
+    pub fn clear_annotations(&mut self, kind: &str) {
+        self.annotations.retain(|a| a.kind != kind);
+    }
+}
+
 fn xml_escape(s: &str) -> String {
     s.replace('&', "&amp;")
         .replace('<', "&lt;")
@@ -271,7 +281,7 @@ mod tests {
             "Great camera.",
         )
         .with_metadata("domain", "digital-camera");
-        e.annotate(
+        e.annotations.push(
             Annotation::new("spot", Span::new(6, 12))
                 .with_attr("synset", "0")
                 .with_attr("variant", "camera"),
@@ -282,7 +292,8 @@ mod tests {
     #[test]
     fn annotations_by_kind() {
         let mut e = sample();
-        e.annotate(Annotation::new("sentiment", Span::new(0, 13)).with_attr("polarity", "+"));
+        e.annotations
+            .push(Annotation::new("sentiment", Span::new(0, 13)).with_attr("polarity", "+"));
         assert_eq!(e.annotations_of("spot").count(), 1);
         assert_eq!(e.annotations_of("sentiment").count(), 1);
         assert_eq!(e.annotations_of("token").count(), 0);
@@ -290,11 +301,14 @@ mod tests {
 
     #[test]
     fn clear_annotations_removes_only_kind() {
-        let mut e = sample();
-        e.annotate(Annotation::new("sentiment", Span::new(0, 13)));
-        e.clear_annotations("spot");
-        assert_eq!(e.annotations_of("spot").count(), 0);
-        assert_eq!(e.annotations_of("sentiment").count(), 1);
+        let e = sample();
+        let mut edit = EntityEdit::of(&e);
+        edit.annotate(Annotation::new("sentiment", Span::new(0, 13)));
+        edit.clear_annotations("spot");
+        let kinds: Vec<&str> = edit.annotations.iter().map(|a| a.kind.as_str()).collect();
+        assert_eq!(kinds, ["sentiment"]);
+        assert_eq!((edit.text, edit.uri), (e.text.as_str(), e.uri.as_str()));
+        assert_eq!(edit.metadata, e.metadata);
     }
 
     #[test]
@@ -320,26 +334,6 @@ mod tests {
         let json = serde_json::to_string(&e).unwrap();
         let back: Entity = serde_json::from_str(&json).unwrap();
         assert_eq!(e, back);
-    }
-
-    #[test]
-    fn assign_keeps_buffers_of_unchanged_fields() {
-        let mut stored = sample();
-        let text = stored.text.as_ptr();
-        let mut mined = stored.clone();
-        mined.annotate(Annotation::new("sentiment", Span::new(0, 13)));
-        mined.metadata.insert("lang".into(), "en".into());
-        stored.assign(mined.clone());
-        assert_eq!(stored, mined);
-        assert_eq!(
-            stored.text.as_ptr(),
-            text,
-            "unchanged text keeps its buffer"
-        );
-        let mut rewritten = mined.clone();
-        rewritten.text = "Poor camera.".into();
-        stored.assign(rewritten.clone());
-        assert_eq!(stored, rewritten);
     }
 
     proptest::proptest! {
@@ -370,7 +364,7 @@ mod tests {
             proptest::prop_assert_eq!(&back, &annotation.attrs);
 
             let mut entity = Entity::new("u", SourceKind::Web, "Great");
-            entity.annotate(annotation);
+            entity.annotations.push(annotation);
             let mut line = String::from("  <annotation kind=\"spot\" start=\"0\" end=\"5\"");
             for (k, v) in &map {
                 line.push_str(&format!(" {}=\"{}\"", xml_escape(k), xml_escape(v)));

@@ -7,7 +7,7 @@
 //! dominant region lands in `geo-region` metadata (the coarse geographic
 //! context McCurley-style applications need).
 
-use crate::entity::{Annotation, Entity};
+use crate::entity::{Annotation, EntityEdit};
 use crate::miner::EntityMiner;
 use std::collections::HashMap;
 use wf_types::{Result, Span};
@@ -136,10 +136,10 @@ impl EntityMiner for GeoMiner {
         "geo-context"
     }
 
-    fn process(&self, entity: &mut Entity) -> Result<()> {
+    fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
         entity.clear_annotations("geo");
         let mut region_counts: HashMap<&'static str, usize> = HashMap::new();
-        for (span, region) in self.spots(&entity.text) {
+        for (span, region) in self.spots(entity.text) {
             *region_counts.entry(region).or_insert(0) += 1;
             entity.annotate(Annotation::new("geo", span).with_attr("region", region));
         }
@@ -159,12 +159,21 @@ impl EntityMiner for GeoMiner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entity::SourceKind;
+    use crate::entity::{Entity, SourceKind};
+    use crate::store::DataStore;
+
+    /// `text`, stored and then mined `runs` times through the store.
+    fn mined_by(miner: &GeoMiner, text: &str, runs: usize) -> Entity {
+        let store = DataStore::single();
+        let id = store.insert(Entity::new("u", SourceKind::News, text));
+        for _ in 0..runs {
+            store.update(id, |e| miner.process(e).unwrap()).unwrap();
+        }
+        store.get(id).unwrap()
+    }
 
     fn mined(text: &str) -> Entity {
-        let mut e = Entity::new("u", SourceKind::News, text);
-        GeoMiner::default().process(&mut e).unwrap();
-        e
+        mined_by(&GeoMiner::default(), text, 1)
     }
 
     #[test]
@@ -207,12 +216,11 @@ mod tests {
 
     #[test]
     fn rerun_is_idempotent() {
-        let mut e = Entity::new("u", SourceKind::Web, "London calling from London.");
+        let text = "London calling from London.";
         let miner = GeoMiner::default();
-        miner.process(&mut e).unwrap();
-        let first = e.annotations_of("geo").count();
-        miner.process(&mut e).unwrap();
-        assert_eq!(e.annotations_of("geo").count(), first);
+        let first = mined_by(&miner, text, 1).annotations_of("geo").count();
+        let again = mined_by(&miner, text, 2).annotations_of("geo").count();
+        assert_eq!(again, first);
         assert_eq!(first, 2);
     }
 
@@ -222,8 +230,7 @@ mod tests {
             name: "Springfield",
             region: "north-america",
         }]);
-        let mut e = Entity::new("u", SourceKind::Web, "Greetings from Springfield!");
-        miner.process(&mut e).unwrap();
+        let e = mined_by(&miner, "Greetings from Springfield!", 1);
         assert_eq!(e.annotations_of("geo").count(), 1);
     }
 }

@@ -88,11 +88,12 @@ pub use cluster::{Cluster, ClusterReport, IndexRebuildStats, NodeInfo, NodeResta
 pub use clustering::{cluster_documents, Clustering, ClusteringMiner};
 pub use dedup::{find_duplicates, DedupConfig, DuplicateDetector};
 pub use durable::{
-    crc32, CorruptionKind, CorruptionOutcome, DurableStorage, FileSink, LogSink, MemorySink,
-    RecoveryReport, ShardRecovery, ShardRecoveryStats, SnapshotStats, StopReason, WalOp, WalRecord,
-    DEFAULT_FSYNC_INTERVAL, REPLAY_COST_MS, SNAPSHOT_ENTITY_COST_MS, WAL_HEADER_BYTES,
+    crc32, Annotated, CorruptionKind, CorruptionOutcome, DurableStorage, FileSink, LogSink,
+    MemorySink, RecoveryReport, ShardRecovery, ShardRecoveryStats, SnapshotStats, StopReason,
+    WalOp, WalRecord, DEFAULT_FSYNC_INTERVAL, REPLAY_COST_MS, SNAPSHOT_ENTITY_COST_MS,
+    WAL_HEADER_BYTES,
 };
-pub use entity::{Annotation, Attrs, AttrsIter, Entity, SourceKind};
+pub use entity::{Annotation, Attrs, AttrsIter, Entity, EntityEdit, SourceKind};
 pub use evlog::{
     EvCounters, EvLog, EvLogSnapshot, EvRecord, EvView, Level, LogFilter, DEFAULT_EVLOG_CAPACITY,
     DEFAULT_SAMPLE_BURST, DEFAULT_SAMPLE_REFILL_MS,
@@ -105,7 +106,7 @@ pub use health::{
     default_slos, render_scoreboard, AlertEvent, DoctorReport, ExemplarRef, HealthEngine,
     Objective, SloSpec, SloStatus, BURN_CLAMP_MILLI,
 };
-pub use index::{IndexConfig, Indexer, Query, QueryProfile};
+pub use index::{Indexer, Query, QueryProfile};
 pub use ingest::{IngestStats, Ingestor, RawDocument};
 pub use miner::{
     CorpusMiner, EntityMiner, FaultContext, MinerPipeline, PipelineStats, RunOpts, ShardOutcome,

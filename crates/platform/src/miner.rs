@@ -15,7 +15,7 @@
 //! that survive their fault draws reach the chain in batches, so
 //! batch-aware miners amortize per-document setup.
 
-use crate::entity::Entity;
+use crate::entity::EntityEdit;
 use crate::evlog::{EvLog, Level};
 use crate::faults::{self, FaultPlan, FaultStream, Halt, Narrator, NodeHealth, Step};
 use crate::store::DataStore;
@@ -27,12 +27,14 @@ use wf_types::{DocId, NodeId, Result, RetryPolicy};
 const MINER_ERROR: &str = "miner-error";
 
 /// An entity-level miner: sees one entity at a time and augments it.
+/// It reads the document through an [`EntityEdit`] and can change only
+/// the entity's annotations and metadata.
 pub trait EntityMiner: Send + Sync {
     /// Stable miner name (used in annotations and stats).
     fn name(&self) -> &str;
 
     /// Processes one entity in place.
-    fn process(&self, entity: &mut Entity) -> Result<()>;
+    fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()>;
 
     /// Processes a batch of entities under the shard's trace span,
     /// returning one result per entity in order. The default delegates
@@ -44,7 +46,7 @@ pub trait EntityMiner: Send + Sync {
     /// cost. Implementations must leave each entity exactly as `process`
     /// would have, and the charge must not depend on how the entities
     /// are split into batches.
-    fn process_batch(&self, batch: &mut [Entity], span: &mut TraceSpan) -> Vec<Result<()>> {
+    fn process_batch(&self, batch: &mut [EntityEdit<'_>], span: &mut TraceSpan) -> Vec<Result<()>> {
         let _ = span;
         batch.iter_mut().map(|e| self.process(e)).collect()
     }
@@ -187,11 +189,11 @@ impl MinerPipeline {
     /// Runs the chain over every entity of the store, one worker thread
     /// per shard. Each entity first draws its injected faults (transient
     /// ones are retried per the policy, Down nodes fail over); the
-    /// survivors are fetched, mined in batches of `opts.batch` and
-    /// written back with one update each. Errors from individual
-    /// entities are counted, not propagated — a malformed page must not
-    /// stall the cluster — and worker panics are captured, so
-    /// `processed + failed == store.len()` always holds.
+    /// survivors are read by reference, mined in batches of `opts.batch`
+    /// and their annotations and metadata written back with one update
+    /// each. Errors from individual entities are counted, not propagated
+    /// — a malformed page must not stall the cluster — and worker panics
+    /// are captured, so `processed + failed == store.len()` always holds.
     ///
     /// The run is a `pipeline.run` span with one `shard:<n>` child per
     /// shard, forked at the same instant: a child of `parent` (whose
@@ -319,7 +321,7 @@ impl MinerPipeline {
             faults: 0,
         };
         let mined = catch_unwind(AssertUnwindSafe(|| {
-            self.mine_shard(store, &ids, opts.batch.max(1), &mut draws, span)
+            self.mine_shard(store, shard, &ids, opts.batch.max(1), &mut draws, span)
         }));
         let mut outcome = match mined {
             Ok((processed, failed, last_error)) => ShardOutcome {
@@ -360,56 +362,79 @@ impl MinerPipeline {
     }
 
     /// Mines one shard's entities in chunks of `batch`: each entity draws
-    /// its faults, the survivors are fetched, the chain runs over them
-    /// and each is written back. Returns (processed, failed, the last
-    /// failure in shard order). With `batch == 1` each entity is fetched,
-    /// mined and written back right after its own fault draws.
+    /// its faults; under one read of the shard, each survivor is lent to
+    /// the chain as an [`EntityEdit`] holding copies of its annotations
+    /// and metadata; after the read, each is written back through
+    /// [`DataStore::update`]. A chain that panics writes nothing for its
+    /// chunk. Returns (processed, failed, the last failure in shard
+    /// order). With `batch == 1` each entity is read, mined and written
+    /// back right after its own fault draws.
     fn mine_shard(
         &self,
         store: &DataStore,
+        shard: usize,
         ids: &[DocId],
         batch: usize,
         draws: &mut FaultDraws<'_>,
         span: &mut TraceSpan,
     ) -> (usize, usize, Option<String>) {
         let (mut processed, mut failed, mut last_error) = (0, 0, None);
+        let failure = |id: DocId| Some(format!("{MINER_ERROR} doc={}", id.0));
         for chunk in ids.chunks(batch) {
             // one slot per entity of the chunk: Some(reason) once it failed
             let mut errors: Vec<Option<String>> =
                 chunk.iter().map(|&id| draws.draw(id, span)).collect();
-            let mut positions = Vec::with_capacity(chunk.len());
-            let mut entities = Vec::with_capacity(chunk.len());
-            for (i, &id) in chunk.iter().enumerate() {
-                if errors[i].is_some() {
-                    continue;
-                }
-                let mut get = span.child(format!("store.get:{}", id.0));
-                match store.get(id) {
-                    Ok(mut entity) => {
-                        // this run decides the outcome: drop an earlier
-                        // run's failure marker before the chain runs
-                        entity.metadata.remove(MINER_ERROR);
-                        positions.push(i);
-                        entities.push(entity);
+            let mined = store.read_shard(NodeId(shard as u32), |read| {
+                let mut positions = Vec::with_capacity(chunk.len());
+                let mut views = Vec::with_capacity(chunk.len());
+                for (i, &id) in chunk.iter().enumerate() {
+                    if errors[i].is_some() {
+                        continue;
                     }
-                    Err(_) => {
-                        get.event("miss");
-                        errors[i] = Some(format!("{MINER_ERROR} doc={}", id.0));
+                    let mut get = span.child(format!("store.get:{}", id.0));
+                    match read.get(id) {
+                        Some(entity) => {
+                            let mut view = EntityEdit::of(entity);
+                            // this run decides the outcome: drop an earlier
+                            // run's failure marker before the chain runs
+                            view.metadata.remove(MINER_ERROR);
+                            positions.push(i);
+                            views.push(view);
+                        }
+                        None => {
+                            get.event("miss");
+                            errors[i] = failure(id);
+                        }
                     }
+                    get.finish();
                 }
-                get.finish();
-            }
-            let ok = self.apply_chain(&mut entities, span);
-            for ((i, mined), ok) in positions.into_iter().zip(entities).zip(ok) {
+                let ok = self.apply_chain(&mut views, span);
+                let changes = views.into_iter().map(|v| (v.annotations, v.metadata));
+                positions
+                    .into_iter()
+                    .zip(changes)
+                    .zip(ok)
+                    .collect::<Vec<_>>()
+            });
+            for ((i, (annotations, metadata)), ok) in mined {
                 let id = chunk[i];
                 let mut update = span.child(format!("store.update:{}", id.0));
-                let written = store.update(id, |slot| slot.assign(mined)).is_ok();
+                let written = store
+                    .update(id, |slot| {
+                        slot.annotations = annotations;
+                        // a map the chain left as it was stays where
+                        // ingest placed it: later scans run faster
+                        if slot.metadata != metadata {
+                            slot.metadata = metadata;
+                        }
+                    })
+                    .is_ok();
                 if !written {
                     update.event("miss");
                 }
                 update.finish();
                 if !(written && ok) {
-                    errors[i] = Some(format!("{MINER_ERROR} doc={}", id.0));
+                    errors[i] = failure(id);
                 }
             }
             for error in errors {
@@ -431,7 +456,7 @@ impl MinerPipeline {
     /// on the batch size). An entity's chain stops at its first failing
     /// miner, whose name lands in `miner-error`. Returns one success
     /// flag per entity.
-    fn apply_chain(&self, batch: &mut [Entity], span: &mut TraceSpan) -> Vec<bool> {
+    fn apply_chain(&self, batch: &mut [EntityEdit<'_>], span: &mut TraceSpan) -> Vec<bool> {
         let mut ok = vec![true; batch.len()];
         for miner in &self.miners {
             let results = if ok.iter().all(|&o| o) {
@@ -522,7 +547,7 @@ impl FaultDraws<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entity::{Annotation, SourceKind};
+    use crate::entity::{Annotation, Entity, SourceKind};
     use wf_types::{Error, Span};
 
     struct UppercaseCounter;
@@ -530,7 +555,7 @@ mod tests {
         fn name(&self) -> &str {
             "uppercase-counter"
         }
-        fn process(&self, entity: &mut Entity) -> Result<()> {
+        fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
             let n = entity.text.chars().filter(|c| c.is_uppercase()).count();
             entity.metadata.insert("uppercase".into(), n.to_string());
             Ok(())
@@ -542,7 +567,7 @@ mod tests {
         fn name(&self) -> &str {
             "tagger"
         }
-        fn process(&self, entity: &mut Entity) -> Result<()> {
+        fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
             let len = entity.text.len();
             entity.annotate(Annotation::new("whole-doc", Span::new(0, len)));
             Ok(())
@@ -554,7 +579,7 @@ mod tests {
         fn name(&self) -> &str {
             "fail-on-empty"
         }
-        fn process(&self, entity: &mut Entity) -> Result<()> {
+        fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
             if entity.text.is_empty() {
                 Err(Error::Config("empty entity".into()))
             } else {
@@ -671,6 +696,30 @@ mod tests {
         }
     }
 
+    /// Mining writes back only what the chain changed: the stored text,
+    /// and a metadata map the chain left as it was, keep the buffers
+    /// ingest allocated.
+    #[test]
+    fn mining_keeps_the_text_and_an_unchanged_metadata_map_in_place() {
+        let store = DataStore::single();
+        let entity = Entity::new("a", SourceKind::Web, "Some Text").with_metadata("line", "7");
+        let id = store.insert(entity);
+        let buffers = |store: &DataStore| {
+            store.read_shard(NodeId(0), |read| {
+                let e = read.get(id).unwrap();
+                (e.text.as_ptr(), e.metadata.keys().next().unwrap().as_ptr())
+            })
+        };
+        let ingested = buffers(&store);
+        let (tagger, counter) = (MinerPipeline::new(), MinerPipeline::new());
+        run_batch(&tagger.add(Box::new(Tagger)), &store, 1);
+        assert_eq!(buffers(&store), ingested);
+        run_batch(&counter.add(Box::new(UppercaseCounter)), &store, 1);
+        assert_eq!(buffers(&store).0, ingested.0, "the text never moves");
+        let e = store.get(id).unwrap();
+        assert_eq!((e.metadata["uppercase"].as_str(), e.version), ("2", 3));
+    }
+
     #[test]
     fn corpus_miner_runs() {
         let store = seeded_store(2, 5);
@@ -761,10 +810,14 @@ mod tests {
         fn name(&self) -> &str {
             "costed-tagger"
         }
-        fn process(&self, entity: &mut Entity) -> Result<()> {
+        fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
             Tagger.process(entity)
         }
-        fn process_batch(&self, batch: &mut [Entity], span: &mut TraceSpan) -> Vec<Result<()>> {
+        fn process_batch(
+            &self,
+            batch: &mut [EntityEdit<'_>],
+            span: &mut TraceSpan,
+        ) -> Vec<Result<()>> {
             let mut stage = span.child("tag");
             stage.advance(batch.len() as u64);
             stage.finish();
@@ -826,7 +879,7 @@ mod tests {
         fn name(&self) -> &str {
             "panic-miner"
         }
-        fn process(&self, entity: &mut Entity) -> Result<()> {
+        fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
             if entity.text.contains("poison") {
                 panic!("injected miner crash");
             }

@@ -6,7 +6,6 @@
 //! another entity's URI (the crawler/ingestors attach these); dangling
 //! links and dangling nodes follow the standard teleportation treatment.
 
-use crate::entity::Entity;
 use crate::miner::CorpusMiner;
 use crate::store::DataStore;
 use std::collections::HashMap;
@@ -113,7 +112,7 @@ impl CorpusMiner for PageRankMiner {
 
     fn run(&self, store: &DataStore) -> Result<()> {
         for (doc, score) in pagerank(store, &self.config) {
-            store.update(doc, |entity: &mut Entity| {
+            store.update(doc, |entity| {
                 entity
                     .metadata
                     .insert("pagerank".into(), format!("{score:.6}"));
@@ -126,7 +125,7 @@ impl CorpusMiner for PageRankMiner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entity::{Annotation, SourceKind};
+    use crate::entity::{Annotation, Entity, SourceKind};
     use wf_types::Span;
 
     /// Builds a store with pages linking per `edges` (by index).

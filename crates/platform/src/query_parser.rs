@@ -507,9 +507,8 @@ mod tests {
                 .with_metadata("domain", *domain);
             e.id = DocId(i as u64);
             if *positive {
-                e.annotate(
-                    Annotation::new("sentiment", Span::new(0, 5)).with_attr("polarity", "+"),
-                );
+                e.annotations
+                    .push(Annotation::new("sentiment", Span::new(0, 5)).with_attr("polarity", "+"));
             }
             indexer.index_entity(&e);
         }

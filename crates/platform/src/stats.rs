@@ -75,7 +75,8 @@ mod tests {
         store.insert(Entity::new("a", SourceKind::Web, "the camera the lens"));
         store.insert(Entity::new("b", SourceKind::News, "the report came out"));
         let mut e = Entity::new("c", SourceKind::Web, "camera news");
-        e.annotate(Annotation::new("sentiment", Span::new(0, 6)));
+        e.annotations
+            .push(Annotation::new("sentiment", Span::new(0, 6)));
         store.insert(e);
 
         let stats = corpus_stats(&store, 2);

@@ -5,12 +5,13 @@
 //! in-process partitions (one per simulated node) guarded by `parking_lot`
 //! RwLocks, so miners can process shards in parallel without contention.
 
-use crate::durable::{DurableStorage, WalOp};
-use crate::entity::Entity;
+use crate::durable::{Annotated, DurableStorage, WalOp};
+use crate::entity::{Entity, EntityEdit};
 use crate::evlog::{EvLog, Level};
 use crate::telemetry::{Counter, Gauge, Telemetry};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::mem::take;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wf_types::{DocId, Error, NodeId, Result};
@@ -180,21 +181,15 @@ impl DataStore {
 
     /// Retrieves a clone of an entity.
     pub fn get(&self, id: DocId) -> Result<Entity> {
-        match self.shard_of(id).entities.read().get(&id) {
-            Some(entity) => {
-                self.metrics.get_ok.inc();
-                Ok(entity.clone())
-            }
-            None => {
-                self.metrics.get_miss.inc();
-                self.log_miss("get", id);
-                Err(Error::NotFound(id.to_string()))
-            }
-        }
+        self.read_shard(self.node_of(id), |read| read.get(id).cloned())
+            .ok_or_else(|| Error::NotFound(id.to_string()))
     }
 
-    /// Applies a mutation to an entity in place, bumping its version.
-    pub fn update<F: FnOnce(&mut Entity)>(&self, id: DocId, f: F) -> Result<()> {
+    /// Lends an entity to `f` as an [`EntityEdit`] and keeps what `f`
+    /// leaves in its annotations and metadata, bumping the version. They
+    /// move into the view and back, so nothing is copied. With
+    /// durability on, the WAL gets their post-state.
+    pub fn update<F: FnOnce(&mut EntityEdit<'_>)>(&self, id: DocId, f: F) -> Result<()> {
         let mut guard = self.shard_of(id).entities.write();
         let Some(entity) = guard.get_mut(&id) else {
             drop(guard);
@@ -202,11 +197,26 @@ impl DataStore {
             self.log_miss("update", id);
             return Err(Error::NotFound(id.to_string()));
         };
-        f(entity);
+        let (metadata, annotations) = (take(&mut entity.metadata), take(&mut entity.annotations));
+        // the view's own copies of the emptied fields cost nothing
+        let mut edit = EntityEdit {
+            metadata,
+            annotations,
+            ..EntityEdit::of(entity)
+        };
+        f(&mut edit);
+        (entity.metadata, entity.annotations) = (edit.metadata, edit.annotations);
         entity.version += 1;
         if let Some(durable) = self.durability.read().as_ref() {
-            // full post-state, so replay is idempotent
-            durable.log(self.shard_index(id) as u32, WalOp::Update(entity.clone()));
+            // full post-state of what an update can change, so replay is
+            // idempotent
+            let annotated = Annotated {
+                doc: id,
+                version: entity.version,
+                metadata: entity.metadata.clone(),
+                annotations: entity.annotations.clone(),
+            };
+            durable.log(self.shard_index(id) as u32, WalOp::Annotate(annotated));
         }
         drop(guard);
         self.metrics.update_ok.inc();
@@ -294,19 +304,14 @@ impl DataStore {
             .unwrap_or_default()
     }
 
-    /// Runs `f` over every entity of one shard by reference, in id order,
-    /// under the shard's read lock. Each entity visited counts as one
-    /// `store.get.ok`, as reading it with [`DataStore::get`] would, but
-    /// nothing is cloned. An unknown shard visits nothing.
-    pub(crate) fn visit_shard<F: FnMut(&Entity)>(&self, node: NodeId, mut f: F) {
-        let Some(shard) = self.shards.get(node.0 as usize) else {
-            return;
-        };
-        let guard = shard.entities.read();
-        for entity in guard.values() {
-            f(entity);
-        }
-        self.metrics.get_ok.add(guard.len() as u64);
+    /// Lends one of this store's shards to `f` by reference under the
+    /// shard's read lock: the one reader that copies nothing.
+    pub(crate) fn read_shard<R>(&self, node: NodeId, f: impl FnOnce(ShardRead<'_>) -> R) -> R {
+        let entities = self.shards[node.0 as usize].entities.read();
+        f(ShardRead {
+            store: self,
+            entities: &entities,
+        })
     }
 
     /// Runs `f` over a read-only snapshot reference of every entity, in id
@@ -326,6 +331,35 @@ impl DataStore {
             .iter()
             .map(|s| s.entities.read().len())
             .collect()
+    }
+}
+
+/// One shard lent by [`DataStore::read_shard`]. Each entity it hands
+/// out counts as one `store.get.ok`, as reading it with
+/// [`DataStore::get`] would, and a miss counts and logs as there.
+#[derive(Clone, Copy)]
+pub(crate) struct ShardRead<'a> {
+    store: &'a DataStore,
+    entities: &'a BTreeMap<DocId, Entity>,
+}
+
+impl<'a> ShardRead<'a> {
+    /// The entity `id`, if this shard holds it.
+    pub(crate) fn get(self, id: DocId) -> Option<&'a Entity> {
+        let entity = self.entities.get(&id);
+        if entity.is_some() {
+            self.store.metrics.get_ok.inc();
+        } else {
+            self.store.metrics.get_miss.inc();
+            self.store.log_miss("get", id);
+        }
+        entity
+    }
+
+    /// Every entity of the shard, in id order.
+    pub(crate) fn all(self) -> impl Iterator<Item = &'a Entity> {
+        self.store.metrics.get_ok.add(self.entities.len() as u64);
+        self.entities.values()
     }
 }
 
@@ -367,9 +401,15 @@ mod tests {
     fn update_bumps_version() {
         let store = DataStore::single();
         let id = store.insert(entity("v1"));
-        store.update(id, |e| e.text = "v2".into()).unwrap();
+        store
+            .update(id, |e| {
+                assert_eq!((e.id, e.text, e.uri), (id, "v1", "uri://test"));
+                e.metadata.insert("lang".into(), "en".into());
+            })
+            .unwrap();
         let e = store.get(id).unwrap();
-        assert_eq!(e.text, "v2");
+        assert_eq!(e.metadata["lang"], "en");
+        assert_eq!(e.text, "v1");
         assert_eq!(e.version, 2);
     }
 
@@ -422,17 +462,26 @@ mod tests {
     }
 
     #[test]
-    fn visit_shard_reads_one_shard_in_id_order() {
+    fn read_shard_lends_one_shard_in_id_order() {
         let store = DataStore::new(2).unwrap();
         for i in 0..7 {
             store.insert(entity(&format!("{i}")));
         }
-        let mut seen = Vec::new();
-        store.visit_shard(NodeId(1), |e| seen.push(e.id));
+        let seen: Vec<DocId> =
+            store.read_shard(NodeId(1), |shard| shard.all().map(|e| e.id).collect());
         assert_eq!(seen, store.shard_ids(NodeId(1)));
-        store.visit_shard(NodeId(9), |_| panic!("no such shard"));
+        let texts = store.read_shard(NodeId(1), |shard| {
+            [DocId(3), DocId(2)].map(|id| shard.get(id).map(|e| e.text.clone()))
+        });
+        assert_eq!(
+            texts,
+            [Some("3".to_string()), None],
+            "doc 2 lives on shard 0"
+        );
         // counted like the gets it replaces
-        assert_eq!(store.telemetry().snapshot().counter("store.get.ok"), 3);
+        let snap = store.telemetry().snapshot();
+        assert_eq!(snap.counter("store.get.ok"), 4);
+        assert_eq!(snap.counter("store.get.miss"), 1);
     }
 
     #[test]
@@ -442,7 +491,7 @@ mod tests {
         store.insert(entity("b"));
         let _ = store.get(id);
         let _ = store.get(DocId(99));
-        store.update(id, |e| e.text.push('!')).unwrap();
+        store.update(id, |e| e.annotations.clear()).unwrap();
         assert!(store.update(DocId(99), |_| {}).is_err());
         store.delete(id);
         assert!(store.delete(id).is_none());

@@ -12,7 +12,7 @@
 
 use crate::miner::{mention_polarities, SentimentMiner};
 use crate::record::SubjectSentiment;
-use wf_platform::{Annotation, Entity, EntityMiner, Indexer, Query, TraceSpan};
+use wf_platform::{Annotation, EntityEdit, EntityMiner, Indexer, Query, TraceSpan};
 use wf_spotter::{Spotter, SubjectList};
 use wf_types::{DocId, Polarity, Result};
 
@@ -53,9 +53,9 @@ impl EntityMiner for SpotterMiner {
         "spotter"
     }
 
-    fn process(&self, entity: &mut Entity) -> Result<()> {
+    fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
         entity.clear_annotations("spot");
-        let spots = self.spotter.spot(&entity.text);
+        let spots = self.spotter.spot(entity.text);
         // per-synset disambiguation verdicts
         let mut keep = vec![true; spots.len()];
         for (synset, disambiguator) in &self.disambiguators {
@@ -69,7 +69,7 @@ impl EntityMiner for SpotterMiner {
                 continue;
             }
             let subset: Vec<wf_spotter::Spot> = indices.iter().map(|&i| spots[i].clone()).collect();
-            let verdicts = disambiguator.disambiguate(&entity.text, &subset);
+            let verdicts = disambiguator.disambiguate(entity.text, &subset);
             for (&i, verdict) in indices.iter().zip(&verdicts) {
                 keep[i] = *verdict == wf_spotter::SpotVerdict::OnTopic;
             }
@@ -95,7 +95,7 @@ impl EntityMiner for SpotterMiner {
 
 /// Replaces `entity`'s `sentiment` annotations with one per mention of
 /// `records` (lowercased subject, dominant polarity).
-fn annotate_sentiments(entity: &mut Entity, records: &[SubjectSentiment]) {
+fn annotate_sentiments(entity: &mut EntityEdit<'_>, records: &[SubjectSentiment]) {
     entity.clear_annotations("sentiment");
     for (subject, sentence_span, polarity) in mention_polarities(records) {
         entity.annotate(
@@ -130,10 +130,10 @@ impl EntityMiner for SentimentEntityMiner {
         "sentiment-miner"
     }
 
-    fn process(&self, entity: &mut Entity) -> Result<()> {
+    fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
         let records = self
             .miner
-            .analyze_with_spotter(&entity.text, &self.subjects, &self.spotter);
+            .analyze_with_spotter(entity.text, &self.subjects, &self.spotter);
         annotate_sentiments(entity, &records);
         Ok(())
     }
@@ -164,8 +164,8 @@ impl EntityMiner for AdhocSentimentMiner {
         "adhoc-sentiment-miner"
     }
 
-    fn process(&self, entity: &mut Entity) -> Result<()> {
-        let records = self.miner.analyze_named_entities(&entity.text);
+    fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
+        let records = self.miner.analyze_named_entities(entity.text);
         annotate_sentiments(entity, &records);
         Ok(())
     }
@@ -178,8 +178,8 @@ impl EntityMiner for AdhocSentimentMiner {
     /// chunk, clause and entity, see [`wf_nlp::StageCosts`]) and
     /// advances the shard span in lockstep, so the continuous profiler
     /// sees where mining time goes.
-    fn process_batch(&self, batch: &mut [Entity], span: &mut TraceSpan) -> Vec<Result<()>> {
-        let texts: Vec<&str> = batch.iter().map(|e| e.text.as_str()).collect();
+    fn process_batch(&self, batch: &mut [EntityEdit<'_>], span: &mut TraceSpan) -> Vec<Result<()>> {
+        let texts: Vec<&str> = batch.iter().map(|e| e.text).collect();
         let (record_sets, costs) = self.miner.analyze_named_entities_batch(&texts);
         for (stage, units) in costs.stages() {
             if units == 0 {
@@ -292,7 +292,9 @@ impl SentimentQueryService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wf_platform::{Cluster, MinerPipeline, PipelineStats, RawDocument, RunOpts, SourceKind};
+    use wf_platform::{
+        Cluster, Entity, MinerPipeline, PipelineStats, RawDocument, RunOpts, SourceKind,
+    };
 
     fn subjects() -> SubjectList {
         SubjectList::builder()
@@ -472,11 +474,12 @@ mod tests {
         // the per-document path annotates exactly like the batch path
         let miner = AdhocSentimentMiner::new();
         for i in 0..docs.len() {
-            let mut e = per_entity.store().get(DocId(i as u64)).unwrap();
-            let mined = e.clone();
-            miner.process(&mut e).unwrap();
+            let e = per_entity.store().get(DocId(i as u64)).unwrap();
+            let mut view = EntityEdit::of(&e);
+            miner.process(&mut view).unwrap();
             assert_eq!(
-                e, mined,
+                (view.annotations, view.metadata),
+                (e.annotations, e.metadata),
                 "process diverged from process_batch on entity {i}"
             );
         }
@@ -542,19 +545,19 @@ mod tests {
                 affinities: vec![],
             }),
         );
-        let mut on = Entity::new(
-            "a",
-            wf_platform::SourceKind::Web,
-            "The Apex camera has a fine lens and a camera strap.",
+        let spots = |text: &str| {
+            let entity = Entity::new("a", SourceKind::Web, text);
+            let mut view = EntityEdit::of(&entity);
+            miner.process(&mut view).unwrap();
+            view.annotations.iter().filter(|a| a.kind == "spot").count()
+        };
+        assert_eq!(
+            spots("The Apex camera has a fine lens and a camera strap."),
+            1
         );
-        miner.process(&mut on).unwrap();
-        assert_eq!(on.annotations_of("spot").count(), 1);
-        let mut off = Entity::new(
-            "b",
-            wf_platform::SourceKind::Web,
-            "We reached the Apex of the ridge on the summit trail.",
+        assert_eq!(
+            spots("We reached the Apex of the ridge on the summit trail."),
+            0
         );
-        miner.process(&mut off).unwrap();
-        assert_eq!(off.annotations_of("spot").count(), 0);
     }
 }

@@ -249,7 +249,7 @@ mod tests {
             let text = "0123456789".repeat(marks.len());
             let mut e = Entity::new("uri", SourceKind::Web, &text);
             for (i, (subject, polarity)) in marks.iter().enumerate() {
-                e.annotate(
+                e.annotations.push(
                     Annotation::new("sentiment", Span::new(i * 10, i * 10 + 10))
                         .with_attr("subject", subject.to_string())
                         .with_attr("polarity", polarity.to_string()),

@@ -142,7 +142,7 @@ mod tests {
 
     fn entity(month: &str, subject: &str, polarity: &str) -> Entity {
         let mut e = Entity::new("u", SourceKind::Web, "text here").with_metadata("month", month);
-        e.annotate(
+        e.annotations.push(
             Annotation::new("sentiment", Span::new(0, 4))
                 .with_attr("subject", subject)
                 .with_attr("polarity", polarity),
@@ -202,7 +202,7 @@ mod tests {
     fn entities_without_period_are_skipped() {
         let store = DataStore::single();
         let mut e = Entity::new("u", SourceKind::Web, "text");
-        e.annotate(
+        e.annotations.push(
             Annotation::new("sentiment", Span::new(0, 4))
                 .with_attr("subject", "x")
                 .with_attr("polarity", "+"),

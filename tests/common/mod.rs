@@ -30,7 +30,7 @@ pub fn seeded_store(shards: usize, marks: &[usize]) -> DataStore {
         let (subject, polarity) = decode(mark);
         let text = format!("document {i} mentions {subject} here");
         let mut entity = Entity::new(format!("test://chaos/{i}"), SourceKind::Web, &text);
-        entity.annotate(
+        entity.annotations.push(
             Annotation::new("sentiment", Span::new(0, text.len()))
                 .with_attr("subject", subject.to_string())
                 .with_attr("polarity", polarity.to_string()),

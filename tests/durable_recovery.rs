@@ -25,11 +25,12 @@
 //!    for byte (`UPDATE_GOLDEN=1` regens).
 
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use wf_platform::{
-    parse_query, Annotation, Cluster, CorruptionKind, DataStore, DurableStorage, Entity,
-    EntityMiner, FaultPlan, Indexer, Ingestor, MinerPipeline, NodeHealth, RawDocument, ServeLoop,
-    ServingConfig, SourceKind, StopReason, Telemetry,
+    crc32, parse_query, Annotation, Cluster, CorruptionKind, DataStore, DurableStorage, Entity,
+    EntityEdit, EntityMiner, FaultPlan, Indexer, Ingestor, MinerPipeline, NodeHealth, RawDocument,
+    RunOpts, ServeLoop, ServingConfig, SourceKind, StopReason, Telemetry, WAL_HEADER_BYTES,
 };
 use wf_sentiment::{AdhocSentimentMiner, SentimentServingBackend, ShardedSentimentIndex};
 use wf_types::{DocId, NodeId, Polarity, Result as WfResult, Span};
@@ -91,7 +92,7 @@ impl EntityMiner for StampMiner {
     fn name(&self) -> &str {
         "stamp"
     }
-    fn process(&self, entity: &mut Entity) -> WfResult<()> {
+    fn process(&self, entity: &mut EntityEdit<'_>) -> WfResult<()> {
         let stamp = entity.text.len().to_string();
         entity.metadata.insert("stamp".into(), stamp);
         Ok(())
@@ -288,7 +289,7 @@ fn marked_entity(i: usize, mark: usize) -> Entity {
     let polarity = POLARITIES[(mark / 4) % 3];
     let text = format!("document {i} mentions {subject} here");
     let mut entity = Entity::new(format!("test://durable/{i}"), SourceKind::Web, &text);
-    entity.annotate(
+    entity.annotations.push(
         Annotation::new("sentiment", Span::new(0, text.len()))
             .with_attr("subject", subject.to_string())
             .with_attr("polarity", polarity.to_string()),
@@ -358,8 +359,13 @@ proptest! {
 /// A durable cluster with a populated WAL tail: ingest, checkpoint,
 /// then a mining wave whose updates follow the snapshot in the log.
 fn durable_cluster() -> (Cluster, Arc<DurableStorage>) {
+    durable_cluster_on(DurableStorage::in_memory(4).unwrap())
+}
+
+/// [`durable_cluster`] over a given 4-shard storage.
+fn durable_cluster_on(storage: DurableStorage) -> (Cluster, Arc<DurableStorage>) {
     let cluster = Cluster::new(4).unwrap();
-    let storage = Arc::new(DurableStorage::in_memory(4).unwrap());
+    let storage = Arc::new(storage);
     cluster.attach_durability(Arc::clone(&storage)).unwrap();
     Ingestor::new(cluster.store()).ingest_batch(corpus(16));
     cluster.checkpoint().unwrap();
@@ -409,7 +415,9 @@ fn bad_crc_restart_stops_at_exact_lsn() {
 }
 
 /// Guarantee 4c: a truncated snapshot (pinned seed) keeps its valid
-/// prefix; the WAL still replays to end-of-log on top of it.
+/// prefix, and the WAL replays on top of it up to the first annotate
+/// record of a document the snapshot lost. That record cannot apply (it
+/// holds no text), so replay stops there with `bad_payload`.
 #[test]
 fn truncated_snapshot_restart_recovers_valid_prefix() {
     let (cluster, storage) = durable_cluster();
@@ -423,8 +431,15 @@ fn truncated_snapshot_restart_recovers_valid_prefix() {
     let restart = cluster.restart_node(NodeId(3)).unwrap();
     assert!(restart.stats.snapshot_truncated);
     assert_eq!(restart.stats.snapshot_declared, declared);
-    assert!(restart.stats.snapshot_entities < declared);
-    assert_eq!(restart.stats.stop, StopReason::EndOfLog);
+    let kept = restart.stats.snapshot_entities;
+    assert!(kept < declared);
+    // the wave annotated the shard's documents in id order, as the
+    // snapshot lists them: the kept ones replay, the next one stops
+    assert_eq!(restart.stats.stop, StopReason::BadPayload);
+    assert_eq!(restart.stats.last_lsn, restart.stats.snapshot_lsn + kept);
+    assert_eq!(restart.stats.replayed, kept);
+    assert_eq!(restart.reindexed as u64, kept);
+    assert_eq!(cluster.health_of(NodeId(3)), NodeHealth::Up);
 }
 
 /// Guarantee 5: the recovery report of the pinned bad-CRC scenario
@@ -451,4 +466,175 @@ fn recovery_report_matches_golden() {
         report, golden,
         "recovery report drifted from golden; UPDATE_GOLDEN=1 to regen"
     );
+}
+
+/// A fresh, empty directory for one test's data dir.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("wf-durable-{name}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// `[len u32 LE][crc32 u32 LE][payload]`, the WAL framing.
+fn frame(payload: &str) -> Vec<u8> {
+    let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+    out.extend(crc32(payload.as_bytes()).to_le_bytes());
+    out.extend(payload.as_bytes());
+    out
+}
+
+/// The JSON payloads of one shard's WAL file, in order.
+fn wal_payloads(dir: &Path, shard: usize) -> Vec<serde_json::Value> {
+    let bytes = std::fs::read(dir.join(format!("shard-{shard:03}")).join("wal.log")).unwrap();
+    let mut payloads = Vec::new();
+    let mut at = 0;
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        let payload = &bytes[at + WAL_HEADER_BYTES..at + WAL_HEADER_BYTES + len];
+        payloads.push(serde_json::from_str(std::str::from_utf8(payload).unwrap()).unwrap());
+        at += WAL_HEADER_BYTES + len;
+    }
+    payloads
+}
+
+/// A data dir written before updates logged only annotations and
+/// metadata holds `update` frames that carry the whole entity. Replay
+/// does not read them: the first one stops it with `bad_payload` at its
+/// LSN, and the shard answers from the records before it.
+#[test]
+fn old_update_frame_stops_replay_at_its_lsn() {
+    let dir = scratch_dir("old-update");
+    let store = DataStore::new(1).unwrap();
+    let storage = Arc::new(DurableStorage::at_dir(&dir, 1).unwrap());
+    store.attach_durability(Arc::clone(&storage)).unwrap();
+    let id = store.insert(marked_entity(0, 0));
+    store.insert(marked_entity(1, 5));
+    let before: Vec<Entity> = store
+        .ids()
+        .iter()
+        .map(|&id| store.get(id).unwrap())
+        .collect();
+    let valid = storage.wal_bytes(0);
+
+    let mut updated = store.get(id).unwrap();
+    updated.version = 2;
+    updated.metadata.insert("stamp".into(), "old".into());
+    let old = format!(
+        r#"{{"entity":{},"lsn":3,"op":"update","sim_ms":0}}"#,
+        serde_json::to_string(&updated).unwrap()
+    );
+    let tail = [
+        frame(&old),
+        frame(r#"{"doc":1,"lsn":4,"op":"delete","sim_ms":0}"#),
+    ]
+    .concat();
+    let wal = dir.join("shard-000").join("wal.log");
+    let mut bytes = std::fs::read(&wal).unwrap();
+    bytes.extend(&tail);
+    std::fs::write(&wal, bytes).unwrap();
+
+    let recovery = DurableStorage::open_dir(&dir)
+        .unwrap()
+        .recover_shard(0)
+        .unwrap();
+    assert_eq!(recovery.stats.stop, StopReason::BadPayload);
+    assert_eq!(recovery.stats.last_lsn, 2, "stops at the old frame, LSN 3");
+    assert_eq!(recovery.stats.valid_wal_bytes, valid);
+    assert_eq!(recovery.stats.truncated_bytes, tail.len() as u64);
+    assert_eq!(recovery.stats.truncated_records, 2);
+    assert_eq!(recovery.entities, before, "nothing misapplied");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An update logs what it changed, annotations and metadata, and never
+/// the document text it only read.
+#[test]
+fn update_records_carry_no_document_text() {
+    let dir = scratch_dir("no-text");
+    let (cluster, _storage) = durable_cluster_on(DurableStorage::at_dir(&dir, 4).unwrap());
+    let mut texts = Vec::new();
+    cluster.store().for_each(|e| texts.push(e.text.clone()));
+    let mut updates = 0;
+    for shard in 0..4 {
+        for payload in wal_payloads(&dir, shard) {
+            let op = payload["op"].as_str().unwrap().to_string();
+            assert_ne!(op, "insert", "ingest records precede the checkpoint");
+            if op == "fsync" {
+                continue;
+            }
+            let json = payload.to_json_string();
+            for text in &texts {
+                assert!(!json.contains(text.as_str()), "{json} holds {text:?}");
+            }
+            assert_eq!(op, "annotate");
+            updates += 1;
+        }
+    }
+    assert_eq!(updates, 16, "one record per mined document");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Panics on a document holding "poison".
+struct PoisonMiner;
+impl EntityMiner for PoisonMiner {
+    fn name(&self) -> &str {
+        "poison"
+    }
+    fn process(&self, entity: &mut EntityEdit<'_>) -> WfResult<()> {
+        assert!(!entity.text.contains("poison"), "poisoned");
+        Ok(())
+    }
+}
+
+/// A chain that panics mid-chunk writes nothing for that chunk: its
+/// stored entities keep their annotations, metadata and version, and
+/// the WAL gains only the earlier chunk's records.
+#[test]
+fn panicking_chain_leaves_its_chunk_and_the_wal_untouched() {
+    let store = DataStore::new(1).unwrap();
+    let storage = Arc::new(DurableStorage::in_memory(1).unwrap());
+    store.attach_durability(Arc::clone(&storage)).unwrap();
+    for i in 0..8 {
+        let mut entity = marked_entity(i, i);
+        if i == 6 {
+            entity = Entity::new("test://poison", SourceKind::Web, "poison");
+        }
+        store.insert(entity.with_metadata("stamp", "ingest"));
+    }
+    let before: Vec<Entity> = store
+        .ids()
+        .iter()
+        .map(|&id| store.get(id).unwrap())
+        .collect();
+    let next_lsn = storage.next_lsn(0);
+
+    // chunk [0, 4) is mined and written; chunk [4, 8) stamps docs 4
+    // and 5, then panics on doc 6
+    let chain = MinerPipeline::new()
+        .add(Box::new(StampMiner))
+        .add(Box::new(PoisonMiner));
+    let opts = RunOpts {
+        batch: 4,
+        ..RunOpts::default()
+    };
+    let stats = chain.run(&store, opts, None);
+    assert_eq!((stats.skipped_shards, stats.failed), (1, 8));
+
+    for (i, old) in before.iter().enumerate() {
+        let now = store.get(old.id).unwrap();
+        if i < 4 {
+            assert_eq!(now.version, old.version + 1, "doc {i}");
+            assert_ne!(now.metadata["stamp"], "ingest", "doc {i}");
+        } else {
+            assert_eq!(&now, old, "doc {i} of the crashed chunk");
+        }
+    }
+    assert_eq!(
+        storage.next_lsn(0),
+        next_lsn + 4,
+        "one record per written doc"
+    );
+    let (recovered, report) = storage.recover_store().unwrap();
+    assert!(report.clean());
+    assert_eq!(store_bytes(&recovered), store_bytes(&store));
 }

@@ -11,8 +11,8 @@
 
 use std::sync::Arc;
 use wf_platform::{
-    ChaosCluster, Cluster, Entity, EntityMiner, FaultContext, FaultKind, FaultPlan, FaultRates,
-    MinerPipeline, NodeHealth, PipelineStats, RunOpts, ServiceBus, SourceKind,
+    ChaosCluster, Cluster, Entity, EntityEdit, EntityMiner, FaultContext, FaultKind, FaultPlan,
+    FaultRates, MinerPipeline, NodeHealth, PipelineStats, RunOpts, ServiceBus, SourceKind,
 };
 use wf_sentiment::AdhocSentimentMiner;
 use wf_types::{Error, NodeId, Result, RetryPolicy};
@@ -22,7 +22,7 @@ impl EntityMiner for TouchMiner {
     fn name(&self) -> &str {
         "touch"
     }
-    fn process(&self, entity: &mut Entity) -> Result<()> {
+    fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
         entity.metadata.insert("touched".into(), "1".into());
         Ok(())
     }
@@ -33,7 +33,7 @@ impl EntityMiner for PanicOnMarker {
     fn name(&self) -> &str {
         "panic-on-marker"
     }
-    fn process(&self, entity: &mut Entity) -> Result<()> {
+    fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
         assert!(
             !entity.text.contains("KABOOM"),
             "injected mid-pipeline crash"

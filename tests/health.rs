@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 use wf_platform::{
-    default_slos, AlertEvent, ChaosCluster, Cluster, DoctorReport, Entity, EntityMiner,
+    default_slos, AlertEvent, ChaosCluster, Cluster, DoctorReport, EntityEdit, EntityMiner,
     HealthEngine, MinerPipeline, NodeHealth, TraceId,
 };
 use wf_types::{NodeId, Result, RetryPolicy};
@@ -25,7 +25,7 @@ impl EntityMiner for TouchMiner {
     fn name(&self) -> &str {
         "touch"
     }
-    fn process(&self, entity: &mut Entity) -> Result<()> {
+    fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
         entity.metadata.insert("touched".into(), "1".into());
         Ok(())
     }

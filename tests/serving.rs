@@ -145,7 +145,7 @@ fn marked_entity(id: u64, marks: &[usize]) -> Entity {
     entity.id = DocId(id);
     for (i, &mark) in marks.iter().enumerate() {
         let (subject, polarity) = decode(mark);
-        entity.annotate(
+        entity.annotations.push(
             Annotation::new("sentiment", Span::new(i * 10, i * 10 + 10))
                 .with_attr("subject", subject.to_uppercase())
                 .with_attr("polarity", polarity.to_string()),

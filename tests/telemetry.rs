@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 use wf_platform::{
-    ChaosCluster, Entity, EntityMiner, MinerPipeline, NodeHealth, TelemetrySnapshot,
+    ChaosCluster, EntityEdit, EntityMiner, MinerPipeline, NodeHealth, TelemetrySnapshot,
 };
 use wf_types::{NodeId, Result, RetryPolicy};
 
@@ -25,7 +25,7 @@ impl EntityMiner for TouchMiner {
     fn name(&self) -> &str {
         "touch"
     }
-    fn process(&self, entity: &mut Entity) -> Result<()> {
+    fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
         entity.metadata.insert("touched".into(), "1".into());
         Ok(())
     }

@@ -27,8 +27,8 @@ use common::{chaos_backend, chaos_serve_loop, CHAOS_SEED};
 use proptest::prelude::*;
 use std::sync::Arc;
 use wf_platform::{
-    Cluster, DataStore, Entity, EntityMiner, FaultContext, FaultPlan, Ingestor, MinerPipeline,
-    Profile, RawDocument, RunOpts, ServeLoop, ServingConfig, SourceKind, Telemetry,
+    Cluster, DataStore, Entity, EntityEdit, EntityMiner, FaultContext, FaultPlan, Ingestor,
+    MinerPipeline, Profile, RawDocument, RunOpts, ServeLoop, ServingConfig, SourceKind, Telemetry,
     TimeSeriesStore,
 };
 use wf_sentiment::{AdhocSentimentMiner, SentimentServingBackend, ShardedSentimentIndex};
@@ -115,7 +115,7 @@ impl EntityMiner for PanicMiner {
     fn name(&self) -> &str {
         "panic-miner"
     }
-    fn process(&self, entity: &mut Entity) -> Result<()> {
+    fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
         if entity.text.contains("poison") {
             panic!("injected miner crash");
         }

@@ -19,8 +19,8 @@
 
 use std::sync::Arc;
 use wf_platform::{
-    ChaosCluster, DataStore, Entity, EntityMiner, FaultContext, FaultPlan, MinerPipeline,
-    NodeHealth, RunOpts, SourceKind, Telemetry,
+    ChaosCluster, DataStore, Entity, EntityEdit, EntityMiner, FaultContext, FaultPlan,
+    MinerPipeline, NodeHealth, RunOpts, SourceKind, Telemetry,
 };
 use wf_types::{NodeId, Result, RetryPolicy};
 
@@ -29,7 +29,7 @@ impl EntityMiner for TouchMiner {
     fn name(&self) -> &str {
         "touch"
     }
-    fn process(&self, entity: &mut Entity) -> Result<()> {
+    fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
         entity.metadata.insert("touched".into(), "1".into());
         Ok(())
     }
@@ -41,7 +41,7 @@ impl EntityMiner for PoisonMiner {
     fn name(&self) -> &str {
         "poison"
     }
-    fn process(&self, entity: &mut Entity) -> Result<()> {
+    fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
         if entity.text.contains("poison") {
             panic!("poisoned entity {}", entity.id.0);
         }
