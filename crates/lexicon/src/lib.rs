@@ -7,6 +7,18 @@
 //! sentiment assignment rules (`impress + PP(by;with)`, `be CP SP`).
 //! Both ship as embedded data files and can be extended or replaced by
 //! parsing user-supplied text in the same formats.
+//!
+//! Both are read by borrowed keys and allocate nothing per lookup:
+//!
+//! - [`SentimentLexicon`] maps each lower-cased term to one polarity slot
+//!   per [`PosClass`], so `polarity(term, pos)` is one hash probe on the
+//!   `&str` and one array index. It also keeps the set of words that begin
+//!   a multi-word entry ("high" of "high quality"), so a phrase scorer
+//!   tries an n-gram only at a word in that set.
+//! - [`PatternDatabase`] keeps each predicate's patterns in file order
+//!   ([`PatternDatabase::patterns_for`]) and ranks them by specificity
+//!   once, when a pattern is inserted
+//!   ([`PatternDatabase::patterns_by_specificity`]).
 
 pub mod patterns;
 pub mod sentiment;
@@ -33,6 +45,11 @@ impl PosClass {
         PosClass::Verb,
         PosClass::Adverb,
     ];
+
+    /// Position of the class in [`PosClass::ALL`] (the lexicon's slot).
+    pub fn index(self) -> usize {
+        self as usize
+    }
 
     /// Parses the Penn-tag-style class names used in the lexicon file.
     pub fn parse(s: &str) -> Option<PosClass> {
@@ -89,6 +106,13 @@ mod tests {
         assert_eq!(PosClass::parse("VBZ"), Some(PosClass::Verb));
         assert_eq!(PosClass::parse("RB"), Some(PosClass::Adverb));
         assert_eq!(PosClass::parse("DT"), None);
+    }
+
+    #[test]
+    fn pos_class_index_is_its_place_in_all() {
+        for (i, class) in PosClass::ALL.iter().enumerate() {
+            assert_eq!(class.index(), i);
+        }
     }
 
     #[test]

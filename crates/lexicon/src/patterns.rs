@@ -66,8 +66,16 @@ impl SentimentPattern {
 /// The pattern database: predicate lemma → patterns, in file order.
 #[derive(Debug, Clone, Default)]
 pub struct PatternDatabase {
-    by_predicate: HashMap<String, Vec<SentimentPattern>>,
+    by_predicate: HashMap<String, PredicatePatterns>,
     count: usize,
+}
+
+/// One predicate's patterns in file order, plus their indices ranked by
+/// descending specificity (file order among equals).
+#[derive(Debug, Clone, Default)]
+struct PredicatePatterns {
+    patterns: Vec<SentimentPattern>,
+    ranked: Vec<usize>,
 }
 
 impl PatternDatabase {
@@ -117,21 +125,41 @@ impl PatternDatabase {
         })
     }
 
-    /// Adds a pattern (appended after existing patterns of the predicate).
+    /// Adds a pattern (appended after existing patterns of the predicate)
+    /// and ranks it among them.
     pub fn insert(&mut self, pattern: SentimentPattern) {
         self.count += 1;
-        self.by_predicate
+        let entry = self
+            .by_predicate
             .entry(pattern.predicate.clone())
-            .or_default()
-            .push(pattern);
+            .or_default();
+        let specificity = pattern.specificity();
+        let at = entry
+            .ranked
+            .partition_point(|&i| entry.patterns[i].specificity() >= specificity);
+        entry.ranked.insert(at, entry.patterns.len());
+        entry.patterns.push(pattern);
     }
 
-    /// All patterns registered for a predicate lemma.
+    /// All patterns registered for a predicate lemma, in file order.
     pub fn patterns_for(&self, predicate_lemma: &str) -> &[SentimentPattern] {
         self.by_predicate
             .get(predicate_lemma)
-            .map(|v| v.as_slice())
+            .map(|e| e.patterns.as_slice())
             .unwrap_or(&[])
+    }
+
+    /// The patterns of a predicate lemma, most specific first (see
+    /// [`SentimentPattern::specificity`]); equally specific patterns keep
+    /// file order. Ranked when the patterns are inserted, not per call.
+    pub fn patterns_by_specificity<'a>(
+        &'a self,
+        predicate_lemma: &str,
+    ) -> impl Iterator<Item = &'a SentimentPattern> {
+        self.by_predicate
+            .get(predicate_lemma)
+            .into_iter()
+            .flat_map(|e| e.ranked.iter().map(|&i| &e.patterns[i]))
     }
 
     /// True when the predicate has at least one pattern.
@@ -315,6 +343,28 @@ mod tests {
             .find(|p| p.target == Component::SP)
             .unwrap();
         assert!(impress_pp.specificity() > impress_sp.specificity());
+    }
+
+    #[test]
+    fn ranked_order_is_a_stable_sort_of_file_order() {
+        let db = PatternDatabase::parse(
+            "p",
+            "be CP SP\nbe + SP\nbe OP SP\nbe - PP(of)\nbe PP(by) SP\nbe ~CP SP\n",
+        )
+        .unwrap();
+        let mut expected: Vec<&SentimentPattern> = db.patterns_for("be").iter().collect();
+        expected.sort_by_key(|p| std::cmp::Reverse(p.specificity()));
+        let ranked: Vec<&SentimentPattern> = db.patterns_by_specificity("be").collect();
+        assert_eq!(ranked, expected);
+        assert_eq!(db.patterns_by_specificity("zorp").count(), 0);
+        // the default database too, predicate by predicate
+        let db = PatternDatabase::default_database();
+        for predicate in db.by_predicate.keys() {
+            let mut expected: Vec<&SentimentPattern> = db.patterns_for(predicate).iter().collect();
+            expected.sort_by_key(|p| std::cmp::Reverse(p.specificity()));
+            let ranked: Vec<&SentimentPattern> = db.patterns_by_specificity(predicate).collect();
+            assert_eq!(ranked, expected, "{predicate}");
+        }
     }
 
     #[test]

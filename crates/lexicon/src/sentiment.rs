@@ -8,7 +8,7 @@
 //! [`SentimentLexicon::parse`].
 
 use crate::PosClass;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 use wf_types::{Error, Polarity, Result};
 
@@ -25,10 +25,17 @@ pub struct LexiconEntry {
     pub polarity: Polarity,
 }
 
-/// Term → polarity lookup table keyed by (term, POS class).
+/// Term → polarity lookup table: each lower-cased term maps to one
+/// polarity slot per POS class, so a lookup borrows its `&str` key and
+/// allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct SentimentLexicon {
-    map: HashMap<(String, PosClass), Polarity>,
+    map: HashMap<String, [Option<Polarity>; 4]>,
+    /// First words of the multi-word entries: an n-gram that starts with
+    /// any other word cannot match, so phrase scorers skip it.
+    starts: HashSet<String>,
+    /// Number of (term, POS class) entries.
+    len: usize,
     /// Maximum number of space-separated words over all entries, so phrase
     /// scorers know how long an n-gram window to try.
     max_words: usize,
@@ -80,33 +87,42 @@ impl SentimentLexicon {
 
     /// Adds or replaces an entry.
     pub fn insert(&mut self, entry: LexiconEntry) {
-        self.max_words = self.max_words.max(entry.term.split(' ').count());
-        self.map.insert((entry.term, entry.pos), entry.polarity);
+        let mut words = entry.term.split(' ');
+        let first = words.next().unwrap_or_default();
+        let words = 1 + words.count();
+        self.max_words = self.max_words.max(words);
+        if words > 1 {
+            self.starts.insert(first.to_string());
+        }
+        let slot = &mut self.map.entry(entry.term).or_default()[entry.pos.index()];
+        self.len += usize::from(slot.is_none());
+        *slot = Some(entry.polarity);
     }
 
     /// Looks up the polarity of a lower-cased term under a POS class.
     pub fn polarity(&self, term: &str, pos: PosClass) -> Option<Polarity> {
-        self.map.get(&(term.to_string(), pos)).copied()
+        self.map.get(term)?[pos.index()]
     }
 
-    /// Looks up a term under any POS class (used by baselines that ignore
-    /// POS constraints, like the collocation algorithm).
+    /// Looks up a term under any POS class, in [`PosClass::ALL`] order
+    /// (used by baselines that ignore POS constraints, like the
+    /// collocation algorithm).
     pub fn polarity_any_pos(&self, term: &str) -> Option<Polarity> {
-        for pos in PosClass::ALL {
-            if let Some(p) = self.map.get(&(term.to_string(), *pos)) {
-                return Some(*p);
-            }
-        }
-        None
+        self.map.get(term)?.iter().find_map(|p| *p)
+    }
+
+    /// True when `word` is the first word of a multi-word entry.
+    pub fn starts_multiword(&self, word: &str) -> bool {
+        self.starts.contains(word)
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// Longest entry in words (≥1 for a non-empty lexicon).
@@ -116,9 +132,12 @@ impl SentimentLexicon {
 
     /// Iterates over all (term, pos, polarity) triples.
     pub fn iter(&self) -> impl Iterator<Item = (&str, PosClass, Polarity)> {
-        self.map
-            .iter()
-            .map(|((term, pos), pol)| (term.as_str(), *pos, *pol))
+        self.map.iter().flat_map(|(term, slots)| {
+            PosClass::ALL
+                .iter()
+                .zip(slots)
+                .filter_map(move |(pos, p)| p.map(|p| (term.as_str(), *pos, p)))
+        })
     }
 }
 

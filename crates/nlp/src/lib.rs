@@ -54,6 +54,18 @@ pub struct AnalyzedSentence {
 }
 
 impl AnalyzedSentence {
+    /// The sentence borrowed as a [`SentenceView`]. Its token view
+    /// lowercases every token once, up front.
+    pub fn view(&self) -> SentenceView<'_, LoweredTokens<'_>> {
+        SentenceView {
+            span: self.span,
+            tokens: LoweredTokens::new(&self.tokens),
+            tags: &self.tags,
+            chunks: &self.chunks,
+            analysis: &self.analysis,
+        }
+    }
+
     /// Surface text of a chunk by index.
     pub fn chunk_text(&self, chunk_index: usize) -> String {
         self.chunks[chunk_index].text(&self.tokens)
@@ -62,6 +74,62 @@ impl AnalyzedSentence {
     /// Lower-cased lemma of the token at `index`.
     pub fn lemma(&self, index: usize) -> String {
         lemma::lemmatize(&self.tokens[index].lower(), self.tags[index])
+    }
+}
+
+/// An analyzed sentence that borrows its parts: tokens through any
+/// [`TokenAccess`], plus its tags, chunks and clauses. On the mining path
+/// the tokens are a [`SubView`] of the scanned document, so `lower(i)` is a
+/// slice of the scan arena and nothing is copied; [`AnalyzedSentence::view`]
+/// lends the owned form the same way.
+#[derive(Debug, Clone, Copy)]
+pub struct SentenceView<'a, T> {
+    /// Byte span of the sentence in the source document.
+    pub span: wf_types::Span,
+    /// The sentence's tokens (sentence-local indices).
+    pub tokens: T,
+    /// One Penn Treebank tag per token.
+    pub tags: &'a [PosTag],
+    /// Base-phrase chunks over the tokens.
+    pub chunks: &'a [Chunk],
+    /// Clause decomposition.
+    pub analysis: &'a SentenceAnalysis,
+}
+
+/// A sentence the sentence loop kept and parsed, lent to the caller: its
+/// tags, chunks and clauses, over tokens that stay in the scanned
+/// document.
+pub struct KeptSentence<'a> {
+    doc: &'a DocView<'a>,
+    sentence: &'a Sentence,
+    tags: Vec<PosTag>,
+    chunks: Vec<Chunk>,
+    analysis: SentenceAnalysis,
+}
+
+impl<'a> KeptSentence<'a> {
+    /// The sentence borrowed: its tokens are a [`SubView`] of the document.
+    pub fn view(&self) -> SentenceView<'_, SubView<'a, DocView<'a>>> {
+        let s = self.sentence;
+        SentenceView {
+            span: s.span,
+            tokens: SubView::new(self.doc, s.start_token, s.end_token),
+            tags: &self.tags,
+            chunks: &self.chunks,
+            analysis: &self.analysis,
+        }
+    }
+
+    /// Materializes the owned [`AnalyzedSentence`], copying its tokens.
+    pub fn into_owned(self) -> AnalyzedSentence {
+        let s = self.sentence;
+        AnalyzedSentence {
+            span: s.span,
+            tokens: self.doc.to_tokens(s.start_token, s.end_token),
+            tags: self.tags,
+            chunks: self.chunks,
+            analysis: self.analysis,
+        }
     }
 }
 
@@ -102,13 +170,32 @@ pub struct StageCosts {
 impl StageCosts {
     /// Adds one document's stage units.
     pub fn absorb(&mut self, doc: &DocAnnotations) {
-        self.tokenize += doc.tokens as u64;
-        for sentence in &doc.sentences {
-            self.pos += sentence.tokens.len() as u64;
-            self.chunk += sentence.chunks.len() as u64;
-            self.clause += sentence.analysis.clauses.len() as u64;
+        self.scanned(doc.tokens, &doc.entities);
+        for s in &doc.sentences {
+            self.parsed(s.tokens.len(), s.chunks.len(), s.analysis.clauses.len());
         }
-        self.ner += doc.entities.len() as u64;
+    }
+
+    /// Adds the units of one scanned document: its tokens and its named
+    /// entities.
+    pub fn scanned(&mut self, tokens: usize, entities: &[NamedEntity]) {
+        self.tokenize += tokens as u64;
+        self.ner += entities.len() as u64;
+    }
+
+    /// Adds the units of one kept sentence.
+    pub fn kept<T: TokenAccess>(&mut self, sentence: &SentenceView<'_, T>) {
+        self.parsed(
+            sentence.tokens.len(),
+            sentence.chunks.len(),
+            sentence.analysis.clauses.len(),
+        );
+    }
+
+    fn parsed(&mut self, tokens: usize, chunks: usize, clauses: usize) {
+        self.pos += tokens as u64;
+        self.chunk += chunks as u64;
+        self.clause += clauses as u64;
     }
 
     /// `(stage name, units)` pairs in pipeline order.
@@ -148,52 +235,55 @@ impl Pipeline {
 
     /// Analyzes raw text into per-sentence structures.
     pub fn analyze(&self, text: &str) -> Vec<AnalyzedSentence> {
-        self.analyze_where(text, &mut DocScratch::new(), |_| true)
+        let mut out = Vec::new();
+        self.analyze_where(
+            text,
+            &mut DocScratch::new(),
+            |_| true,
+            |s| out.push(s.into_owned()),
+        );
+        out
     }
 
-    /// Like [`Pipeline::analyze`], but analyzes only the sentences whose
-    /// byte span `keep` accepts (the others are split and skipped), and
-    /// reuses caller-provided scratch. Mode A keeps the sentences that hold
-    /// a subject spot; no named-entity spotting runs.
+    /// Like [`Pipeline::analyze`], but parses only the sentences whose byte
+    /// span `keep` accepts (the others are split and skipped), reuses
+    /// caller-provided scratch, and lends each kept sentence to `visit`
+    /// instead of materializing it. Mode A keeps the sentences that hold a
+    /// subject spot; no named-entity spotting runs.
     pub fn analyze_where(
         &self,
         text: &str,
         scratch: &mut DocScratch,
         keep: impl FnMut(wf_types::Span) -> bool,
-    ) -> Vec<AnalyzedSentence> {
+        visit: impl FnMut(KeptSentence<'_>),
+    ) {
         view::scan(text, scratch);
         let doc = scratch.view(text);
-        self.analyze_kept(&doc, &sentence::split_tokens(&doc), keep)
+        self.parse_kept(&doc, &sentence::split_tokens(&doc), keep, visit);
     }
 
     /// The one sentence loop: runs tag → chunk → clause over each sentence
-    /// whose span `keep` accepts, in document order.
-    fn analyze_kept(
+    /// whose span `keep` accepts, in document order, and lends each to
+    /// `visit` with its tokens still in the document.
+    fn parse_kept<'a>(
         &self,
-        doc: &DocView<'_>,
-        sentences: &[Sentence],
+        doc: &'a DocView<'a>,
+        sentences: &'a [Sentence],
         mut keep: impl FnMut(wf_types::Span) -> bool,
-    ) -> Vec<AnalyzedSentence> {
-        sentences
-            .iter()
-            .filter(|s| keep(s.span))
-            .map(|s| self.analyze_span(doc, s))
-            .collect()
-    }
-
-    /// Runs tag → chunk → clause over one sentence of a scanned document and
-    /// materializes the owned [`AnalyzedSentence`].
-    fn analyze_span(&self, doc: &DocView<'_>, s: &Sentence) -> AnalyzedSentence {
-        let sub = SubView::new(doc, s.start_token, s.end_token);
-        let tags = self.tagger.tag_tokens(&sub);
-        let chunks = chunk::chunk_tokens(&sub, &tags);
-        let analysis = clause::analyze_clause_tokens(&sub, &tags, &chunks);
-        AnalyzedSentence {
-            span: s.span,
-            tokens: doc.to_tokens(s.start_token, s.end_token),
-            tags,
-            chunks,
-            analysis,
+        mut visit: impl FnMut(KeptSentence<'a>),
+    ) {
+        for s in sentences.iter().filter(|s| keep(s.span)) {
+            let sub = SubView::new(doc, s.start_token, s.end_token);
+            let tags = self.tagger.tag_tokens(&sub);
+            let chunks = chunk::chunk_tokens(&sub, &tags);
+            let analysis = clause::analyze_clause_tokens(&sub, &tags, &chunks);
+            visit(KeptSentence {
+                doc,
+                sentence: s,
+                tags,
+                chunks,
+                analysis,
+            });
         }
     }
 
@@ -236,20 +326,34 @@ impl Pipeline {
     /// Full document annotation — sentence analyses *and* named entities —
     /// from a single tokenization pass over `text`.
     pub fn analyze_doc(&self, text: &str, scratch: &mut DocScratch) -> DocAnnotations {
-        self.annotate_where(text, scratch, |_, _| true)
+        let mut sentences = Vec::new();
+        let (entities, tokens) = self.annotate_where(
+            text,
+            scratch,
+            |_, _| true,
+            |s, _| sentences.push(s.into_owned()),
+        );
+        DocAnnotations {
+            sentences,
+            entities,
+            tokens,
+        }
     }
 
-    /// Like [`Pipeline::analyze_doc`], but analyzes only the sentences
-    /// `keep` accepts, given each sentence's span and the entities of the
-    /// whole document. Named entities are spotted on the token view first,
-    /// so Mode B passes [`holds_entity`] and parses only the sentences that
-    /// hold a subject.
+    /// Like [`Pipeline::analyze_doc`], but parses only the sentences `keep`
+    /// accepts, given each sentence's span and the entities of the whole
+    /// document, and lends each kept sentence to `visit` with those
+    /// entities. Named entities are spotted on the token view first, so
+    /// Mode B passes [`holds_entity`] and parses only the sentences that
+    /// hold a subject. Returns the entities and the number of tokens
+    /// scanned.
     pub fn annotate_where(
         &self,
         text: &str,
         scratch: &mut DocScratch,
         mut keep: impl FnMut(wf_types::Span, &[NamedEntity]) -> bool,
-    ) -> DocAnnotations {
+        mut visit: impl FnMut(KeptSentence<'_>, &[NamedEntity]),
+    ) -> (Vec<NamedEntity>, usize) {
         view::scan(text, scratch);
         let doc = scratch.view(text);
         let sentences = sentence::split_tokens(&doc);
@@ -257,11 +361,13 @@ impl Pipeline {
         for s in &sentences {
             entities.extend(ner::spot_tokens(&doc, s));
         }
-        DocAnnotations {
-            sentences: self.analyze_kept(&doc, &sentences, |span| keep(span, &entities)),
-            tokens: TokenAccess::len(&doc),
-            entities,
-        }
+        self.parse_kept(
+            &doc,
+            &sentences,
+            |span| keep(span, &entities),
+            |s| visit(s, &entities),
+        );
+        (entities, TokenAccess::len(&doc))
     }
 
     /// Annotates a batch of documents, reusing one scratch buffer across
@@ -346,13 +452,59 @@ mod tests {
         // Mode B parses only the first sentence: the second holds no
         // entity, so its tokens are scanned but never tagged
         let text = "Canon makes cameras. the lens is sharp.";
-        let doc = p.annotate_where(text, &mut DocScratch::new(), holds_entity);
-        assert_eq!(doc.sentences.len(), 1);
         let mut lazy = StageCosts::default();
-        lazy.absorb(&doc);
+        let mut kept = 0;
+        let (entities, tokens) =
+            p.annotate_where(text, &mut DocScratch::new(), holds_entity, |s, _| {
+                kept += 1;
+                lazy.kept(&s.view());
+            });
+        lazy.scanned(tokens, &entities);
+        assert_eq!(kept, 1);
         assert_eq!(lazy.tokenize, 9, "both sentences are scanned");
         assert_eq!(lazy.pos, 4, "Canon makes cameras .");
         assert_eq!(lazy.ner, 1);
+    }
+
+    #[test]
+    fn kept_sentence_view_matches_its_owned_form() {
+        let p = Pipeline::new();
+        let text = "The Camera's lens is GREAT. Nikon wins.";
+        let mut kept = 0;
+        p.analyze_where(
+            text,
+            &mut DocScratch::new(),
+            |_| true,
+            |s| {
+                let v = s.view();
+                let tokens = &v.tokens;
+                let lent: Vec<(wf_types::Span, String, String)> = (0..tokens.len())
+                    .map(|i| {
+                        (
+                            tokens.span(i),
+                            tokens.text(i).into(),
+                            tokens.lower(i).into(),
+                        )
+                    })
+                    .collect();
+                let parts = (
+                    v.span,
+                    v.tags.to_vec(),
+                    v.chunks.to_vec(),
+                    v.analysis.clone(),
+                );
+                let a = s.into_owned();
+                let owned: Vec<_> = a
+                    .tokens
+                    .iter()
+                    .map(|t| (t.span, t.text.clone(), t.lower()))
+                    .collect();
+                assert_eq!(lent, owned);
+                assert_eq!(parts, (a.span, a.tags, a.chunks, a.analysis));
+                kept += 1;
+            },
+        );
+        assert_eq!(kept, 2);
     }
 
     #[test]

@@ -32,7 +32,8 @@ pub struct Token {
 }
 
 impl Token {
-    /// Lower-cased surface form (allocates; used for dictionary lookups).
+    /// Lower-cased surface form, allocated per call. Hot paths read the
+    /// lowercase from a token view instead ([`crate::TokenAccess::lower`]).
     pub fn lower(&self) -> String {
         self.text.to_lowercase()
     }

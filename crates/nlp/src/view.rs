@@ -189,16 +189,31 @@ impl<T: TokenAccess> TokenAccess for SubView<'_, T> {
 
 /// Compatibility adapter: owned legacy tokens with lowers precomputed once,
 /// so the generic stages stay allocation-free over `&[Token]` input too.
+/// The lowers share one arena, so an adapter costs two allocations
+/// however many tokens it holds.
 pub struct LoweredTokens<'a> {
     tokens: &'a [Token],
-    lowers: Vec<String>,
+    /// Every token's lowercase, back to back.
+    arena: String,
+    /// End of each token's lowercase in `arena`; it starts where the
+    /// previous one ends.
+    ends: Vec<usize>,
 }
 
 impl<'a> LoweredTokens<'a> {
     pub fn new(tokens: &'a [Token]) -> Self {
+        let mut arena = String::with_capacity(tokens.iter().map(|t| t.text.len()).sum());
+        let ends = tokens
+            .iter()
+            .map(|t| {
+                lowercase_into(&t.text, &mut arena);
+                arena.len()
+            })
+            .collect();
         LoweredTokens {
             tokens,
-            lowers: tokens.iter().map(|t| t.lower()).collect(),
+            arena,
+            ends,
         }
     }
 }
@@ -217,7 +232,8 @@ impl TokenAccess for LoweredTokens<'_> {
         &self.tokens[i].text
     }
     fn lower(&self, i: usize) -> &str {
-        &self.lowers[i]
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.arena[start..self.ends[i]]
     }
 }
 
@@ -517,5 +533,11 @@ mod tests {
         assert_eq!(lt.text(1), "CAMERA");
         assert_eq!(lt.lower(1), "camera");
         assert!(lt.is_all_caps(1));
+        let toks = naive::tokenize("İstanbul ΟΔΟΣ isn't ÉTÉ");
+        let lt = LoweredTokens::new(&toks);
+        for (i, t) in toks.iter().enumerate() {
+            assert_eq!(lt.lower(i), t.lower(), "lower at {i}");
+        }
+        assert!(LoweredTokens::new(&[]).is_empty());
     }
 }

@@ -808,21 +808,29 @@ impl DurableStorage {
     /// Call at quiescent points (no in-flight mutators on the shard).
     pub fn snapshot_shard(&self, store: &DataStore, node: NodeId) -> Result<SnapshotStats> {
         let state = self.shard(node.0)?;
-        let ids = store.shard_ids(node);
-        let last_lsn = state.next_lsn.load(Ordering::Relaxed) - 1;
-        let mut header: BTreeMap<String, Value> = BTreeMap::new();
-        header.insert("entities".into(), Value::from(ids.len() as u64));
-        header.insert("last_lsn".into(), Value::from(last_lsn));
-        header.insert("shard".into(), Value::from(node.0));
-        let mut buf = Value::Object(header).to_json_string();
-        buf.push('\n');
-        for id in &ids {
-            let entity = store.get(*id)?;
-            let line = serde_json::to_string(&entity)
-                .map_err(|e| Error::Service(format!("serialize snapshot {id}: {e}")))?;
-            buf.push_str(&line);
-            buf.push('\n');
+        if node.0 as usize >= store.shard_count() {
+            return Err(Error::Config(format!("store has no shard {}", node.0)));
         }
+        let last_lsn = state.next_lsn.load(Ordering::Relaxed) - 1;
+        // serialized by reference under the shard's read lock
+        let (entities, buf) = store.read_shard(node, |read| {
+            let all = read.all();
+            let entities = all.len() as u64;
+            let mut header: BTreeMap<String, Value> = BTreeMap::new();
+            header.insert("entities".into(), Value::from(entities));
+            header.insert("last_lsn".into(), Value::from(last_lsn));
+            header.insert("shard".into(), Value::from(node.0));
+            let mut buf = Value::Object(header).to_json_string();
+            buf.push('\n');
+            for entity in all {
+                let line = serde_json::to_string(entity).map_err(|e| {
+                    Error::Service(format!("serialize snapshot {}: {e}", entity.id))
+                })?;
+                buf.push_str(&line);
+                buf.push('\n');
+            }
+            Ok::<_, Error>((entities, buf))
+        })?;
         state.snapshot.replace(buf.as_bytes())?;
         let truncated_wal_bytes = state.wal.len()?;
         state.wal.replace(&[])?;
@@ -833,7 +841,7 @@ impl DurableStorage {
         });
         Ok(SnapshotStats {
             shard: node.0,
-            entities: ids.len() as u64,
+            entities,
             snapshot_bytes: buf.len() as u64,
             last_lsn,
             truncated_wal_bytes,

@@ -181,7 +181,14 @@ impl DataStore {
 
     /// Retrieves a clone of an entity.
     pub fn get(&self, id: DocId) -> Result<Entity> {
-        self.read_shard(self.node_of(id), |read| read.get(id).cloned())
+        self.read(id, Entity::clone)
+    }
+
+    /// Lends an entity to `f` by reference, under its shard's read lock,
+    /// and returns what `f` makes of it. Counts as [`DataStore::get`]
+    /// does: one `store.get.ok`, or a logged `store.get.miss`.
+    pub fn read<R>(&self, id: DocId, f: impl FnOnce(&Entity) -> R) -> Result<R> {
+        self.read_shard(self.node_of(id), |read| read.get(id).map(f))
             .ok_or_else(|| Error::NotFound(id.to_string()))
     }
 
@@ -357,7 +364,7 @@ impl<'a> ShardRead<'a> {
     }
 
     /// Every entity of the shard, in id order.
-    pub(crate) fn all(self) -> impl Iterator<Item = &'a Entity> {
+    pub(crate) fn all(self) -> impl ExactSizeIterator<Item = &'a Entity> {
         self.store.metrics.get_ok.add(self.entities.len() as u64);
         self.entities.values()
     }

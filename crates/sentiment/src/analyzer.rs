@@ -9,18 +9,26 @@
 //! cover attributive adjectives ("the excellent camera"), existential
 //! clauses ("there is a lack of ..."), and contrastive leading PPs
 //! ("Unlike the T series CLIEs, ...").
+//!
+//! The analyzer reads a borrowed [`SentenceView`], generic over its token
+//! view: the miners lend each kept sentence with its tokens still in the
+//! scanned document, and [`SentimentAnalyzer::analyze`] lends an owned
+//! [`AnalyzedSentence`] the same way.
 
 use crate::phrase::{manner_polarity, phrase_polarity};
 use wf_lexicon::{Assignment, Component, PatternDatabase, SentimentLexicon, SentimentPattern};
-use wf_nlp::{AnalyzedSentence, Chunk, ChunkKind, Clause, PosTag};
+use wf_nlp::{AnalyzedSentence, Chunk, ChunkKind, Clause, PosTag, SentenceView, TokenAccess};
 use wf_types::Polarity;
 
 /// How an assignment was derived (evidence for reports and debugging).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// `Copy`: its strings borrow from the static pattern database or are
+/// literals.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Evidence {
     /// A sentiment pattern of the predicate matched.
     Pattern {
-        predicate: String,
+        /// The predicate lemma, as the pattern database spells it.
+        predicate: &'static str,
         target: Component,
     },
     /// Attributive sentiment adjectives inside the target NP itself.
@@ -30,7 +38,7 @@ pub enum Evidence {
     /// Contrastive leading PP ("unlike ..." inverts, "like"/"as" copies).
     Contrast {
         /// The preposition that triggered the rule.
-        preposition: String,
+        preposition: &'static str,
     },
 }
 
@@ -116,6 +124,14 @@ impl SentimentAnalyzer {
 
     /// Analyzes one parsed sentence into sentiment assignments.
     pub fn analyze(&self, sentence: &AnalyzedSentence) -> Vec<SentimentAssignment> {
+        self.analyze_view(&sentence.view())
+    }
+
+    /// Analyzes one borrowed sentence into sentiment assignments.
+    pub fn analyze_view<T: TokenAccess>(
+        &self,
+        sentence: &SentenceView<'_, T>,
+    ) -> Vec<SentimentAssignment> {
         let mut out = Vec::new();
         for clause in &sentence.analysis.clauses {
             let clause_assignments = self.analyze_clause(sentence, clause);
@@ -155,9 +171,9 @@ impl SentimentAnalyzer {
     }
 
     /// Pattern-based analysis of one clause.
-    fn analyze_clause(
+    fn analyze_clause<T: TokenAccess>(
         &self,
-        sentence: &AnalyzedSentence,
+        sentence: &SentenceView<'_, T>,
         clause: &Clause,
     ) -> Vec<SentimentAssignment> {
         let Some(predicate) = &clause.predicate else {
@@ -171,13 +187,7 @@ impl SentimentAnalyzer {
                 return vec![a];
             }
         }
-        let mut candidates: Vec<&SentimentPattern> = self
-            .patterns
-            .patterns_for(&predicate.lemma)
-            .iter()
-            .collect();
-        candidates.sort_by_key(|p| std::cmp::Reverse(p.specificity()));
-        for pattern in candidates {
+        for pattern in self.patterns.patterns_by_specificity(&predicate.lemma) {
             let Some(target_ranges) = self.resolve_target(sentence, clause, pattern) else {
                 continue;
             };
@@ -206,7 +216,7 @@ impl SentimentAnalyzer {
                 ranges: target_ranges,
                 polarity,
                 evidence: Evidence::Pattern {
-                    predicate: predicate.lemma.clone(),
+                    predicate: &pattern.predicate,
                     target: pattern.target,
                 },
             }];
@@ -215,9 +225,9 @@ impl SentimentAnalyzer {
     }
 
     /// Token ranges of a pattern's target component, if present.
-    fn resolve_target(
+    fn resolve_target<T: TokenAccess>(
         &self,
-        sentence: &AnalyzedSentence,
+        sentence: &SentenceView<'_, T>,
         clause: &Clause,
         pattern: &SentimentPattern,
     ) -> Option<Vec<(usize, usize)>> {
@@ -251,9 +261,9 @@ impl SentimentAnalyzer {
 
     /// Polarity of a source component, or None when the component is
     /// absent from the clause.
-    fn source_polarity(
+    fn source_polarity<T: TokenAccess>(
         &self,
-        sentence: &AnalyzedSentence,
+        sentence: &SentenceView<'_, T>,
         clause: &Clause,
         source: Component,
         source_preps: Option<&[String]>,
@@ -297,15 +307,19 @@ impl SentimentAnalyzer {
             .map(|(prep, ci)| (prep.as_str(), *ci))
     }
 
-    fn range_polarity(&self, sentence: &AnalyzedSentence, range: (usize, usize)) -> Polarity {
+    fn range_polarity<T: TokenAccess>(
+        &self,
+        sentence: &SentenceView<'_, T>,
+        range: (usize, usize),
+    ) -> Polarity {
         phrase_polarity(sentence, range, self.lexicon)
     }
 
     /// Existential "there be X ..." → sentiment of X directed at X's PPs
     /// (and X itself).
-    fn existential_assignment(
+    fn existential_assignment<T: TokenAccess>(
         &self,
-        sentence: &AnalyzedSentence,
+        sentence: &SentenceView<'_, T>,
         clause: &Clause,
     ) -> Option<SentimentAssignment> {
         let predicate = clause.predicate.as_ref()?;
@@ -349,9 +363,9 @@ impl SentimentAnalyzer {
     /// "X is better than Y": when the clause assigned a comparative
     /// complement's polarity to its subject and a than-PP follows, the
     /// than-phrase receives the opposite polarity.
-    fn comparative_assignment(
+    fn comparative_assignment<T: TokenAccess>(
         &self,
-        sentence: &AnalyzedSentence,
+        sentence: &SentenceView<'_, T>,
         clause: &Clause,
         clause_assignments: &[SentimentAssignment],
     ) -> Option<SentimentAssignment> {
@@ -359,7 +373,7 @@ impl SentimentAnalyzer {
         let comp_chunk = &sentence.chunks[complement];
         let is_comparative = (comp_chunk.start..comp_chunk.end).any(|i| {
             matches!(sentence.tags[i], PosTag::JJR | PosTag::RBR)
-                || matches!(sentence.tokens[i].lower().as_str(), "more" | "less")
+                || matches!(sentence.tokens.lower(i), "more" | "less")
         });
         if !is_comparative {
             return None;
@@ -375,24 +389,26 @@ impl SentimentAnalyzer {
             ranges: vec![chunk_range(&sentence.chunks[*than_pp])],
             polarity: subject_assignment.polarity.reversed(),
             evidence: Evidence::Contrast {
-                preposition: "than".to_string(),
+                preposition: "than",
             },
         })
     }
 
     /// Mirrors the clause's subject sentiment onto a contrastive leading
     /// PP: "unlike X" gets the opposite, "like"/"as" the same.
-    fn contrast_assignment(
+    fn contrast_assignment<T: TokenAccess>(
         &self,
-        sentence: &AnalyzedSentence,
+        sentence: &SentenceView<'_, T>,
         clause: &Clause,
         clause_assignments: &[SentimentAssignment],
         prep: &str,
         pp_chunk: usize,
     ) -> Option<SentimentAssignment> {
-        let invert = match prep {
-            "unlike" => true,
-            "like" | "as" | "with" => false,
+        let (preposition, invert) = match prep {
+            "unlike" => ("unlike", true),
+            "like" => ("like", false),
+            "as" => ("as", false),
+            "with" => ("with", false),
             _ => return None,
         };
         // the clause must have assigned sentiment to its subject region
@@ -404,17 +420,18 @@ impl SentimentAnalyzer {
         Some(SentimentAssignment {
             ranges: vec![chunk_range(&sentence.chunks[pp_chunk])],
             polarity: subject_assignment.polarity.reversed_if(invert),
-            evidence: Evidence::Contrast {
-                preposition: prep.to_string(),
-            },
+            evidence: Evidence::Contrast { preposition },
         })
     }
 
     /// Attributive adjectives: for every NP whose premodifiers carry
     /// sentiment, assign that polarity to the NP region.
-    fn attributive_assignments(&self, sentence: &AnalyzedSentence) -> Vec<SentimentAssignment> {
+    fn attributive_assignments<T: TokenAccess>(
+        &self,
+        sentence: &SentenceView<'_, T>,
+    ) -> Vec<SentimentAssignment> {
         let mut out = Vec::new();
-        for chunk in &sentence.chunks {
+        for chunk in sentence.chunks {
             let np_range = match chunk.kind {
                 ChunkKind::NP => chunk_range(chunk),
                 // a PP embeds its object NP
@@ -451,11 +468,15 @@ impl SentimentAnalyzer {
 /// The NP chunks coordinated with `anchor` inside the clause: walks both
 /// directions across `CC`/comma connectors ("the lens and the battery",
 /// "the lens, the menu and the strap").
-fn coordinated_nps(sentence: &AnalyzedSentence, clause: &Clause, anchor: usize) -> Vec<usize> {
+fn coordinated_nps<T: TokenAccess>(
+    sentence: &SentenceView<'_, T>,
+    clause: &Clause,
+    anchor: usize,
+) -> Vec<usize> {
     let is_connector = |ci: usize| -> bool {
         let c = &sentence.chunks[ci];
         c.kind == ChunkKind::Other
-            && (sentence.tags[c.start] == PosTag::CC || sentence.tokens[c.start].text == ",")
+            && (sentence.tags[c.start] == PosTag::CC || sentence.tokens.text(c.start) == ",")
     };
     let is_np = |ci: usize| sentence.chunks[ci].kind == ChunkKind::NP;
     let mut out = vec![anchor];

@@ -6,7 +6,7 @@
 
 use crate::analyzer::{AnalyzerConfig, Evidence, SentimentAnalyzer, SentimentAssignment};
 use crate::record::{EvidenceKind, SubjectSentiment};
-use wf_nlp::{AnalyzedSentence, DocScratch, NamedEntity, Pipeline};
+use wf_nlp::{DocScratch, NamedEntity, Pipeline, SentenceView, StageCosts, TokenAccess};
 use wf_spotter::{Spot, Spotter, SubjectList};
 use wf_types::{Polarity, Span};
 
@@ -67,8 +67,7 @@ impl SentimentMiner {
     /// assignment) association plus a Neutral record for every spot with
     /// no sentiment. Subjects come from the predefined list.
     pub fn analyze_text(&self, text: &str, subjects: &SubjectList) -> Vec<SubjectSentiment> {
-        let spotter = Spotter::new(subjects);
-        self.analyze_with_spots(text, subjects, &spotter.spot(text))
+        self.analyze_with_spotter(text, subjects, &Spotter::new(subjects))
     }
 
     /// Mode A with a reusable compiled spotter (bulk processing).
@@ -78,23 +77,28 @@ impl SentimentMiner {
         subjects: &SubjectList,
         spotter: &Spotter,
     ) -> Vec<SubjectSentiment> {
-        self.analyze_with_spots(text, subjects, &spotter.spot(text))
+        self.analyze_spotted(text, subjects, spotter, &mut DocScratch::new())
     }
 
     /// Mode A over the sentences that hold a spot start: only those are
-    /// parsed, and no named-entity spotting runs.
-    fn analyze_with_spots(
+    /// parsed, each is analyzed with its tokens still in `scratch`, and no
+    /// named-entity spotting runs. Bulk mining reuses one scratch.
+    pub(crate) fn analyze_spotted(
         &self,
         text: &str,
         subjects: &SubjectList,
-        spots: &[Spot],
+        spotter: &Spotter,
+        scratch: &mut DocScratch,
     ) -> Vec<SubjectSentiment> {
-        let sentences = self
-            .pipeline
-            .analyze_where(text, &mut DocScratch::new(), |span| {
-                spots.iter().any(|s| span.contains_offset(s.span.start))
-            });
-        self.records_for_spots(&sentences, subjects, spots)
+        let spots = spotter.spot(text);
+        let mut out = Vec::new();
+        self.pipeline.analyze_where(
+            text,
+            scratch,
+            |span| spots.iter().any(|s| span.contains_offset(s.span.start)),
+            |sentence| self.spot_records(&sentence.view(), subjects, &spots, &mut out),
+        );
+        out
     }
 
     /// Reference implementation of [`SentimentMiner::analyze_with_spotter`]
@@ -107,43 +111,45 @@ impl SentimentMiner {
         subjects: &SubjectList,
         spotter: &Spotter,
     ) -> Vec<SubjectSentiment> {
-        let sentences = wf_nlp::naive::analyze(text);
-        self.records_for_spots(&sentences, subjects, &spotter.spot(text))
-    }
-
-    /// Shared mode-A association step: pairs each sentence analysis with the
-    /// spots that start in it.
-    fn records_for_spots(
-        &self,
-        sentences: &[AnalyzedSentence],
-        subjects: &SubjectList,
-        spots: &[Spot],
-    ) -> Vec<SubjectSentiment> {
+        let spots = spotter.spot(text);
         let mut out = Vec::new();
-        for sentence in sentences {
-            let in_sentence: Vec<&Spot> = spots
-                .iter()
-                .filter(|s| sentence.span.contains_offset(s.span.start))
-                .collect();
-            if in_sentence.is_empty() {
-                continue;
-            }
-            let assignments = self.analyzer.analyze(sentence);
-            for spot in in_sentence {
-                let subject = subjects
-                    .get(spot.synset)
-                    .map(|s| s.canonical.clone())
-                    .unwrap_or_else(|| spot.variant.clone());
-                out.extend(associate_spot(
-                    sentence,
-                    &assignments,
-                    spot.span,
-                    subject,
-                    Some(spot.synset),
-                ));
-            }
+        for sentence in wf_nlp::naive::analyze(text) {
+            self.spot_records(&sentence.view(), subjects, &spots, &mut out);
         }
         out
+    }
+
+    /// Mode A's association step: pairs one sentence's analysis with the
+    /// spots that start in it.
+    fn spot_records<T: TokenAccess>(
+        &self,
+        sentence: &SentenceView<'_, T>,
+        subjects: &SubjectList,
+        spots: &[Spot],
+        out: &mut Vec<SubjectSentiment>,
+    ) {
+        let in_sentence: Vec<&Spot> = spots
+            .iter()
+            .filter(|s| sentence.span.contains_offset(s.span.start))
+            .collect();
+        if in_sentence.is_empty() {
+            return;
+        }
+        let assignments = self.analyzer.analyze_view(sentence);
+        for spot in in_sentence {
+            let subject = subjects
+                .get(spot.synset)
+                .map(|s| s.canonical.clone())
+                .unwrap_or_else(|| spot.variant.clone());
+            associate_spot(
+                sentence,
+                &assignments,
+                spot.span,
+                subject,
+                Some(spot.synset),
+                out,
+            );
+        }
     }
 
     /// Query-time mode (mode B building block): subjects are the named
@@ -156,27 +162,35 @@ impl SentimentMiner {
 
     /// Mode B over a batch of documents. Each document is tokenized once;
     /// entity spotting and sentence analysis share the pass, only the
-    /// sentences that hold an entity are parsed, and one scratch buffer is
-    /// reused across all documents, so steady-state per-token allocation
-    /// amortizes away. Output is order-aligned with
-    /// `texts`; the batch's per-stage NLP unit costs
-    /// ([`wf_nlp::StageCosts`], a sum over documents) come with it, so
-    /// miner runs can attribute the work to tokenize/pos/chunk/clause/ner
-    /// spans.
+    /// sentences that hold an entity are parsed, each is analyzed with its
+    /// tokens still in the scan, and one scratch buffer is reused across
+    /// all documents, so steady-state per-token allocation amortizes away.
+    /// Output is order-aligned with `texts`; the batch's per-stage NLP
+    /// unit costs ([`wf_nlp::StageCosts`], a sum over documents) come with
+    /// it, so miner runs can attribute the work to
+    /// tokenize/pos/chunk/clause/ner spans.
     pub fn analyze_named_entities_batch<S: AsRef<str>>(
         &self,
         texts: &[S],
-    ) -> (Vec<Vec<SubjectSentiment>>, wf_nlp::StageCosts) {
+    ) -> (Vec<Vec<SubjectSentiment>>, StageCosts) {
         let mut scratch = DocScratch::new();
-        let mut costs = wf_nlp::StageCosts::default();
+        let mut costs = StageCosts::default();
         let records = texts
             .iter()
             .map(|t| {
-                let annotations =
-                    self.pipeline
-                        .annotate_where(t.as_ref(), &mut scratch, wf_nlp::holds_entity);
-                costs.absorb(&annotations);
-                self.records_for_doc(&annotations.sentences, &annotations.entities)
+                let mut out = Vec::new();
+                let (entities, tokens) = self.pipeline.annotate_where(
+                    t.as_ref(),
+                    &mut scratch,
+                    wf_nlp::holds_entity,
+                    |sentence, entities| {
+                        let sentence = sentence.view();
+                        costs.kept(&sentence);
+                        self.entity_records(&sentence, entities, &mut out);
+                    },
+                );
+                costs.scanned(tokens, &entities);
+                out
             })
             .collect();
         (records, costs)
@@ -188,85 +202,75 @@ impl SentimentMiner {
     /// production paths.
     pub fn analyze_named_entities_reference(&self, text: &str) -> Vec<SubjectSentiment> {
         let entities = wf_nlp::naive::named_entities(text);
-        let sentences = wf_nlp::naive::analyze(text);
-        self.records_for_doc(&sentences, &entities)
+        let mut out = Vec::new();
+        for sentence in wf_nlp::naive::analyze(text) {
+            self.entity_records(&sentence.view(), &entities, &mut out);
+        }
+        out
     }
 
-    /// Shared mode-B association step: pairs each sentence analysis with the
-    /// named entities it contains.
-    fn records_for_doc(
+    /// Mode B's association step: pairs one sentence's analysis with the
+    /// named entities that start in it.
+    fn entity_records<T: TokenAccess>(
         &self,
-        sentences: &[AnalyzedSentence],
+        sentence: &SentenceView<'_, T>,
         entities: &[NamedEntity],
-    ) -> Vec<SubjectSentiment> {
-        sentences
-            .iter()
-            .flat_map(|sentence| self.records_for_sentence(sentence, entities))
-            .collect()
-    }
-
-    fn records_for_sentence(
-        &self,
-        sentence: &AnalyzedSentence,
-        entities: &[NamedEntity],
-    ) -> Vec<SubjectSentiment> {
-        let in_sentence: Vec<_> = entities
+        out: &mut Vec<SubjectSentiment>,
+    ) {
+        let in_sentence: Vec<&NamedEntity> = entities
             .iter()
             .filter(|e| sentence.span.contains_offset(e.span.start))
             .collect();
         if in_sentence.is_empty() {
-            return Vec::new();
+            return;
         }
-        let assignments = self.analyzer.analyze(sentence);
-        let mut out = Vec::new();
+        let assignments = self.analyzer.analyze_view(sentence);
         for entity in in_sentence {
-            out.extend(associate_spot(
+            associate_spot(
                 sentence,
                 &assignments,
                 entity.span,
                 entity.text.clone(),
                 None,
-            ));
+                out,
+            );
         }
-        out
     }
 }
 
-/// Associates a spot with the assignments covering it.
-fn associate_spot(
-    sentence: &AnalyzedSentence,
+/// Appends a record for each assignment covering a spot, or one Neutral
+/// record when none does.
+fn associate_spot<T: TokenAccess>(
+    sentence: &SentenceView<'_, T>,
     assignments: &[SentimentAssignment],
     spot_span: Span,
     subject: String,
     synset: Option<wf_types::SynsetId>,
-) -> Vec<SubjectSentiment> {
+    out: &mut Vec<SubjectSentiment>,
+) {
     // the spot's token indices (tokens overlapping the spot span)
-    let spot_tokens: Vec<usize> = sentence
-        .tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.span.overlaps(spot_span))
-        .map(|(i, _)| i)
+    let spot_tokens: Vec<usize> = (0..sentence.tokens.len())
+        .filter(|&i| sentence.tokens.span(i).overlaps(spot_span))
         .collect();
-    let mut records = Vec::new();
+    let before = out.len();
     for assignment in assignments {
         if assignment.polarity == Polarity::Neutral {
             continue;
         }
         if spot_tokens.iter().any(|&t| assignment.covers_token(t)) {
-            records.push(SubjectSentiment {
+            out.push(SubjectSentiment {
                 subject: subject.clone(),
                 synset,
                 polarity: assignment.polarity,
                 sentence_span: sentence.span,
                 spot_span,
-                evidence: evidence_kind(&assignment.evidence),
-                detail: evidence_detail(&assignment.evidence),
+                evidence: evidence_kind(assignment.evidence),
+                detail: evidence_detail(assignment.evidence),
             });
         }
     }
-    if records.is_empty() {
-        records.push(SubjectSentiment {
+    if out.len() == before {
+        out.push(SubjectSentiment {
             subject,
             synset,
             polarity: Polarity::Neutral,
@@ -276,10 +280,9 @@ fn associate_spot(
             detail: String::new(),
         });
     }
-    records
 }
 
-fn evidence_kind(evidence: &Evidence) -> EvidenceKind {
+fn evidence_kind(evidence: Evidence) -> EvidenceKind {
     match evidence {
         Evidence::Pattern { .. } => EvidenceKind::Pattern,
         Evidence::Existential => EvidenceKind::Existential,
@@ -288,7 +291,7 @@ fn evidence_kind(evidence: &Evidence) -> EvidenceKind {
     }
 }
 
-fn evidence_detail(evidence: &Evidence) -> String {
+fn evidence_detail(evidence: Evidence) -> String {
     match evidence {
         Evidence::Pattern { predicate, target } => format!("pattern {predicate}→{target}"),
         Evidence::Existential => "existential".into(),

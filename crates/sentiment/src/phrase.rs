@@ -6,10 +6,15 @@
 //! word. For a sentiment phrase with an adverb with negative meaning, such
 //! as not, no, never, hardly, seldom, or little, the sentiment polarity of
 //! the phrase is reversed."
+//!
+//! Scoring borrows each token's lowercase form from the sentence's token
+//! view and looks it up by `&str`. Only verbs and plural nouns inside the
+//! scored range are lemmatized, and an n-gram is built, in one reused
+//! buffer, only from a word that begins a multi-word lexicon entry.
 
 use wf_lexicon::{PosClass, SentimentLexicon};
 use wf_nlp::clause::is_negation_word;
-use wf_nlp::{lemma, AnalyzedSentence, PosTag};
+use wf_nlp::{lemma, PosTag, SentenceView, TokenAccess};
 use wf_types::Polarity;
 
 /// Maps a Penn tag to the lexicon's coarse POS class.
@@ -27,10 +32,19 @@ fn pos_class(tag: PosTag) -> Option<PosClass> {
     }
 }
 
-/// Normalized lookup key for a token: verb lemma / singular noun /
-/// lower-cased surface otherwise.
-fn lookup_key(sentence: &AnalyzedSentence, i: usize) -> String {
-    lemma::lemmatize(&sentence.tokens[i].lower(), sentence.tags[i])
+/// Polarity of one lower-cased token under its tag's class: verbs are
+/// looked up by lemma, plural nouns by singular, everything else as is.
+fn word_polarity(
+    lower: &str,
+    tag: PosTag,
+    class: PosClass,
+    lexicon: &SentimentLexicon,
+) -> Option<Polarity> {
+    if tag.is_verb() || tag == PosTag::NNS {
+        lexicon.polarity(&lemma::lemmatize(lower, tag), class)
+    } else {
+        lexicon.polarity(lower, class)
+    }
 }
 
 /// Scores the polarity of the token range `[start, end)` of a sentence.
@@ -39,13 +53,14 @@ fn lookup_key(sentence: &AnalyzedSentence, i: usize) -> String {
 /// lemmas for verbs and singulars for nouns), plus multi-word lexicon
 /// entries up to the lexicon's longest entry. Any negating word inside the
 /// range reverses the total.
-pub fn phrase_polarity(
-    sentence: &AnalyzedSentence,
+pub fn phrase_polarity<T: TokenAccess>(
+    sentence: &SentenceView<'_, T>,
     range: (usize, usize),
     lexicon: &SentimentLexicon,
 ) -> Polarity {
+    let tokens = &sentence.tokens;
     let (start, end) = range;
-    let end = end.min(sentence.tokens.len());
+    let end = end.min(tokens.len());
     if start >= end {
         return Polarity::Neutral;
     }
@@ -53,38 +68,37 @@ pub fn phrase_polarity(
     let mut negated = false;
     for i in start..end {
         let tag = sentence.tags[i];
-        let lower = sentence.tokens[i].lower();
+        let lower = tokens.lower(i);
         // "less reliable" / "fewer problems" reverse like negators do;
         // unlike them they also act in adjectival position (JJR/RBR)
-        let downward = matches!(lower.as_str(), "less" | "fewer");
-        let negates = (is_negation_word(&lower)
+        let downward = matches!(lower, "less" | "fewer");
+        let negates = (is_negation_word(lower)
             && (tag.is_adverb() || tag == PosTag::DT || tag == PosTag::IN))
             || (downward && (tag.is_adverb() || tag.is_adjective()));
         if negates {
             negated = !negated;
             continue;
         }
-        if let Some(class) = pos_class(tag) {
-            let key = lookup_key(sentence, i);
-            if let Some(p) = lexicon.polarity(&key, class) {
-                score += p.score();
-                continue;
-            }
+        if let Some(p) = pos_class(tag).and_then(|c| word_polarity(lower, tag, c, lexicon)) {
+            score += p.score();
         }
     }
-    // multi-word entries (surface form, space-joined, any adjacent n-gram)
-    let max_n = lexicon.max_entry_words().min(end - start);
-    for n in 2..=max_n {
-        for i in start..=(end - n) {
-            let gram = (i..i + n)
-                .map(|j| sentence.tokens[j].lower())
-                .collect::<Vec<_>>()
-                .join(" ");
-            for class in PosClass::ALL {
-                if let Some(p) = lexicon.polarity(&gram, *class) {
-                    score += p.score();
-                    break;
-                }
+    // multi-word entries (surface form, space-joined, any adjacent n-gram
+    // that starts at a word some entry starts with)
+    let max_words = lexicon.max_entry_words();
+    let mut gram = String::new();
+    for i in start..end {
+        let first = tokens.lower(i);
+        if !lexicon.starts_multiword(first) {
+            continue;
+        }
+        gram.clear();
+        gram.push_str(first);
+        for j in i + 1..end.min(i + max_words) {
+            gram.push(' ');
+            gram.push_str(tokens.lower(j));
+            if let Some(p) = lexicon.polarity_any_pos(&gram) {
+                score += p.score();
             }
         }
     }
@@ -93,8 +107,8 @@ pub fn phrase_polarity(
 
 /// Polarity carried by the adverbs of a verb-group token range (the MP
 /// source: "performs beautifully").
-pub fn manner_polarity(
-    sentence: &AnalyzedSentence,
+pub fn manner_polarity<T: TokenAccess>(
+    sentence: &SentenceView<'_, T>,
     range: (usize, usize),
     lexicon: &SentimentLexicon,
 ) -> Polarity {
@@ -103,11 +117,11 @@ pub fn manner_polarity(
     let mut score = 0i32;
     for i in start..end {
         if sentence.tags[i].is_adverb() {
-            let lower = sentence.tokens[i].lower();
-            if is_negation_word(&lower) {
+            let lower = sentence.tokens.lower(i);
+            if is_negation_word(lower) {
                 continue; // clause-level negation is handled separately
             }
-            if let Some(p) = lexicon.polarity(&lower, PosClass::Adverb) {
+            if let Some(p) = lexicon.polarity(lower, PosClass::Adverb) {
                 score += p.score();
             }
         }
@@ -129,7 +143,7 @@ mod tests {
         let n = words.len();
         for i in 0..=s.tokens.len().saturating_sub(n) {
             if (0..n).all(|j| s.tokens[i + j].lower() == words[j]) {
-                return phrase_polarity(&s, (i, i + n), SentimentLexicon::default_lexicon());
+                return phrase_polarity(&s.view(), (i, i + n), SentimentLexicon::default_lexicon());
             }
         }
         panic!("phrase {phrase:?} not found in {text:?}");
@@ -223,7 +237,11 @@ mod tests {
             .find(|c| c.kind == wf_nlp::ChunkKind::VP)
             .unwrap();
         assert_eq!(
-            manner_polarity(&s, (vp.start, vp.end), SentimentLexicon::default_lexicon()),
+            manner_polarity(
+                &s.view(),
+                (vp.start, vp.end),
+                SentimentLexicon::default_lexicon()
+            ),
             Polarity::Positive
         );
     }
@@ -233,11 +251,11 @@ mod tests {
         let p = Pipeline::new();
         let s = p.analyze_sentence("Fine.");
         assert_eq!(
-            phrase_polarity(&s, (1, 1), SentimentLexicon::default_lexicon()),
+            phrase_polarity(&s.view(), (1, 1), SentimentLexicon::default_lexicon()),
             Polarity::Neutral
         );
         assert_eq!(
-            phrase_polarity(&s, (5, 9), SentimentLexicon::default_lexicon()),
+            phrase_polarity(&s.view(), (5, 9), SentimentLexicon::default_lexicon()),
             Polarity::Neutral
         );
     }

@@ -12,6 +12,7 @@
 
 use crate::miner::{mention_polarities, SentimentMiner};
 use crate::record::SubjectSentiment;
+use wf_nlp::DocScratch;
 use wf_platform::{Annotation, EntityEdit, EntityMiner, Indexer, Query, TraceSpan};
 use wf_spotter::{Spotter, SubjectList};
 use wf_types::{DocId, Polarity, Result};
@@ -123,6 +124,14 @@ impl SentimentEntityMiner {
             spotter,
         }
     }
+
+    /// Mode A over one document, parsed in `scratch`.
+    fn mine(&self, entity: &mut EntityEdit<'_>, scratch: &mut DocScratch) {
+        let records =
+            self.miner
+                .analyze_spotted(entity.text, &self.subjects, &self.spotter, scratch);
+        annotate_sentiments(entity, &records);
+    }
 }
 
 impl EntityMiner for SentimentEntityMiner {
@@ -131,11 +140,20 @@ impl EntityMiner for SentimentEntityMiner {
     }
 
     fn process(&self, entity: &mut EntityEdit<'_>) -> Result<()> {
-        let records = self
-            .miner
-            .analyze_with_spotter(entity.text, &self.subjects, &self.spotter);
-        annotate_sentiments(entity, &records);
+        self.mine(entity, &mut DocScratch::new());
         Ok(())
+    }
+
+    /// Mines a chunk with one scratch buffer for all its documents.
+    fn process_batch(&self, batch: &mut [EntityEdit<'_>], _: &mut TraceSpan) -> Vec<Result<()>> {
+        let mut scratch = DocScratch::new();
+        batch
+            .iter_mut()
+            .map(|entity| {
+                self.mine(entity, &mut scratch);
+                Ok(())
+            })
+            .collect()
     }
 }
 
@@ -265,25 +283,26 @@ impl SentimentQueryService {
         let docs = indexer.query(&Query::And(query))?;
         let mut hits = Vec::new();
         for doc in docs {
-            let entity = store.get(doc)?;
-            for ann in entity.annotations_of("sentiment") {
-                if ann.attr("subject") != Some(subject_lower.as_str()) {
-                    continue;
+            store.read(doc, |entity| {
+                for ann in entity.annotations_of("sentiment") {
+                    if ann.attr("subject") != Some(subject_lower.as_str()) {
+                        continue;
+                    }
+                    let pol = ann
+                        .attr("polarity")
+                        .and_then(Polarity::parse)
+                        .unwrap_or(Polarity::Neutral);
+                    if polarity.is_some_and(|p| p != pol) {
+                        continue;
+                    }
+                    hits.push(SentimentHit {
+                        doc,
+                        subject: subject.to_string(),
+                        polarity: pol,
+                        sentence: ann.span.slice(&entity.text).to_string(),
+                    });
                 }
-                let pol = ann
-                    .attr("polarity")
-                    .and_then(Polarity::parse)
-                    .unwrap_or(Polarity::Neutral);
-                if polarity.is_some_and(|p| p != pol) {
-                    continue;
-                }
-                hits.push(SentimentHit {
-                    doc,
-                    subject: subject.to_string(),
-                    polarity: pol,
-                    sentence: ann.span.slice(&entity.text).to_string(),
-                });
-            }
+            })?;
         }
         Ok(hits)
     }
