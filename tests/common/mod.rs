@@ -3,7 +3,7 @@
 //! describe one run family: a 24-document store annotated directly (no
 //! NLP pipeline) with four subjects, served under injected faults while
 //! a shard turns slow a third of the way in and a node is lost at the
-//! halfway mark.
+//! halfway mark. Also the golden-file check those suites share.
 
 use std::sync::Arc;
 use wf_platform::{
@@ -84,4 +84,19 @@ pub fn chaos_serve_loop(
         .with_fault_plan(FaultPlan::uniform(seed, 0.15))
         .with_trigger(80, || backend.set_shard_health(1, NodeHealth::Degraded))
         .with_trigger(120, || backend.set_shard_health(2, NodeHealth::Down))
+}
+
+/// Asserts that `actual` equals `tests/golden/NAME` byte for byte.
+/// With `UPDATE_GOLDEN=1` it rewrites the golden instead.
+pub fn assert_golden(name: &str, actual: &str) {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, actual).expect("write golden");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("golden exists; UPDATE_GOLDEN=1 to create");
+    assert_eq!(
+        actual, golden,
+        "{name} drifted from its golden; UPDATE_GOLDEN=1 to regen"
+    );
 }

@@ -21,7 +21,7 @@
 
 mod common;
 
-use common::{chaos_backend, chaos_serve_loop, CHAOS_SEED};
+use common::{assert_golden, chaos_backend, chaos_serve_loop, CHAOS_SEED};
 use proptest::prelude::*;
 use std::sync::Arc;
 use wf_platform::{EvLog, EvLogSnapshot, Level, LogFilter, Telemetry, TimeSeriesStore};
@@ -142,19 +142,7 @@ fn chaos_evlog_exports_are_byte_identical() {
 #[test]
 fn chaos_evlog_matches_golden() {
     let json = observed_chaos_run().evlog().snapshot().to_json_string();
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/evlog_snapshot.json"
-    );
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::write(path, &json).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(path).expect("golden exists; UPDATE_GOLDEN=1 to create");
-    assert_eq!(
-        json, golden,
-        "event log drifted from golden; UPDATE_GOLDEN=1 to regen"
-    );
+    assert_golden("evlog_snapshot.json", &json);
 }
 
 /// parse ↔ export fixpoint: the JSON export re-parses to an equal

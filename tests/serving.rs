@@ -23,13 +23,14 @@
 mod common;
 
 use common::{
-    chaos_backend, chaos_serve_loop, decode, full_workload, seeded_store, CHAOS_SEED, POLARITIES,
+    assert_golden, chaos_backend, chaos_serve_loop, decode, full_workload, seeded_store,
+    CHAOS_SEED, POLARITIES,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
 use wf_platform::{
-    default_slos, Annotation, Entity, HealthEngine, ServeLoop, ServingBackend, ServingConfig,
-    SourceKind, Telemetry, TelemetrySnapshot,
+    default_slos, Annotation, Entity, HealthEngine, RunDiff, ServeLoop, ServingBackend,
+    ServingConfig, SourceKind, Telemetry, TelemetrySnapshot,
 };
 use wf_sentiment::{SentimentServingBackend, ShardedSentimentIndex, SubjectSummary};
 use wf_types::{DocId, Polarity, Span};
@@ -375,19 +376,28 @@ fn same_seed_chaos_runs_are_byte_identical() {
 #[test]
 fn serving_snapshot_matches_golden() {
     let (_, snapshot) = chaos_run(CHAOS_SEED, None);
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/serving_snapshot.json"
-    );
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::write(path, &snapshot).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(path).expect("golden exists; UPDATE_GOLDEN=1 to create");
-    assert_eq!(
-        snapshot, golden,
-        "serving snapshot drifted from golden; UPDATE_GOLDEN=1 to regen"
-    );
+    assert_golden("serving_snapshot.json", &snapshot);
+}
+
+/// The pinned chaos scenario's report (`wfsm serve --format json`)
+/// matches the checked-in golden byte for byte. `UPDATE_GOLDEN=1`
+/// regenerates.
+#[test]
+fn serving_report_matches_golden() {
+    let (report, _) = chaos_run(CHAOS_SEED, None);
+    assert_golden("serving_report.json", &report.to_json_string());
+}
+
+/// The metrics diff of two seeds' `serving.*` exports (`wfsm diff
+/// --format json` over two metrics snapshots) matches the checked-in
+/// golden byte for byte. `UPDATE_GOLDEN=1` regenerates.
+#[test]
+fn serving_metrics_diff_matches_golden() {
+    let (_, a) = chaos_run(CHAOS_SEED, None);
+    let (_, b) = chaos_run(CHAOS_SEED + 1, None);
+    let diff = RunDiff::between_texts(&a, &b).unwrap();
+    assert!(!diff.counters.is_empty(), "the seeds must diverge");
+    assert_golden("serving_metrics_diff.json", &diff.to_json_string());
 }
 
 /// The serving SLOs added to `default_slos()` actually observe the

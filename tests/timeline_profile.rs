@@ -17,19 +17,20 @@
 //! 4. **Attribution** — over the bench serving workload, named leaf
 //!    stages account for ≥ 95% of total simulated time (no
 //!    "unattributed" bucket above 5%).
-//! 5. **Goldens** — the pinned chaos scenario's collapsed profile and
-//!    timeline JSON match checked-in goldens byte for byte
+//! 5. **Goldens** — the pinned chaos scenario's collapsed profile,
+//!    JSON profile and timeline JSON, and the diff of two seeds'
+//!    profiles, match checked-in goldens byte for byte
 //!    (`UPDATE_GOLDEN=1` regens), and double runs are byte-identical.
 
 mod common;
 
-use common::{chaos_backend, chaos_serve_loop, CHAOS_SEED};
+use common::{assert_golden, chaos_backend, chaos_serve_loop, CHAOS_SEED};
 use proptest::prelude::*;
 use std::sync::Arc;
 use wf_platform::{
     Cluster, DataStore, Entity, EntityEdit, EntityMiner, FaultContext, FaultPlan, Ingestor,
-    MinerPipeline, Profile, RawDocument, RunOpts, ServeLoop, ServingConfig, SourceKind, Telemetry,
-    TimeSeriesStore,
+    MinerPipeline, Profile, RawDocument, RunDiff, RunOpts, ServeLoop, ServingConfig, SourceKind,
+    Telemetry, TimeSeriesStore,
 };
 use wf_sentiment::{AdhocSentimentMiner, SentimentServingBackend, ShardedSentimentIndex};
 use wf_types::{Result, RetryPolicy};
@@ -292,19 +293,7 @@ fn observed_run_exports_are_byte_identical() {
 #[test]
 fn collapsed_profile_matches_golden() {
     let (collapsed, _) = observed_chaos_run();
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/profile_collapsed.txt"
-    );
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::write(path, &collapsed).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(path).expect("golden exists; UPDATE_GOLDEN=1 to create");
-    assert_eq!(
-        collapsed, golden,
-        "collapsed profile drifted from golden; UPDATE_GOLDEN=1 to regen"
-    );
+    assert_golden("profile_collapsed.txt", &collapsed);
 }
 
 /// The pinned scenario's timeline JSON matches the checked-in golden
@@ -312,14 +301,35 @@ fn collapsed_profile_matches_golden() {
 #[test]
 fn timeline_json_matches_golden() {
     let (_, timeline_json) = observed_chaos_run();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/timeline.json");
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::write(path, &timeline_json).expect("write golden");
-        return;
-    }
-    let golden = std::fs::read_to_string(path).expect("golden exists; UPDATE_GOLDEN=1 to create");
-    assert_eq!(
-        timeline_json, golden,
-        "timeline export drifted from golden; UPDATE_GOLDEN=1 to regen"
-    );
+    assert_golden("timeline.json", &timeline_json);
+}
+
+/// The pinned scenario's folded profile under `seed`.
+fn chaos_profile(seed: u64) -> Profile {
+    let backend = chaos_backend();
+    let telemetry = Telemetry::new();
+    chaos_serve_loop(&backend, Arc::clone(&telemetry), seed)
+        .run()
+        .unwrap();
+    Profile::from_recorder(telemetry.recorder(), usize::MAX)
+}
+
+/// The pinned scenario's JSON profile (`wfsm profile --format json`)
+/// matches the checked-in golden byte for byte. `UPDATE_GOLDEN=1`
+/// regenerates.
+#[test]
+fn json_profile_matches_golden() {
+    assert_golden("profile.json", &chaos_profile(CHAOS_SEED).to_json_string());
+}
+
+/// The diff of two seeds' JSON profiles (`wfsm diff --format json` over
+/// two profile exports) matches the checked-in golden byte for byte.
+/// `UPDATE_GOLDEN=1` regenerates.
+#[test]
+fn profile_diff_matches_golden() {
+    let a = chaos_profile(CHAOS_SEED).to_json_string();
+    let b = chaos_profile(CHAOS_SEED + 1).to_json_string();
+    let diff = RunDiff::between_texts(&a, &b).unwrap();
+    assert!(!diff.stages.is_empty(), "the seeds must diverge");
+    assert_golden("profile_diff.json", &diff.to_json_string());
 }

@@ -13,9 +13,9 @@
 //! 3. **Bounded retention** — the flight recorder is a fixed-capacity
 //!    ring: oldest spans evict first and the `trace.evicted` counter in
 //!    the telemetry snapshot accounts for every overwrite.
-//! 4. **Format stability** — the Chrome export of a pinned chaos run
-//!    matches a golden file, so `wfsm trace --format chrome` output
-//!    cannot drift silently.
+//! 4. **Format stability** — the Chrome and JSON exports of a pinned
+//!    chaos run match golden files, so `wfsm trace --format chrome|json`
+//!    output cannot drift silently.
 
 use std::sync::Arc;
 use wf_platform::{
@@ -230,6 +230,34 @@ fn golden_chrome_export() {
     assert_eq!(
         rendered, golden,
         "Chrome trace export drifted from tests/golden/trace_chrome.json; \
+         if intentional, regenerate with UPDATE_GOLDEN=1"
+    );
+}
+
+/// Traces the JSON golden keeps: the index rebuild (with a failover
+/// event) and the search pass.
+const TRACES: usize = 2;
+
+/// Guarantee 4 for the JSON tree export (`wfsm trace --format json`):
+/// the last traces of the pinned chaos run match the golden file.
+/// Regenerate with `UPDATE_GOLDEN=1 cargo test --test trace -- golden`.
+#[test]
+fn golden_json_export() {
+    let rendered = chaos_run(20050405)
+        .telemetry()
+        .recorder()
+        .export_json_string(TRACES)
+        + "\n";
+    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/trace.json");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(golden_path, &rendered).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(golden_path)
+        .expect("golden file missing; run with UPDATE_GOLDEN=1 to create it");
+    assert_eq!(
+        rendered, golden,
+        "trace JSON export drifted from tests/golden/trace.json; \
          if intentional, regenerate with UPDATE_GOLDEN=1"
     );
 }
