@@ -66,7 +66,7 @@ fn main() {
     );
     out.insert(
         "cache_hit_rate_milli".to_string(),
-        serde_json::Value::from(report.cache_hit_rate_milli()),
+        serde_json::Value::from(report.cache_hit_rate_milli),
     );
     out.insert(
         "latency_p50_ms".to_string(),
@@ -112,7 +112,7 @@ fn main() {
         report.requests,
         report.sim_ms,
         report.sustained_qps_milli,
-        report.cache_hit_rate_milli(),
+        report.cache_hit_rate_milli,
         path.display()
     );
 }

@@ -78,7 +78,7 @@ fn main() {
         "chaos_retries".to_string(),
         serde_json::Value::from(chaos_stats.retries),
     );
-    report.insert("metrics".to_string(), snapshot.to_json());
+    report.insert("metrics".to_string(), serde_json::json!(snapshot));
     let json = serde_json::to_string_pretty(&serde_json::Value::Object(report))
         .expect("report renders infallibly");
 

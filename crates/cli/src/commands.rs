@@ -22,11 +22,11 @@ use std::path::Path;
 use std::sync::Arc;
 use wf_features::{FeatureExtractor, Selection, CHI2_95};
 use wf_platform::{
-    default_slos, parse_query, render_scoreboard, Cluster, DataStore, DoctorReport, DurableStorage,
-    FaultContext, FaultPlan, HealthEngine, Indexer, Ingestor, Level, LogFilter, MinerPipeline,
-    NodeHealth, PipelineStats, Profile, RawDocument, RunDiff, RunOpts, ServeLoop, ServingBackend,
-    ServingConfig, SourceKind, StopReason, Telemetry, TelemetrySnapshot, TimeSeriesStore,
-    DEFAULT_SCRAPE_INTERVAL_MS, DEFAULT_TIMELINE_CAPACITY,
+    default_slos, parse_query, render_scoreboard, Artifact, Cluster, DataStore, DoctorReport,
+    DurableStorage, FaultContext, FaultPlan, HealthEngine, Indexer, Ingestor, Level, LogFilter,
+    MinerPipeline, NodeHealth, PipelineStats, Profile, RawDocument, RunDiff, RunOpts, ServeLoop,
+    ServingBackend, ServingConfig, SourceKind, StopReason, Telemetry, TelemetrySnapshot,
+    TimeSeriesStore, DEFAULT_SCRAPE_INTERVAL_MS, DEFAULT_TIMELINE_CAPACITY,
 };
 use wf_sentiment::{
     mention_polarities, AdhocSentimentMiner, SentimentEntityMiner, SentimentMiner,

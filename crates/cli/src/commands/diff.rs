@@ -10,9 +10,11 @@ pub(super) fn diff(args: &ParsedArgs) -> Result<String, String> {
             "diff needs exactly two artifact paths: wfsm diff RUN_A.json RUN_B.json".into(),
         );
     };
-    let read =
-        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
-    let diff = RunDiff::between_texts(&read(a)?, &read(b)?)?;
+    let read = |path: &str| {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        Artifact::parse(path, &text)
+    };
+    let diff = RunDiff::between(&read(a)?, &read(b)?)?;
     Ok(match format {
         "json" => diff.to_json_string(),
         _ => diff.to_text(),

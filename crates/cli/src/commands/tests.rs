@@ -1127,7 +1127,8 @@ fn diff_rejects_bad_arguments() {
     assert!(err.starts_with("cannot read /no/such/file.json:"), "{err}");
     let garbage = temp_file("diff-garbage", "not json at all");
     let err = run_tokens(&["diff", garbage.to_str().unwrap(), a.to_str().unwrap()]).unwrap_err();
-    assert!(err.starts_with("run-a is not JSON:"), "{err}");
+    let not_json = format!("{} is not JSON:", garbage.display());
+    assert!(err.starts_with(&not_json), "{err}");
     let err = run_tokens(&[
         "diff",
         a.to_str().unwrap(),
@@ -1139,6 +1140,77 @@ fn diff_rejects_bad_arguments() {
     assert_eq!(err, "unknown --format \"yaml\" (text|json)");
     std::fs::remove_file(a).ok();
     std::fs::remove_file(garbage).ok();
+}
+
+/// `diff` reads a metrics artifact through the reader `metrics --file`
+/// uses, so a counter that reader rejects is an error naming the file
+/// and the counter, not a 0.
+#[test]
+fn diff_rejects_a_metrics_artifact_that_metrics_file_rejects() {
+    let good = temp_file("diff-counter-good", r#"{"counters": {"x": 5}}"#);
+    let bad = temp_file("diff-counter-bad", r#"{"counters": {"x": "many"}}"#);
+    let (good_path, bad_path) = (good.to_str().unwrap(), bad.to_str().unwrap());
+    let reason = "counter x must be a non-negative integer, got string";
+    let err = run_tokens(&["diff", bad_path, good_path]).unwrap_err();
+    assert_eq!(err, format!("{bad_path}: {reason}"));
+    let err = run_tokens(&["diff", good_path, bad_path]).unwrap_err();
+    assert_eq!(err, format!("{bad_path}: {reason}"));
+    let err = run_tokens(&["metrics", "--file", bad_path]).unwrap_err();
+    assert_eq!(err, format!("bad metrics snapshot {bad_path}: {reason}"));
+    std::fs::remove_file(good).ok();
+    std::fs::remove_file(bad).ok();
+}
+
+/// `diff` reads a profile artifact through the derived reader of the
+/// JSON profile: a node with a non-numeric `count` or without `self_ms`
+/// is an error naming the file and the field.
+#[test]
+fn diff_rejects_a_profile_node_with_a_bad_or_missing_field() {
+    let profile = |fields: &str| {
+        format!(
+            r#"{{"spans": 1, "total_ms": 3, "attributed_milli": 1000,
+                "roots": [{{"name": "stage", "total_ms": 3, "children": [], {fields}}}]}}"#
+        )
+    };
+    let good = temp_file("diff-node-good", &profile(r#""self_ms": 3, "count": 1"#));
+    let good_path = good.to_str().unwrap();
+    let cases = [
+        (
+            "diff-node-count",
+            r#""self_ms": 3, "count": "two""#,
+            "ProfileNodeJson.count: expected u64, got string",
+        ),
+        (
+            "diff-node-self",
+            r#""count": 1"#,
+            "ProfileNodeJson.self_ms: expected u64, got null",
+        ),
+    ];
+    for (name, fields, reason) in cases {
+        let bad = temp_file(name, &profile(fields));
+        let bad_path = bad.to_str().unwrap();
+        let err = run_tokens(&["diff", good_path, bad_path]).unwrap_err();
+        assert!(err.starts_with(&format!("{bad_path}: ")), "{err}");
+        assert!(err.ends_with(reason), "{err}");
+        std::fs::remove_file(bad).ok();
+    }
+    let out = run_tokens(&["diff", good_path, good_path]).unwrap();
+    assert!(out.contains("— ok"), "{out}");
+    std::fs::remove_file(good).ok();
+}
+
+/// The profile reader accepts exactly what `profile --format json`
+/// writes: a real export reads back and re-renders to the same bytes.
+#[test]
+fn profile_json_reads_back_to_the_same_bytes() {
+    let mut args = LOGS_ARGS.to_vec();
+    args[0] = "profile";
+    args.extend_from_slice(&["--format", "json"]);
+    let written = run_tokens(&args).unwrap();
+    let read: wf_platform::ProfileJson = serde_json::from_str(&written).unwrap();
+    assert!(!read.roots.is_empty(), "{written}");
+    let rewritten = serde_json::to_string_pretty(&read).unwrap();
+    assert_eq!(rewritten.trim_end(), written.trim_end());
 }
 
 #[test]

@@ -39,7 +39,7 @@ use crate::store::DataStore;
 use crate::telemetry::{Counter, Telemetry};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
+use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
@@ -302,27 +302,11 @@ impl RecoveryReport {
         self.shards.iter().map(|s| s.sim_ms).sum()
     }
 
-    /// Canonical JSON: `BTreeMap`-backed objects give sorted keys, so
-    /// two read-only runs over the same data-dir are byte-identical.
+    /// Canonical JSON (the `wfsm recover --format json` output): sorted
+    /// keys, so two read-only runs over the same data-dir are
+    /// byte-identical.
     pub fn to_json_string(&self) -> String {
-        let mut obj: BTreeMap<String, Value> = BTreeMap::new();
-        obj.insert("clean".into(), Value::Bool(self.clean()));
-        obj.insert("shards".into(), self.shards.to_value());
-        let mut totals: BTreeMap<String, Value> = BTreeMap::new();
-        totals.insert(
-            "recovered_entities".into(),
-            Value::from(self.total_recovered()),
-        );
-        totals.insert("replayed".into(), Value::from(self.total_replayed()));
-        totals.insert("sim_ms".into(), Value::from(self.total_sim_ms()));
-        totals.insert(
-            "truncated_records".into(),
-            Value::from(self.shards.iter().map(|s| s.truncated_records).sum::<u64>()),
-        );
-        obj.insert("totals".into(), Value::Object(totals));
-        let mut out = Value::Object(obj).to_json_string_pretty();
-        out.push('\n');
-        out
+        serde_json::to_string_pretty(self).expect("Value renders infallibly") + "\n"
     }
 
     /// Fixed-width table for `wfsm recover` without `--format json`.
@@ -365,6 +349,22 @@ impl RecoveryReport {
             }
         );
         out
+    }
+}
+
+/// Exports the computed `clean` flag and totals beside the shard rows.
+impl Serialize for RecoveryReport {
+    fn to_value(&self) -> Value {
+        json!({
+            "clean": self.clean(),
+            "shards": self.shards,
+            "totals": {
+                "recovered_entities": self.total_recovered(),
+                "replayed": self.total_replayed(),
+                "sim_ms": self.total_sim_ms(),
+                "truncated_records": self.shards.iter().map(|s| s.truncated_records).sum::<u64>(),
+            },
+        })
     }
 }
 

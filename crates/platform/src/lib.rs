@@ -113,10 +113,10 @@ pub use miner::{
 };
 pub use pagerank::{pagerank, PageRankConfig, PageRankMiner};
 pub use postings::{CompressedPostings, Cursor as PostingsCursor};
-pub use profile::{Hotspot, Profile, ProfileNode};
+pub use profile::{Hotspot, Profile, ProfileJson, ProfileNode, ProfileNodeJson};
 pub use query_parser::parse_query;
 pub use regex::Regex;
-pub use rundiff::{ArtifactKind, RunDiff, StageDelta, ValueDelta};
+pub use rundiff::{Artifact, ArtifactKind, RunDiff, StageDelta, ValueDelta};
 pub use serving::{
     LruCache, QueryOutcome, ServeLoop, ServedAnswer, ServedQuery, ServingBackend, ServingConfig,
     ServingReport, CACHE_HIT_COST_MS, DISPATCH_COST_MS,

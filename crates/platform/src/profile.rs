@@ -21,7 +21,7 @@
 //! - top-N hotspot ranking by self time.
 
 use crate::trace::{FlightRecorder, SpanRecord};
-use serde_json::Value;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -58,6 +58,41 @@ impl ProfileNode {
             .values()
             .map(ProfileNode::node_count)
             .sum::<usize>()
+    }
+}
+
+/// The JSON profile (`wfsm profile --format json`): the tree plus its
+/// aggregates. [`Profile::to_json_string`] writes it and `wfsm diff`
+/// reads it back.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ProfileJson {
+    pub spans: u64,
+    pub total_ms: u64,
+    /// [`Profile::attributed_milli`].
+    pub attributed_milli: u64,
+    pub roots: Vec<ProfileNodeJson>,
+}
+
+/// One node of a [`ProfileJson`]: children in name order, no path (it
+/// is the names from the root).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ProfileNodeJson {
+    pub name: String,
+    pub total_ms: u64,
+    pub self_ms: u64,
+    pub count: u64,
+    pub children: Vec<ProfileNodeJson>,
+}
+
+impl From<&ProfileNode> for ProfileNodeJson {
+    fn from(node: &ProfileNode) -> Self {
+        ProfileNodeJson {
+            name: node.name.clone(),
+            total_ms: node.total_ms,
+            self_ms: node.self_ms,
+            count: node.count,
+            children: node.children.values().map(ProfileNodeJson::from).collect(),
+        }
     }
 }
 
@@ -242,38 +277,15 @@ impl Profile {
         out
     }
 
-    /// Canonical JSON export of the tree plus aggregates. Written by
-    /// hand, not derived: it exports the computed `attributed_milli`,
-    /// and the serde shim has no attribute for a computed field.
-    pub fn to_json(&self) -> Value {
-        fn node_json(node: &ProfileNode) -> Value {
-            let mut o = BTreeMap::new();
-            o.insert("name".to_string(), Value::from(node.name.as_str()));
-            o.insert("total_ms".to_string(), Value::from(node.total_ms));
-            o.insert("self_ms".to_string(), Value::from(node.self_ms));
-            o.insert("count".to_string(), Value::from(node.count));
-            o.insert(
-                "children".to_string(),
-                Value::Array(node.children.values().map(node_json).collect()),
-            );
-            Value::Object(o.into_iter().collect())
-        }
-        let mut root = BTreeMap::new();
-        root.insert("spans".to_string(), Value::from(self.spans));
-        root.insert("total_ms".to_string(), Value::from(self.total_ms));
-        root.insert(
-            "attributed_milli".to_string(),
-            Value::from(self.attributed_milli()),
-        );
-        root.insert(
-            "roots".to_string(),
-            Value::Array(self.roots.values().map(node_json).collect()),
-        );
-        Value::Object(root.into_iter().collect())
-    }
-
+    /// The JSON profile: the tree plus aggregates, pretty-printed.
     pub fn to_json_string(&self) -> String {
-        serde_json::to_string_pretty(&self.to_json()).expect("Value renders infallibly")
+        let json = ProfileJson {
+            spans: self.spans,
+            total_ms: self.total_ms,
+            attributed_milli: self.attributed_milli(),
+            roots: self.roots.values().map(ProfileNodeJson::from).collect(),
+        };
+        serde_json::to_string_pretty(&json).expect("Value renders infallibly")
     }
 }
 

@@ -12,13 +12,20 @@
 //!   self-time deltas over the folded span tree, attributing a
 //!   regression to the exact `serve.query/...` path that grew.
 //!
+//! Each artifact is read by its format's one reader
+//! ([`Artifact::parse`]), so a malformed value is an error naming the
+//! file, never a silent zero.
+//!
 //! The verdict is machine-readable (`ok` / `changed` / `regressed`) so
 //! gate tooling (`tools/bench_gate.py --diff-verdict`) can consume it:
 //! `ok` means byte-equivalent runs, `changed` means values moved but no
 //! stage self-time grew, `regressed` means at least one stage got
 //! slower. Surface via `wfsm diff <run-a> <run-b>`.
 
-use serde_json::Value;
+use crate::profile::{ProfileJson, ProfileNodeJson};
+use crate::telemetry::TelemetrySnapshot;
+use serde::{Deserialize, Serialize};
+use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -36,62 +43,71 @@ impl ArtifactKind {
             ArtifactKind::Profile => "profile",
         }
     }
+}
 
-    /// Sniffs an artifact's shape: a profile export carries `roots`, a
-    /// metrics snapshot a `counters` object.
-    fn detect(value: &Value) -> Result<ArtifactKind, String> {
-        if matches!(value.get("roots"), Some(Value::Array(_))) {
-            Ok(ArtifactKind::Profile)
-        } else if matches!(value.get("counters"), Some(Value::Object(_))) {
-            Ok(ArtifactKind::Metrics)
+/// One parsed artifact, read by its format's one reader: the reader of
+/// `wfsm metrics --file` for a metrics snapshot, the derived
+/// [`ProfileJson`] reader for a profile export.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Artifact {
+    Metrics(TelemetrySnapshot),
+    Profile(ProfileJson),
+}
+
+impl Artifact {
+    /// Parses one artifact's text; errors start with `name`. The shape
+    /// picks the reader: a `roots` key marks a profile export, a
+    /// `counters` key a metrics snapshot.
+    pub fn parse(name: &str, text: &str) -> Result<Artifact, String> {
+        let value: Value =
+            serde_json::from_str(text).map_err(|e| format!("{name} is not JSON: {e}"))?;
+        let artifact = if value.get("roots").is_some() {
+            ProfileJson::from_value(&value)
+                .map(Artifact::Profile)
+                .map_err(|e| e.to_string())
+        } else if value.get("counters").is_some() {
+            TelemetrySnapshot::from_json(&value).map(Artifact::Metrics)
         } else {
             Err(
                 "unrecognized artifact shape (expected a metrics snapshot or profile export)"
                     .into(),
             )
+        };
+        artifact.map_err(|e| format!("{name}: {e}"))
+    }
+
+    fn kind(&self) -> ArtifactKind {
+        match self {
+            Artifact::Metrics(_) => ArtifactKind::Metrics,
+            Artifact::Profile(_) => ArtifactKind::Profile,
         }
     }
 }
 
 /// One counter (or gauge) whose value differs between the runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ValueDelta {
     pub name: String,
     pub a: i64,
     pub b: i64,
-}
-
-impl ValueDelta {
-    pub fn delta(&self) -> i64 {
-        self.b - self.a
-    }
+    /// `b - a`, saturating.
+    pub delta: i64,
 }
 
 /// One profile stage whose self-time or hit count moved; `path` is the
 /// `/`-joined span path from the folded tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct StageDelta {
     pub path: String,
     pub self_ms_a: u64,
     pub self_ms_b: u64,
     pub count_a: u64,
     pub count_b: u64,
+    /// Positive when run B spent more self-time in this stage.
+    pub delta_ms: i64,
 }
 
 impl StageDelta {
-    /// Positive when run B spent more self-time in this stage.
-    pub fn delta_ms(&self) -> i64 {
-        self.b_ms() - self.a_ms()
-    }
-
-    fn a_ms(&self) -> i64 {
-        self.self_ms_a as i64
-    }
-
-    fn b_ms(&self) -> i64 {
-        self.self_ms_b as i64
-    }
-
     /// A regression: self-time grew.
     pub fn regressed(&self) -> bool {
         self.self_ms_b > self.self_ms_a
@@ -112,101 +128,74 @@ pub struct RunDiff {
     pub stages: Vec<StageDelta>,
 }
 
-fn numeric_section(value: &Value, key: &str) -> BTreeMap<String, i64> {
-    match value.get(key) {
-        Some(Value::Object(map)) => map
-            .iter()
-            .filter_map(|(k, v)| v.as_i64().map(|n| (k.clone(), n)))
-            .collect(),
-        _ => BTreeMap::new(),
-    }
-}
-
-fn diff_section(a: &BTreeMap<String, i64>, b: &BTreeMap<String, i64>) -> Vec<ValueDelta> {
+/// The entries whose values differ, by name; a name one side lacks
+/// counts as 0 there.
+fn diff_section<V>(a: &BTreeMap<String, V>, b: &BTreeMap<String, V>) -> Vec<ValueDelta>
+where
+    V: Copy + Default + PartialEq,
+    i64: TryFrom<V>,
+{
+    let wide = |v: V| i64::try_from(v).unwrap_or(i64::MAX);
     let mut names: Vec<&String> = a.keys().chain(b.keys()).collect();
     names.sort();
     names.dedup();
     names
         .into_iter()
         .filter_map(|name| {
-            let va = a.get(name).copied().unwrap_or(0);
-            let vb = b.get(name).copied().unwrap_or(0);
+            let va = a.get(name).copied().unwrap_or_default();
+            let vb = b.get(name).copied().unwrap_or_default();
             (va != vb).then(|| ValueDelta {
                 name: name.clone(),
-                a: va,
-                b: vb,
+                a: wide(va),
+                b: wide(vb),
+                delta: wide(vb).saturating_sub(wide(va)),
             })
         })
         .collect()
 }
 
-/// Flattens a profile export's `roots` tree into
-/// `path -> (self_ms, count)`.
-fn flatten_profile(value: &Value) -> Result<BTreeMap<String, (u64, u64)>, String> {
-    fn walk(
-        node: &Value,
-        prefix: &str,
-        out: &mut BTreeMap<String, (u64, u64)>,
-    ) -> Result<(), String> {
-        let name = node
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("profile node missing \"name\"")?;
-        let path = if prefix.is_empty() {
-            name.to_string()
-        } else {
-            format!("{prefix}/{name}")
-        };
-        let self_ms = node.get("self_ms").and_then(Value::as_u64).unwrap_or(0);
-        let count = node.get("count").and_then(Value::as_u64).unwrap_or(0);
-        out.insert(path.clone(), (self_ms, count));
-        if let Some(Value::Array(children)) = node.get("children") {
-            for child in children {
-                walk(child, &path, out)?;
-            }
+/// Every node of a profile as `path -> (self_ms, count)`, the path
+/// being the `/`-joined names from its root.
+fn profile_stages(profile: &ProfileJson) -> BTreeMap<String, (u64, u64)> {
+    fn walk(nodes: &[ProfileNodeJson], prefix: &str, out: &mut BTreeMap<String, (u64, u64)>) {
+        for node in nodes {
+            let path = if prefix.is_empty() {
+                node.name.clone()
+            } else {
+                format!("{prefix}/{}", node.name)
+            };
+            walk(&node.children, &path, out);
+            out.insert(path, (node.self_ms, node.count));
         }
-        Ok(())
     }
     let mut out = BTreeMap::new();
-    if let Some(Value::Array(roots)) = value.get("roots") {
-        for root in roots {
-            walk(root, "", &mut out)?;
-        }
-    }
-    Ok(out)
+    walk(&profile.roots, "", &mut out);
+    out
 }
 
 impl RunDiff {
-    /// Compares two artifact documents (already-parsed JSON). Both must
-    /// be the same kind; mixing a metrics snapshot with a profile is an
-    /// error, not a silent empty diff.
-    pub fn between(a: &Value, b: &Value) -> Result<RunDiff, String> {
-        let kind_a = ArtifactKind::detect(a)?;
-        let kind_b = ArtifactKind::detect(b)?;
-        if kind_a != kind_b {
-            return Err(format!(
-                "artifact kinds differ: run-a is {} but run-b is {}",
-                kind_a.label(),
-                kind_b.label()
-            ));
-        }
-        match kind_a {
-            ArtifactKind::Metrics => Ok(RunDiff {
-                kind: kind_a,
-                counters: diff_section(
-                    &numeric_section(a, "counters"),
-                    &numeric_section(b, "counters"),
-                ),
-                gauges: diff_section(&numeric_section(a, "gauges"), &numeric_section(b, "gauges")),
-                stages: Vec::new(),
-            }),
-            ArtifactKind::Profile => {
-                let flat_a = flatten_profile(a)?;
-                let flat_b = flatten_profile(b)?;
+    /// Compares two parsed artifacts. Both must be the same kind;
+    /// mixing a metrics snapshot with a profile is an error, not a
+    /// silent empty diff.
+    pub fn between(a: &Artifact, b: &Artifact) -> Result<RunDiff, String> {
+        let kind = a.kind();
+        let mut diff = RunDiff {
+            kind,
+            counters: Vec::new(),
+            gauges: Vec::new(),
+            stages: Vec::new(),
+        };
+        match (a, b) {
+            (Artifact::Metrics(a), Artifact::Metrics(b)) => {
+                diff.counters = diff_section(&a.counters, &b.counters);
+                diff.gauges = diff_section(&a.gauges, &b.gauges);
+            }
+            (Artifact::Profile(a), Artifact::Profile(b)) => {
+                let (flat_a, flat_b) = (profile_stages(a), profile_stages(b));
                 let mut paths: Vec<&String> = flat_a.keys().chain(flat_b.keys()).collect();
                 paths.sort();
                 paths.dedup();
-                let stages = paths
+                diff.stages = paths
                     .into_iter()
                     .filter_map(|path| {
                         let (sa, ca) = flat_a.get(path).copied().unwrap_or((0, 0));
@@ -217,24 +206,26 @@ impl RunDiff {
                             self_ms_b: sb,
                             count_a: ca,
                             count_b: cb,
+                            delta_ms: sb as i64 - sa as i64,
                         })
                     })
                     .collect();
-                Ok(RunDiff {
-                    kind: kind_a,
-                    counters: Vec::new(),
-                    gauges: Vec::new(),
-                    stages,
-                })
+            }
+            _ => {
+                return Err(format!(
+                    "artifact kinds differ: run-a is {} but run-b is {}",
+                    kind.label(),
+                    b.kind().label()
+                ))
             }
         }
+        Ok(diff)
     }
 
-    /// Parses and compares two artifact texts.
+    /// Parses and compares two artifact texts, named `run-a` and
+    /// `run-b` in errors.
     pub fn between_texts(a: &str, b: &str) -> Result<RunDiff, String> {
-        let va: Value = serde_json::from_str(a).map_err(|e| format!("run-a is not JSON: {e}"))?;
-        let vb: Value = serde_json::from_str(b).map_err(|e| format!("run-b is not JSON: {e}"))?;
-        RunDiff::between(&va, &vb)
+        RunDiff::between(&Artifact::parse("run-a", a)?, &Artifact::parse("run-b", b)?)
     }
 
     /// Stages whose self-time grew from A to B.
@@ -262,48 +253,7 @@ impl RunDiff {
     /// Canonical machine-readable report (sorted keys, newline-
     /// terminated) — what gate tooling consumes.
     pub fn to_json_string(&self) -> String {
-        let delta_json = |d: &ValueDelta| {
-            let mut obj: BTreeMap<String, Value> = BTreeMap::new();
-            obj.insert("a".into(), Value::from(d.a));
-            obj.insert("b".into(), Value::from(d.b));
-            obj.insert("delta".into(), Value::from(d.delta()));
-            obj.insert("name".into(), Value::from(d.name.as_str()));
-            Value::Object(obj)
-        };
-        let mut root: BTreeMap<String, Value> = BTreeMap::new();
-        root.insert(
-            "counters".into(),
-            Value::Array(self.counters.iter().map(delta_json).collect()),
-        );
-        root.insert(
-            "gauges".into(),
-            Value::Array(self.gauges.iter().map(delta_json).collect()),
-        );
-        root.insert("kind".into(), Value::from(self.kind.label()));
-        root.insert("regressions".into(), Value::from(self.regressions() as u64));
-        root.insert(
-            "stages".into(),
-            Value::Array(
-                self.stages
-                    .iter()
-                    .map(|s| {
-                        let mut obj: BTreeMap<String, Value> = BTreeMap::new();
-                        obj.insert("count_a".into(), Value::from(s.count_a));
-                        obj.insert("count_b".into(), Value::from(s.count_b));
-                        obj.insert("delta_ms".into(), Value::from(s.delta_ms()));
-                        obj.insert("path".into(), Value::from(s.path.as_str()));
-                        obj.insert("self_ms_a".into(), Value::from(s.self_ms_a));
-                        obj.insert("self_ms_b".into(), Value::from(s.self_ms_b));
-                        Value::Object(obj)
-                    })
-                    .collect(),
-            ),
-        );
-        root.insert("verdict".into(), Value::from(self.verdict()));
-        let mut out =
-            serde_json::to_string_pretty(&Value::Object(root)).expect("Value renders infallibly");
-        out.push('\n');
-        out
+        serde_json::to_string_pretty(self).expect("Value renders infallibly") + "\n"
     }
 
     /// Human-readable report for `wfsm diff` without `--format json`.
@@ -318,7 +268,7 @@ impl RunDiff {
             self.verdict()
         );
         for d in self.counters.iter().chain(self.gauges.iter()) {
-            let _ = writeln!(out, "  {} {} -> {} ({:+})", d.name, d.a, d.b, d.delta());
+            let _ = writeln!(out, "  {} {} -> {} ({:+})", d.name, d.a, d.b, d.delta);
         }
         for s in &self.stages {
             let _ = writeln!(
@@ -327,13 +277,28 @@ impl RunDiff {
                 s.path,
                 s.self_ms_a,
                 s.self_ms_b,
-                s.delta_ms(),
+                s.delta_ms,
                 s.count_a,
                 s.count_b,
                 if s.regressed() { "  REGRESSED" } else { "" }
             );
         }
         out
+    }
+}
+
+/// Exports the kind's label and the computed `regressions` and
+/// `verdict` beside the changed entries.
+impl Serialize for RunDiff {
+    fn to_value(&self) -> Value {
+        json!({
+            "counters": self.counters,
+            "gauges": self.gauges,
+            "kind": self.kind.label(),
+            "regressions": self.regressions() as u64,
+            "stages": self.stages,
+            "verdict": self.verdict(),
+        })
     }
 }
 
@@ -371,6 +336,7 @@ mod tests {
             })
             .collect();
         let mut root: BTreeMap<String, Value> = BTreeMap::new();
+        root.insert("attributed_milli".into(), Value::from(1000u64));
         root.insert("roots".into(), Value::Array(roots));
         root.insert("spans".into(), Value::from(1u64));
         root.insert("total_ms".into(), Value::from(1u64));
@@ -395,8 +361,8 @@ mod tests {
         assert_eq!(diff.verdict(), "changed");
         let names: Vec<&str> = diff.counters.iter().map(|d| d.name.as_str()).collect();
         assert_eq!(names, vec!["new", "x"], "only changed counters, sorted");
-        assert_eq!(diff.counters[1].delta(), 2);
-        assert_eq!(diff.gauges[0].delta(), -3);
+        assert_eq!(diff.counters[1].delta, 2);
+        assert_eq!(diff.gauges[0].delta, -3);
     }
 
     #[test]
@@ -409,15 +375,17 @@ mod tests {
         assert_eq!(diff.stages.len(), 2, "improvement also listed");
         let slow = diff.stages.iter().find(|s| s.regressed()).unwrap();
         assert_eq!(slow.path, "serve.query");
-        assert_eq!(slow.delta_ms(), 30);
+        assert_eq!(slow.delta_ms, 30);
         assert!(diff.to_text().contains("REGRESSED"), "{}", diff.to_text());
     }
 
     #[test]
     fn nested_profile_paths_join_with_slash() {
-        let a = r#"{"roots":[{"name":"serve.query","self_ms":1,"count":1,"total_ms":5,
+        let a = r#"{"spans":2,"total_ms":5,"attributed_milli":800,
+            "roots":[{"name":"serve.query","self_ms":1,"count":1,"total_ms":5,
             "children":[{"name":"dispatch","self_ms":4,"count":1,"total_ms":4,"children":[]}]}]}"#;
-        let b = r#"{"roots":[{"name":"serve.query","self_ms":1,"count":1,"total_ms":9,
+        let b = r#"{"spans":2,"total_ms":9,"attributed_milli":888,
+            "roots":[{"name":"serve.query","self_ms":1,"count":1,"total_ms":9,
             "children":[{"name":"dispatch","self_ms":8,"count":1,"total_ms":8,"children":[]}]}]}"#;
         let diff = RunDiff::between_texts(a, b).unwrap();
         assert_eq!(diff.stages.len(), 1);

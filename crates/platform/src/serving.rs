@@ -32,7 +32,7 @@ use crate::faults::{FaultKind, FaultPlan, FaultStream};
 use crate::telemetry::Telemetry;
 use crate::timeseries::TimeSeriesStore;
 use crate::trace::TraceSpan;
-use serde_json::Value;
+use serde::Serialize;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -263,8 +263,9 @@ pub struct ServedQuery {
     pub latency_sim_ms: u64,
 }
 
-/// The deterministic result of one serving run.
-#[derive(Debug, Clone, Default)]
+/// The deterministic result of one serving run. Its JSON (sorted keys,
+/// no `answers`) is the `wfsm serve --format json` output.
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ServingReport {
     pub requests: u64,
     pub ok: u64,
@@ -273,6 +274,8 @@ pub struct ServingReport {
     pub cache_hits: u64,
     pub cache_misses: u64,
     pub cache_evictions: u64,
+    /// Cache hit rate in milli-units (1000 ≡ every lookup hit).
+    pub cache_hit_rate_milli: u64,
     pub latency_p50_ms: u64,
     pub latency_p95_ms: u64,
     pub latency_p99_ms: u64,
@@ -284,61 +287,15 @@ pub struct ServingReport {
     /// milli-units: 1000 ≡ 1 query/s.
     pub sustained_qps_milli: u64,
     /// Per-query capture, only with [`ServingConfig::record_answers`].
+    #[serde(skip)]
     pub answers: Vec<ServedQuery>,
 }
 
 impl ServingReport {
-    /// Cache hit rate in milli-units (1000 ≡ every lookup hit).
-    pub fn cache_hit_rate_milli(&self) -> u64 {
-        let lookups = self.cache_hits + self.cache_misses;
-        (self.cache_hits * 1000).checked_div(lookups).unwrap_or(0)
-    }
-
-    /// Canonical JSON (BTreeMap-sorted keys; excludes `answers`). Written
-    /// by hand, not derived: it exports the computed
-    /// `cache_hit_rate_milli` and leaves `answers` out, and the serde
-    /// shim has neither a computed-field nor a skip attribute.
-    pub fn to_json(&self) -> Value {
-        let mut o = BTreeMap::new();
-        o.insert(
-            "cache_evictions".to_string(),
-            Value::from(self.cache_evictions),
-        );
-        o.insert(
-            "cache_hit_rate_milli".to_string(),
-            Value::from(self.cache_hit_rate_milli()),
-        );
-        o.insert("cache_hits".to_string(), Value::from(self.cache_hits));
-        o.insert("cache_misses".to_string(), Value::from(self.cache_misses));
-        o.insert("errors".to_string(), Value::from(self.errors));
-        o.insert(
-            "latency_p50_ms".to_string(),
-            Value::from(self.latency_p50_ms),
-        );
-        o.insert(
-            "latency_p95_ms".to_string(),
-            Value::from(self.latency_p95_ms),
-        );
-        o.insert(
-            "latency_p99_ms".to_string(),
-            Value::from(self.latency_p99_ms),
-        );
-        o.insert("ok".to_string(), Value::from(self.ok));
-        o.insert("queue_peak".to_string(), Value::from(self.queue_peak));
-        o.insert("requests".to_string(), Value::from(self.requests));
-        o.insert("shed".to_string(), Value::from(self.shed));
-        o.insert("sim_ms".to_string(), Value::from(self.sim_ms));
-        o.insert(
-            "sustained_qps_milli".to_string(),
-            Value::from(self.sustained_qps_milli),
-        );
-        Value::Object(o)
-    }
-
     /// Pretty-printed canonical JSON (the `wfsm serve --format json`
     /// output; same seed ⇒ byte-identical).
     pub fn to_json_string(&self) -> String {
-        serde_json::to_string_pretty(&self.to_json()).expect("Value renders infallibly")
+        serde_json::to_string_pretty(self).expect("Value renders infallibly")
     }
 
     /// Human-readable summary table.
@@ -367,8 +324,8 @@ impl ServingReport {
             self.cache_hits,
             self.cache_misses,
             self.cache_evictions,
-            self.cache_hit_rate_milli() / 10,
-            self.cache_hit_rate_milli() % 10
+            self.cache_hit_rate_milli / 10,
+            self.cache_hit_rate_milli % 10
         );
         let _ = writeln!(out, "  queue peak: {}", self.queue_peak);
         out
@@ -589,6 +546,9 @@ impl<'a> ServeLoop<'a> {
         report.cache_hits = cache.hits();
         report.cache_misses = cache.misses();
         report.cache_evictions = cache.evictions();
+        report.cache_hit_rate_milli = (report.cache_hits * 1000)
+            .checked_div(report.cache_hits + report.cache_misses)
+            .unwrap_or(0);
         report.sim_ms = end_ms;
         let completed_total = report.ok + report.errors;
         report.sustained_qps_milli = (completed_total * 1_000_000)

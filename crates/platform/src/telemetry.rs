@@ -29,7 +29,8 @@
 use crate::evlog::{EvLog, DEFAULT_EVLOG_CAPACITY};
 use crate::trace::{FlightRecorder, TraceId, TraceSpan, DEFAULT_TRACE_CAPACITY};
 use parking_lot::{Mutex, RwLock};
-use serde_json::Value;
+use serde::Serialize;
+use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -92,7 +93,7 @@ pub const DEFAULT_BUCKETS: [u64; 17] = [
 /// bucket wins, ties broken by the **smallest** trace id. Both rules are
 /// commutative, so concurrent shard workers converge on the same exemplar
 /// regardless of interleaving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Exemplar {
     /// The observed value (simulated ms for latency histograms).
     pub value: u64,
@@ -452,8 +453,49 @@ impl HistogramSnapshot {
     }
 }
 
-/// Frozen state of a whole registry; compares bit-for-bit.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// One exported histogram bucket: its bound (`null` for the overflow
+/// bucket), its count, and its exemplar when it holds one.
+#[derive(Serialize)]
+struct BucketJson {
+    le: Option<u64>,
+    count: u64,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    exemplar: Option<Exemplar>,
+}
+
+/// Exports the computed p50/p95/p99 beside the stored fields, and each
+/// exemplar inside its bucket; the reader recomputes the percentiles.
+impl Serialize for HistogramSnapshot {
+    fn to_value(&self) -> Value {
+        let buckets: Vec<BucketJson> = self
+            .buckets
+            .iter()
+            .map(|&(le, count)| BucketJson {
+                le,
+                count,
+                exemplar: self
+                    .exemplars
+                    .iter()
+                    .find(|(bound, _)| *bound == le)
+                    .map(|&(_, e)| e),
+            })
+            .collect();
+        json!({
+            "buckets": buckets,
+            "count": self.count,
+            "max": self.max,
+            "min": self.min,
+            "p50": self.percentile(50.0),
+            "p95": self.percentile(95.0),
+            "p99": self.percentile(99.0),
+            "sum": self.sum,
+        })
+    }
+}
+
+/// Frozen state of a whole registry; compares bit-for-bit. Its JSON is
+/// the `wfsm metrics` export: sorted keys, ascending histogram buckets.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct TelemetrySnapshot {
     pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, i64>,
@@ -518,71 +560,9 @@ impl TelemetrySnapshot {
         out
     }
 
-    /// Canonical JSON tree: object keys are `BTreeMap`-sorted, histogram
-    /// buckets ascend, the overflow bound renders as `null`. Written by
-    /// hand, not derived: each histogram exports computed percentiles,
-    /// and the serde shim has no attribute for a computed field.
-    pub fn to_json(&self) -> Value {
-        let mut root = BTreeMap::new();
-        root.insert(
-            "counters".to_string(),
-            Value::Object(
-                self.counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::from(*v)))
-                    .collect(),
-            ),
-        );
-        root.insert(
-            "gauges".to_string(),
-            Value::Object(
-                self.gauges
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Value::from(*v)))
-                    .collect(),
-            ),
-        );
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let buckets: Vec<Value> = h
-                    .buckets
-                    .iter()
-                    .map(|(le, count)| {
-                        let mut b = BTreeMap::new();
-                        b.insert("le".to_string(), le.map(Value::from).unwrap_or(Value::Null));
-                        b.insert("count".to_string(), Value::from(*count));
-                        if let Some((_, e)) = h.exemplars.iter().find(|(bound, _)| bound == le) {
-                            let mut eo = BTreeMap::new();
-                            eo.insert("trace".to_string(), Value::from(e.trace));
-                            eo.insert("value".to_string(), Value::from(e.value));
-                            b.insert("exemplar".to_string(), Value::Object(eo));
-                        }
-                        Value::Object(b)
-                    })
-                    .collect();
-                let mut o = BTreeMap::new();
-                o.insert("buckets".to_string(), Value::Array(buckets));
-                o.insert("count".to_string(), Value::from(h.count));
-                o.insert("max".to_string(), Value::from(h.max));
-                o.insert("min".to_string(), Value::from(h.min));
-                // percentiles are derived from the buckets at export time
-                // (the parser recomputes rather than stores them)
-                o.insert("p50".to_string(), Value::from(h.percentile(50.0)));
-                o.insert("p95".to_string(), Value::from(h.percentile(95.0)));
-                o.insert("p99".to_string(), Value::from(h.percentile(99.0)));
-                o.insert("sum".to_string(), Value::from(h.sum));
-                (k.clone(), Value::Object(o))
-            })
-            .collect();
-        root.insert("histograms".to_string(), Value::Object(histograms));
-        Value::Object(root)
-    }
-
     /// Pretty-printed canonical JSON (the `wfsm metrics` export format).
     pub fn to_json_string(&self) -> String {
-        serde_json::to_string_pretty(&self.to_json()).expect("Value renders infallibly")
+        serde_json::to_string_pretty(self).expect("Value renders infallibly")
     }
 
     /// Parses a snapshot back from its JSON export.

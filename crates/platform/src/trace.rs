@@ -25,25 +25,27 @@
 //! threads interleaved.
 
 use parking_lot::Mutex;
-use serde_json::Value;
+use serde::{Deserialize, Serialize};
+use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifies one causal tree of spans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct TraceId(pub u64);
 
 /// Identifies one span within the recorder. Raw values are allocation
 /// order and never exported; see the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct SpanId(pub u64);
 
 /// A point event inside a span (a retry, an injected fault, a panic),
 /// stamped with the absolute simulated time within its trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SpanEvent {
+    #[serde(rename = "at_ms")]
     pub at_sim_ms: u64,
     pub label: String,
 }
@@ -195,58 +197,33 @@ impl FlightRecorder {
         ids[skip..].iter().map(|&id| (id, self.trace(id))).collect()
     }
 
-    /// Canonical JSON export of the last `n` traces: stable key order,
-    /// canonical ids in depth-first order.
-    pub fn export_json(&self, n: usize) -> Value {
-        let traces = self
+    /// Canonical JSON export of the last `n` traces, pretty-printed:
+    /// stable key order, canonical ids in depth-first order.
+    pub fn export_json_string(&self, n: usize) -> String {
+        let traces: Vec<_> = self
             .last_traces(n)
             .into_iter()
             .enumerate()
-            .map(|(i, (_, roots))| {
-                let mut next_id = 1u64;
-                let spans: Vec<Value> = roots
-                    .iter()
-                    .map(|r| node_to_json(r, &mut next_id))
-                    .collect();
-                let mut obj = BTreeMap::new();
-                obj.insert("spans".to_string(), Value::Array(spans));
-                obj.insert("trace".to_string(), Value::from((i + 1) as u64));
-                Value::Object(obj)
-            })
+            .map(|(i, (_, spans))| json!({"spans": spans, "trace": i as u64 + 1}))
             .collect();
-        let mut root = BTreeMap::new();
-        root.insert("traces".to_string(), Value::Array(traces));
-        Value::Object(root)
+        serde_json::to_string_pretty(&json!({ "traces": traces }))
+            .expect("Value renders infallibly")
     }
 
-    /// Pretty-printed canonical JSON export.
-    pub fn export_json_string(&self, n: usize) -> String {
-        serde_json::to_string_pretty(&self.export_json(n)).expect("Value renders infallibly")
-    }
-
-    /// Chrome `trace_event` export (load in `about:tracing` / Perfetto):
-    /// one complete (`ph:"X"`) event per span, one instant (`ph:"i"`)
-    /// event per span event; `pid` is the canonical trace index, `tid`
-    /// the canonical span id, timestamps in microseconds of simulated
-    /// time.
-    pub fn export_chrome(&self, n: usize) -> Value {
-        let mut out = Vec::new();
+    /// Chrome `trace_event` export (load in `about:tracing` / Perfetto),
+    /// pretty-printed: one complete (`ph:"X"`) event per span, one
+    /// instant (`ph:"i"`) event per span event; `pid` is the canonical
+    /// trace index, `tid` the canonical span id, timestamps in
+    /// microseconds of simulated time.
+    pub fn export_chrome_string(&self, n: usize) -> String {
+        let mut events = Vec::new();
         for (i, (_, roots)) in self.last_traces(n).into_iter().enumerate() {
-            let pid = (i + 1) as u64;
-            let mut next_id = 1u64;
             for root in &roots {
-                node_to_chrome(root, pid, &mut next_id, &mut out);
+                node_to_chrome(root, i as u64 + 1, &mut events);
             }
         }
-        let mut obj = BTreeMap::new();
-        obj.insert("displayTimeUnit".to_string(), Value::from("ms"));
-        obj.insert("traceEvents".to_string(), Value::Array(out));
-        Value::Object(obj)
-    }
-
-    /// Pretty-printed Chrome export.
-    pub fn export_chrome_string(&self, n: usize) -> String {
-        serde_json::to_string_pretty(&self.export_chrome(n)).expect("Value renders infallibly")
+        let chrome = json!({"displayTimeUnit": "ms", "traceEvents": events});
+        serde_json::to_string_pretty(&chrome).expect("Value renders infallibly")
     }
 
     /// ASCII waterfall of the last `n` traces, for the CLI.
@@ -413,39 +390,21 @@ impl Drop for TraceSpan {
 pub const TRACE_ENVELOPE_KEY: &str = "__trace__";
 
 /// A serializable trace position: enough to open a causally linked
-/// child span on the other side of a service call.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// child span on the other side of a service call. Its JSON is the
+/// envelope payload.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceContext {
     pub trace: TraceId,
     pub span: SpanId,
     pub path: String,
+    #[serde(rename = "at_ms")]
     pub at_sim_ms: u64,
 }
 
 impl TraceContext {
-    /// Renders the context as a JSON value (the envelope payload).
-    pub fn to_value(&self) -> Value {
-        let mut obj = BTreeMap::new();
-        obj.insert("at_ms".to_string(), Value::from(self.at_sim_ms));
-        obj.insert("path".to_string(), Value::from(self.path.clone()));
-        obj.insert("span".to_string(), Value::from(self.span.0));
-        obj.insert("trace".to_string(), Value::from(self.trace.0));
-        Value::Object(obj)
-    }
-
-    /// Parses a context rendered by [`TraceContext::to_value`].
-    pub fn from_value(value: &Value) -> Option<TraceContext> {
-        Some(TraceContext {
-            trace: TraceId(value.get("trace")?.as_u64()?),
-            span: SpanId(value.get("span")?.as_u64()?),
-            path: value.get("path")?.as_str()?.to_string(),
-            at_sim_ms: value.get("at_ms")?.as_u64()?,
-        })
-    }
-
     /// Extracts the context a traced bus call embedded in a request.
     pub fn from_request(request: &Value) -> Option<TraceContext> {
-        TraceContext::from_value(request.get(TRACE_ENVELOPE_KEY)?)
+        TraceContext::from_value(request.get(TRACE_ENVELOPE_KEY)?).ok()
     }
 
     /// Returns `request` with this context attached under
@@ -482,12 +441,18 @@ impl TraceContext {
     }
 }
 
-/// A canonicalized span tree node (what the exporters consume).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A canonicalized span tree node (what the exporters consume); its
+/// JSON is one span of the `wfsm trace --format json` export.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TraceNode {
+    /// Canonical id: the node's 1-based place in a depth-first walk of
+    /// its trace.
+    pub id: u64,
     pub name: String,
     pub path: String,
+    #[serde(rename = "start_ms")]
     pub start_sim_ms: u64,
+    #[serde(rename = "dur_ms")]
     pub duration_sim_ms: u64,
     pub events: Vec<SpanEvent>,
     pub attrs: BTreeMap<String, String>,
@@ -520,7 +485,8 @@ impl TraceNode {
 }
 
 /// Builds the canonical tree(s) for one trace's records: children
-/// sorted by `(start_sim_ms, path)`, orphans promoted to roots.
+/// sorted by `(start_sim_ms, path)`, orphans promoted to roots, ids
+/// numbered depth-first.
 fn build_trace_tree(records: Vec<SpanRecord>) -> Vec<TraceNode> {
     let present: std::collections::HashSet<SpanId> = records.iter().map(|r| r.id).collect();
     let mut children_of: BTreeMap<SpanId, Vec<SpanRecord>> = BTreeMap::new();
@@ -542,6 +508,7 @@ fn build_trace_tree(records: Vec<SpanRecord>) -> Vec<TraceNode> {
             .collect();
         children.sort_by(|a, b| (a.start_sim_ms, &a.path).cmp(&(b.start_sim_ms, &b.path)));
         TraceNode {
+            id: 0,
             name: record.name,
             path: record.path,
             start_sim_ms: record.start_sim_ms,
@@ -556,84 +523,67 @@ fn build_trace_tree(records: Vec<SpanRecord>) -> Vec<TraceNode> {
         .map(|r| build(r, &mut children_of))
         .collect();
     nodes.sort_by(|a, b| (a.start_sim_ms, &a.path).cmp(&(b.start_sim_ms, &b.path)));
+    fn number(node: &mut TraceNode, next_id: &mut u64) {
+        *next_id += 1;
+        node.id = *next_id;
+        for child in &mut node.children {
+            number(child, next_id);
+        }
+    }
+    let mut next_id = 0;
+    for node in &mut nodes {
+        number(node, &mut next_id);
+    }
     nodes
 }
 
-fn node_to_json(node: &TraceNode, next_id: &mut u64) -> Value {
-    let id = *next_id;
-    *next_id += 1;
-    let mut obj = BTreeMap::new();
-    obj.insert(
-        "attrs".to_string(),
-        Value::Object(
-            node.attrs
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::from(v.clone())))
-                .collect(),
-        ),
-    );
-    obj.insert(
-        "children".to_string(),
-        Value::Array(
-            node.children
-                .iter()
-                .map(|c| node_to_json(c, next_id))
-                .collect(),
-        ),
-    );
-    obj.insert("dur_ms".to_string(), Value::from(node.duration_sim_ms));
-    obj.insert(
-        "events".to_string(),
-        Value::Array(
-            node.events
-                .iter()
-                .map(|e| {
-                    let mut ev = BTreeMap::new();
-                    ev.insert("at_ms".to_string(), Value::from(e.at_sim_ms));
-                    ev.insert("label".to_string(), Value::from(e.label.clone()));
-                    Value::Object(ev)
-                })
-                .collect(),
-        ),
-    );
-    obj.insert("id".to_string(), Value::from(id));
-    obj.insert("name".to_string(), Value::from(node.name.clone()));
-    obj.insert("path".to_string(), Value::from(node.path.clone()));
-    obj.insert("start_ms".to_string(), Value::from(node.start_sim_ms));
-    Value::Object(obj)
+/// One Chrome `trace_event`: a complete event (`ph: "X"`, with `args`
+/// and `dur`) or an instant event (`ph: "i"`, thread-scoped `s: "t"`).
+#[derive(Serialize)]
+struct ChromeEvent {
+    #[serde(skip_serializing_if = "Option::is_none")]
+    args: Option<BTreeMap<String, String>>,
+    cat: &'static str,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    dur: Option<u64>,
+    name: String,
+    ph: &'static str,
+    pid: u64,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    s: Option<&'static str>,
+    tid: u64,
+    ts: u64,
 }
 
-fn node_to_chrome(node: &TraceNode, pid: u64, next_id: &mut u64, out: &mut Vec<Value>) {
-    let tid = *next_id;
-    *next_id += 1;
-    let mut args = BTreeMap::new();
-    for (k, v) in &node.attrs {
-        args.insert(k.clone(), Value::from(v.clone()));
-    }
-    args.insert("path".to_string(), Value::from(node.path.clone()));
-    let mut ev = BTreeMap::new();
-    ev.insert("args".to_string(), Value::Object(args));
-    ev.insert("cat".to_string(), Value::from("wfsm"));
-    ev.insert("dur".to_string(), Value::from(node.duration_sim_ms * 1000));
-    ev.insert("name".to_string(), Value::from(node.name.clone()));
-    ev.insert("ph".to_string(), Value::from("X"));
-    ev.insert("pid".to_string(), Value::from(pid));
-    ev.insert("tid".to_string(), Value::from(tid));
-    ev.insert("ts".to_string(), Value::from(node.start_sim_ms * 1000));
-    out.push(Value::Object(ev));
+fn node_to_chrome(node: &TraceNode, pid: u64, out: &mut Vec<ChromeEvent>) {
+    let mut args = node.attrs.clone();
+    args.insert("path".to_string(), node.path.clone());
+    out.push(ChromeEvent {
+        args: Some(args),
+        cat: "wfsm",
+        dur: Some(node.duration_sim_ms * 1000),
+        name: node.name.clone(),
+        ph: "X",
+        pid,
+        s: None,
+        tid: node.id,
+        ts: node.start_sim_ms * 1000,
+    });
     for event in &node.events {
-        let mut inst = BTreeMap::new();
-        inst.insert("cat".to_string(), Value::from("wfsm"));
-        inst.insert("name".to_string(), Value::from(event.label.clone()));
-        inst.insert("ph".to_string(), Value::from("i"));
-        inst.insert("pid".to_string(), Value::from(pid));
-        inst.insert("s".to_string(), Value::from("t"));
-        inst.insert("tid".to_string(), Value::from(tid));
-        inst.insert("ts".to_string(), Value::from(event.at_sim_ms * 1000));
-        out.push(Value::Object(inst));
+        out.push(ChromeEvent {
+            args: None,
+            cat: "wfsm",
+            dur: None,
+            name: event.label.clone(),
+            ph: "i",
+            pid,
+            s: Some("t"),
+            tid: node.id,
+            ts: event.at_sim_ms * 1000,
+        });
     }
     for child in &node.children {
-        node_to_chrome(child, pid, next_id, out);
+        node_to_chrome(child, pid, out);
     }
 }
 

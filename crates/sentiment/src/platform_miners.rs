@@ -247,9 +247,10 @@ impl SentimentQueryService {
             .subject(subject, [subject.to_string()])
             .build();
         let spotter = Spotter::new(&subjects);
+        let mut scratch = DocScratch::new();
         let mut hits = Vec::new();
         store.for_each(|entity| {
-            let records = miner.analyze_with_spotter(&entity.text, &subjects, &spotter);
+            let records = miner.analyze_spotted(&entity.text, &subjects, &spotter, &mut scratch);
             for (subj, sentence_span, pol) in mention_polarities(&records) {
                 if !pol.is_sentiment() || polarity.is_some_and(|p| p != pol) {
                     continue;

@@ -9,7 +9,9 @@
 //!
 //! The derive macros support exactly the shapes used in this workspace:
 //! structs with named fields, single-field tuple structs (newtypes), and
-//! enums whose variants are all unit variants.
+//! enums whose variants are all unit variants; named fields take the
+//! `rename`, `skip` and `skip_serializing_if` attributes (see
+//! `serde_derive`).
 
 mod value;
 

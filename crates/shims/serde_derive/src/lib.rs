@@ -9,16 +9,26 @@
 //! - tuple structs with exactly one field → the inner value (newtype)
 //! - enums with only unit variants        → the variant name as a string
 //!
-//! Anything else produces a compile error naming the unsupported shape.
+//! Named fields take these `#[serde(...)]` attributes, under real
+//! serde's names and meanings:
+//!
+//! - `rename = "key"`: the field's JSON key is `key`, not its name.
+//! - `skip`: the field is never written, and reads as `Default`.
+//! - `skip_serializing_if = "path"`: the field is left out when
+//!   `path(&field)` is true; reading a missing key gives what `null`
+//!   gives, so pair it with an `Option`.
+//!
+//! Anything else, an attribute on the item itself included, produces a
+//! compile error naming what is unsupported.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, Mode::Serialize)
 }
 
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, Mode::Deserialize)
 }
@@ -29,9 +39,19 @@ enum Mode {
     Deserialize,
 }
 
+/// One named field and what its `#[serde(...)]` attributes ask for.
+struct Field {
+    name: String,
+    /// The JSON key: the name, or its `rename`.
+    key: String,
+    skip: bool,
+    /// The `skip_serializing_if` predicate's path.
+    skip_if: Option<String>,
+}
+
 enum Shape {
     /// Struct with named fields.
-    Named(Vec<String>),
+    Named(Vec<Field>),
     /// Tuple struct with exactly one field.
     Newtype,
     /// Enum whose variants are all unit variants.
@@ -56,7 +76,9 @@ fn parse(input: TokenStream) -> Result<(String, Shape), String> {
         match iter.peek() {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                 iter.next();
-                iter.next(); // the [...] group
+                if serde_attr(iter.next())?.is_some() {
+                    return Err("serde shim derive supports no container attributes".into());
+                }
             }
             Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
                 iter.next();
@@ -106,19 +128,33 @@ fn parse(input: TokenStream) -> Result<(String, Shape), String> {
     }
 }
 
-/// Field names of a named-field struct body. Commas inside generic types
+/// The fields of a named-field struct body. Commas inside generic types
 /// (e.g. `BTreeMap<String, String>`) are skipped by tracking `<`/`>` depth
 /// (parens/brackets/braces arrive as single groups and need no tracking).
-fn named_fields(body: TokenStream) -> Result<Vec<String>, String> {
+fn named_fields(body: TokenStream) -> Result<Vec<Field>, String> {
     let mut fields = Vec::new();
     let mut iter = body.into_iter().peekable();
     loop {
-        // skip attributes and visibility before the field name
+        let mut rename = None;
+        let mut skip = false;
+        let mut skip_if = None;
+        // read attributes and skip visibility before the field name
         loop {
             match iter.peek() {
                 Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                     iter.next();
-                    iter.next();
+                    for (key, value) in serde_attr(iter.next())?.unwrap_or_default() {
+                        match (key.as_str(), value) {
+                            ("rename", Some(v)) => rename = Some(v),
+                            ("skip", None) => skip = true,
+                            ("skip_serializing_if", Some(v)) => skip_if = Some(v),
+                            (other, _) => {
+                                return Err(format!(
+                                    "serde shim derive does not support #[serde({other})]"
+                                ))
+                            }
+                        }
+                    }
                 }
                 Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
                     iter.next();
@@ -135,7 +171,13 @@ fn named_fields(body: TokenStream) -> Result<Vec<String>, String> {
         let TokenTree::Ident(field) = tree else {
             return Err(format!("expected field name, got {tree:?}"));
         };
-        fields.push(field.to_string());
+        let name = field.to_string();
+        fields.push(Field {
+            key: rename.unwrap_or_else(|| name.clone()),
+            name,
+            skip,
+            skip_if,
+        });
         match iter.next() {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
             other => return Err(format!("expected ':' after field, got {other:?}")),
@@ -164,6 +206,36 @@ fn named_fields(body: TokenStream) -> Result<Vec<String>, String> {
         }
     }
     Ok(fields)
+}
+
+/// Reads the `[...]` group after a `#`: `None` for an attribute other
+/// than `serde`, else its comma-separated `key` / `key = "value"` items.
+fn serde_attr(group: Option<TokenTree>) -> Result<Option<Vec<(String, Option<String>)>>, String> {
+    let Some(TokenTree::Group(group)) = group else {
+        return Err("expected [...] after #".into());
+    };
+    let mut iter = group.stream().into_iter();
+    let (Some(TokenTree::Ident(id)), Some(TokenTree::Group(args))) = (iter.next(), iter.next())
+    else {
+        return Ok(None);
+    };
+    if id.to_string() != "serde" {
+        return Ok(None);
+    }
+    let items = args.stream().to_string();
+    Ok(Some(
+        items
+            .split(',')
+            .filter(|item| !item.trim().is_empty())
+            .map(|item| match item.split_once('=') {
+                Some((key, value)) => (
+                    key.trim().to_string(),
+                    Some(value.trim().trim_matches('"').to_string()),
+                ),
+                None => (item.trim().to_string(), None),
+            })
+            .collect(),
+    ))
 }
 
 fn count_top_level_fields(body: TokenStream) -> usize {
@@ -202,7 +274,9 @@ fn unit_variants(body: TokenStream) -> Result<Vec<String>, String> {
         while let Some(TokenTree::Punct(p)) = iter.peek() {
             if p.as_char() == '#' {
                 iter.next();
-                iter.next();
+                if serde_attr(iter.next())?.is_some() {
+                    return Err("serde shim derive supports no variant attributes".into());
+                }
             } else {
                 break;
             }
@@ -231,10 +305,15 @@ fn render(name: &str, shape: &Shape, mode: Mode) -> String {
         (Mode::Serialize, Shape::Named(fields)) => {
             let inserts: String = fields
                 .iter()
-                .map(|f| {
-                    format!(
-                        "map.insert({f:?}.to_string(), ::serde::Serialize::to_value(&self.{f}));\n"
-                    )
+                .filter(|f| !f.skip)
+                .map(|Field { name, key, skip_if, .. }| {
+                    let insert = format!(
+                        "map.insert({key:?}.to_string(), ::serde::Serialize::to_value(&self.{name}));\n"
+                    );
+                    match skip_if {
+                        Some(path) => format!("if !{path}(&self.{name}) {{ {insert} }}\n"),
+                        None => insert,
+                    }
                 })
                 .collect();
             format!(
@@ -250,12 +329,15 @@ fn render(name: &str, shape: &Shape, mode: Mode) -> String {
         (Mode::Deserialize, Shape::Named(fields)) => {
             let builds: String = fields
                 .iter()
-                .map(|f| {
+                .map(|Field { name: f, key, skip, .. }| {
+                    if *skip {
+                        return format!("{f}: ::std::default::Default::default(),\n");
+                    }
                     format!(
                         "{f}: ::serde::Deserialize::from_value(\n\
-                             obj.get({f:?}).unwrap_or(&::serde::Value::Null)\n\
+                             obj.get({key:?}).unwrap_or(&::serde::Value::Null)\n\
                          ).map_err(|e| ::serde::Error::custom(\n\
-                             format!(\"{name}.{f}: {{e}}\")))?,\n"
+                             format!(\"{name}.{key}: {{e}}\")))?,\n"
                     )
                 })
                 .collect();

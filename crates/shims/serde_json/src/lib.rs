@@ -175,6 +175,40 @@ mod tests {
         assert_eq!(v, back);
     }
 
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Attributed {
+        #[serde(rename = "at_ms")]
+        at: u64,
+        #[serde(skip)]
+        scratch: Vec<u32>,
+        #[serde(skip_serializing_if = "Option::is_none")]
+        note: Option<String>,
+    }
+
+    #[test]
+    fn derive_field_attributes() {
+        let plain = Attributed {
+            at: 3,
+            scratch: vec![1],
+            note: None,
+        };
+        assert_eq!(to_string(&plain).unwrap(), r#"{"at_ms":3}"#);
+        let noted = Attributed {
+            note: Some("x".into()),
+            ..plain
+        };
+        assert_eq!(to_string(&noted).unwrap(), r#"{"at_ms":3,"note":"x"}"#);
+        let back: Attributed = from_str(r#"{"at_ms":3,"note":"x"}"#).unwrap();
+        assert_eq!(
+            back.scratch,
+            Vec::<u32>::new(),
+            "a skipped field reads as Default"
+        );
+        assert_eq!(back.note.as_deref(), Some("x"));
+        let err = from_str::<Attributed>(r#"{"at":3}"#).unwrap_err();
+        assert_eq!(err.to_string(), "Attributed.at_ms: expected u64, got null");
+    }
+
     #[test]
     fn pretty_prints_indented() {
         let s = to_string_pretty(&json!({"a": 1})).unwrap();

@@ -88,6 +88,7 @@ for fmt in text collapsed json; do
 done
 row profile-mine      profile --workload mine "${chaos[@]}" --format collapsed
 row diff              diff "$work/profile-json.1" "$work/profile-json.2"
+row diff-metrics      diff "$work/mined.json" "$work/metrics-input.1" --format json
 for fmt in text json; do
     row "logs-$fmt"   logs --workload serve "${chaos[@]}" --format "$fmt"
     row "logs-mine-$fmt" logs --workload mine "${chaos[@]}" --format "$fmt"
