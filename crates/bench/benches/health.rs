@@ -62,7 +62,6 @@ fn main() {
                 .bus()
                 .call_detailed("annotate", &serde_json::json!(i), Some(&mut root));
         }
-        cluster.advance_clock(root.elapsed_sim_ms());
         root.finish();
         cluster.run_pipeline(&pipeline);
         let snapshot = cluster.metrics_snapshot();
@@ -72,7 +71,7 @@ fn main() {
     }
 
     let t = Instant::now();
-    let report = DoctorReport::build(&cluster, &engine, cluster.sim_now());
+    let report = DoctorReport::build(&cluster, &engine);
     let json = report.to_json_string();
     let report_us = t.elapsed().as_micros() as u64;
 

@@ -93,7 +93,6 @@ impl HealthWorkload {
             })
             .collect();
         Ingestor::new(self.cluster.store()).ingest_batch_traced(raw, &mut root);
-        self.cluster.advance_clock(root.elapsed_sim_ms());
         root.finish();
         self.observe();
         let mut root = telemetry.trace_root(format!("doctor.probe#{}", self.round));
@@ -105,7 +104,6 @@ impl HealthWorkload {
                 .bus()
                 .call_detailed("sentiment.score", &request, Some(&mut root));
         }
-        self.cluster.advance_clock(root.elapsed_sim_ms());
         root.finish();
         self.observe();
         let pipeline = MinerPipeline::new().add(Box::new(AdhocSentimentMiner::new()));
@@ -123,11 +121,7 @@ pub(super) fn doctor(args: &ParsedArgs) -> Result<String, String> {
     for _ in 0..rounds {
         workload.run_round();
     }
-    let report = DoctorReport::build(
-        &workload.cluster,
-        &workload.engine,
-        workload.cluster.sim_now(),
-    );
+    let report = DoctorReport::build(&workload.cluster, &workload.engine);
     match parse_format(args, "text", &["text", "json"])? {
         "json" => Ok(report.to_json_string() + "\n"),
         _ => Ok(report.to_table()),

@@ -203,8 +203,7 @@ pub(super) fn serve(args: &ParsedArgs) -> Result<String, String> {
     let mut engine = HealthEngine::with_telemetry(default_slos(), Arc::clone(cluster.telemetry()));
     let report = workload
         .serve_loop(config)
-        .run_observed(&mut |now_sim_ms| {
-            cluster.advance_clock(now_sim_ms.saturating_sub(cluster.sim_now()));
+        .run_observed(&mut || {
             let snapshot = cluster.metrics_snapshot();
             engine.observe(cluster.sim_now(), &snapshot);
         })
@@ -248,16 +247,13 @@ fn observed_workload(args: &ParsedArgs) -> Result<(Arc<Telemetry>, Arc<TimeSerie
             let telemetry = Arc::clone(cluster.telemetry());
             let mut root = telemetry.trace_root("mine");
             Ingestor::new(cluster.store()).ingest_batch_traced(serving_docs(docs), &mut root);
-            cluster.advance_clock(root.elapsed_sim_ms());
             let pipeline = MinerPipeline::new().add(Box::new(AdhocSentimentMiner::new()));
             let plan = chaos.map(|(seed, rate)| FaultPlan::uniform(seed, rate));
-            let ingest_ms = root.elapsed_sim_ms();
             pipeline.run(
                 cluster.store(),
                 chaos_opts(plan.as_ref(), 8),
                 Some(&mut root),
             );
-            cluster.advance_clock(root.elapsed_sim_ms() - ingest_ms);
             root.finish();
             cluster.flush_timeline();
             Ok((telemetry, timeline))

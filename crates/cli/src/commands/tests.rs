@@ -1143,22 +1143,46 @@ fn diff_rejects_bad_arguments() {
 }
 
 /// `diff` reads a metrics artifact through the reader `metrics --file`
-/// uses, so a counter that reader rejects is an error naming the file
-/// and the counter, not a 0.
+/// uses, so a counter or histogram that reader rejects is an error
+/// naming the file and the field, not a 0 or an empty histogram.
 #[test]
 fn diff_rejects_a_metrics_artifact_that_metrics_file_rejects() {
+    let histogram = |buckets: &str| {
+        format!(
+            r#"{{"counters": {{}}, "histograms": {{"h": {{"count": 3, "sum": 3, "min": 1, "max": 1, {buckets}}}}}}}"#
+        )
+    };
+    let cases = [
+        (
+            "diff-counter-bad",
+            r#"{"counters": {"x": "many"}}"#.to_string(),
+            "counter x must be a non-negative integer, got string",
+        ),
+        (
+            "diff-hist-lots",
+            histogram(r#""buckets": "lots""#),
+            "histogram h buckets must be an array, got string",
+        ),
+        (
+            "diff-hist-short",
+            histogram(r#""buckets": [{"le": 1, "count": 2}]"#),
+            "histogram h buckets must sum to its count 3",
+        ),
+    ];
     let good = temp_file("diff-counter-good", r#"{"counters": {"x": 5}}"#);
-    let bad = temp_file("diff-counter-bad", r#"{"counters": {"x": "many"}}"#);
-    let (good_path, bad_path) = (good.to_str().unwrap(), bad.to_str().unwrap());
-    let reason = "counter x must be a non-negative integer, got string";
-    let err = run_tokens(&["diff", bad_path, good_path]).unwrap_err();
-    assert_eq!(err, format!("{bad_path}: {reason}"));
-    let err = run_tokens(&["diff", good_path, bad_path]).unwrap_err();
-    assert_eq!(err, format!("{bad_path}: {reason}"));
-    let err = run_tokens(&["metrics", "--file", bad_path]).unwrap_err();
-    assert_eq!(err, format!("bad metrics snapshot {bad_path}: {reason}"));
+    let good_path = good.to_str().unwrap();
+    for (name, text, reason) in cases {
+        let bad = temp_file(name, &text);
+        let bad_path = bad.to_str().unwrap();
+        let err = run_tokens(&["diff", bad_path, good_path]).unwrap_err();
+        assert_eq!(err, format!("{bad_path}: {reason}"));
+        let err = run_tokens(&["diff", good_path, bad_path]).unwrap_err();
+        assert_eq!(err, format!("{bad_path}: {reason}"));
+        let err = run_tokens(&["metrics", "--file", bad_path]).unwrap_err();
+        assert_eq!(err, format!("bad metrics snapshot {bad_path}: {reason}"));
+        std::fs::remove_file(bad).ok();
+    }
     std::fs::remove_file(good).ok();
-    std::fs::remove_file(bad).ok();
 }
 
 /// `diff` reads a profile artifact through the derived reader of the

@@ -20,7 +20,6 @@ use crate::timeseries::TimeSeriesStore;
 use crate::vinci::ServiceBus;
 use parking_lot::RwLock;
 use serde::Serialize;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wf_types::{Error, NodeId, Result, RetryPolicy};
 
@@ -50,13 +49,9 @@ pub struct Cluster {
     fault_plan: RwLock<Option<FaultPlan>>,
     retry_policy: RwLock<RetryPolicy>,
     scoreboard: RwLock<Vec<NodeScore>>,
-    /// Cluster-wide simulated clock: the sum of every top-level
-    /// operation's elapsed simulated time, in completion order. Purely
-    /// deterministic — drives SLO windowing in the health engine.
-    sim_clock: AtomicU64,
-    /// Optional metrics-over-time store: when attached, every clock
-    /// advance offers the registry a scrape, so pipeline / chaos / serve
-    /// runs produce timelines for free.
+    /// Optional metrics-over-time store: when attached, every root
+    /// operation offers the registry a scrape, so pipeline / chaos /
+    /// serve runs produce timelines for free.
     timeline: RwLock<Option<Arc<TimeSeriesStore>>>,
     /// Optional durable layer (shared with the store): enables
     /// checkpoints and crash/restart recovery.
@@ -171,7 +166,6 @@ impl Cluster {
             telemetry,
             fault_plan: RwLock::new(None),
             retry_policy: RwLock::new(RetryPolicy::default()),
-            sim_clock: AtomicU64::new(0),
             timeline: RwLock::new(None),
             durability: RwLock::new(None),
         })
@@ -205,27 +199,10 @@ impl Cluster {
         self.telemetry.snapshot()
     }
 
-    /// The cluster's simulated clock: total simulated ms consumed by
-    /// completed top-level operations (pipeline runs, index rebuilds,
-    /// plus anything added via [`Cluster::advance_clock`]).
+    /// The shared registry's simulated clock, which root operations move;
+    /// drives SLO windowing in the health engine.
     pub fn sim_now(&self) -> u64 {
-        self.sim_clock.load(Ordering::Relaxed)
-    }
-
-    /// Advances the cluster clock by externally-driven simulated time
-    /// (e.g. an ingest batch performed directly against the store).
-    pub fn advance_clock(&self, sim_ms: u64) {
-        self.advance_sim(sim_ms);
-        self.tick_timeline();
-    }
-
-    /// Bumps the clock and forwards the new time to the durable layer,
-    /// so WAL records carry the cluster's simulated timestamps.
-    fn advance_sim(&self, sim_ms: u64) {
-        let now = self.sim_clock.fetch_add(sim_ms, Ordering::Relaxed) + sim_ms;
-        if let Some(durable) = self.durability.read().as_ref() {
-            durable.set_sim_now(now);
-        }
+        self.telemetry.clock().now()
     }
 
     /// Attaches a durable layer to this cluster and its store; from now
@@ -233,7 +210,6 @@ impl Cluster {
     /// [`Cluster::checkpoint`] and [`Cluster::restart_node`].
     pub fn attach_durability(&self, storage: Arc<DurableStorage>) -> Result<()> {
         self.store.attach_durability(Arc::clone(&storage))?;
-        storage.set_sim_now(self.sim_now());
         *self.durability.write() = Some(storage);
         Ok(())
     }
@@ -244,9 +220,9 @@ impl Cluster {
     }
 
     /// Attaches a metrics-over-time store and returns it: from now on
-    /// every clock advance (pipeline run, index rebuild,
-    /// [`Cluster::advance_clock`]) offers the shared registry a scrape at
-    /// the cluster's simulated time.
+    /// every root operation the cluster runs offers the shared registry
+    /// a scrape at the clock's time (others call
+    /// [`Cluster::tick_timeline`]).
     pub fn enable_timeline(&self, capacity: usize, interval_ms: u64) -> Arc<TimeSeriesStore> {
         let store = Arc::new(TimeSeriesStore::new(capacity, interval_ms));
         *self.timeline.write() = Some(Arc::clone(&store));
@@ -364,7 +340,6 @@ impl Cluster {
         let stats = pipeline.run(&self.store, opts, Some(&mut root));
         root.attr("processed", stats.processed.to_string());
         root.attr("failed", stats.failed.to_string());
-        self.advance_sim(root.elapsed_sim_ms());
         root.finish();
         self.tick_timeline();
         {
@@ -407,12 +382,17 @@ impl Cluster {
         let mut root = self.telemetry.trace_root("cluster.rebuild_index");
         let mut segments = Vec::new();
         let sizes = self.store.shard_sizes();
-        let log = self.telemetry.evlog();
         for (shard, &docs) in sizes.iter().enumerate() {
             let mut span = root.child(format!("shard:{shard}"));
             let target = format!("index.shard:{shard}");
-            let narrator = &mut Narrator::new(log, &target, Some(&mut span), None);
-            let Some(executor) = faults::place(shard, sizes.len(), &health, docs, narrator) else {
+            let placed = faults::place(
+                shard,
+                sizes.len(),
+                &health,
+                docs,
+                &mut Narrator::new(&self.telemetry, &target, Some(&mut span), None),
+            );
+            let Some(executor) = placed else {
                 stats.skipped_shards += 1;
                 shard_outcomes.push((shard, false, true));
                 span.finish();
@@ -431,7 +411,6 @@ impl Cluster {
         }
         self.indexer.merge(segments);
         root.attr("indexed", stats.indexed.to_string());
-        self.advance_sim(root.elapsed_sim_ms());
         root.finish();
         self.tick_timeline();
         {
@@ -478,9 +457,7 @@ impl Cluster {
             root.advance(span.finish());
             out.push(stats);
         }
-        let elapsed = root.elapsed_sim_ms();
         root.finish();
-        self.advance_sim(elapsed);
         self.tick_timeline();
         Ok(out)
     }
@@ -549,8 +526,7 @@ impl Cluster {
         root.advance(rebuild.finish());
 
         self.set_health(node, NodeHealth::Up);
-        let elapsed = root.elapsed_sim_ms();
-        root.finish();
+        let elapsed = root.finish();
         self.telemetry
             .counter("durable.recovered_entities")
             .add(recovery.stats.recovered_entities);
@@ -558,7 +534,6 @@ impl Cluster {
             .counter("durable.recovery_sim_ms")
             .add(elapsed);
         self.telemetry.counter("cluster.node_restarts").inc();
-        self.advance_sim(elapsed);
         self.tick_timeline();
         Ok(NodeRestart {
             node: node.0,
@@ -780,7 +755,13 @@ mod tests {
         let pipeline = MinerPipeline::new().add(Box::new(LengthMiner));
         cluster.run_pipeline(&pipeline);
         cluster.rebuild_index();
-        cluster.advance_clock(10);
+        // a root the cluster did not run moves the same clock
+        let before = cluster.sim_now();
+        let mut probe = cluster.telemetry().trace_root("probe");
+        probe.advance(10);
+        probe.finish();
+        assert_eq!(cluster.sim_now(), before + 10);
+        cluster.tick_timeline();
         cluster.flush_timeline();
         let tl = timeline.timeline();
         assert!(tl.scrapes >= 2, "ops scraped: {}", tl.scrapes);

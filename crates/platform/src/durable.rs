@@ -36,7 +36,7 @@ use crate::entity::{Annotation, Entity};
 use crate::evlog::{EvLog, Level};
 use crate::faults::FaultStream;
 use crate::store::DataStore;
-use crate::telemetry::{Counter, Telemetry};
+use crate::telemetry::{Counter, SimClock, Telemetry};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
@@ -425,17 +425,11 @@ pub trait LogSink: std::fmt::Debug + Send + Sync {
 #[derive(Debug, Default)]
 pub struct MemorySink {
     bytes: Mutex<Vec<u8>>,
-    syncs: AtomicU64,
 }
 
 impl MemorySink {
     pub fn new() -> Self {
         MemorySink::default()
-    }
-
-    /// How many times `sync` was called (fsync cadence assertions).
-    pub fn sync_count(&self) -> u64 {
-        self.syncs.load(Ordering::Relaxed)
     }
 }
 
@@ -446,7 +440,6 @@ impl LogSink for MemorySink {
     }
 
     fn sync(&self) -> Result<()> {
-        self.syncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -548,12 +541,15 @@ struct DurableMetrics {
     /// Structured event log: recovery decisions narrate under
     /// `durable.shard:<n>` targets.
     evlog: Arc<EvLog>,
+    /// The registry's clock: WAL records and events are stamped on it.
+    clock: Arc<SimClock>,
 }
 
 impl DurableMetrics {
     fn resolve(tele: &Telemetry) -> Self {
         DurableMetrics {
             evlog: Arc::clone(tele.evlog()),
+            clock: Arc::clone(tele.clock()),
             appended: tele.counter("durable.records_appended"),
             bytes_appended: tele.counter("durable.wal_bytes_appended"),
             fsyncs: tele.counter("durable.fsyncs"),
@@ -599,7 +595,6 @@ impl ShardLog {
 pub struct DurableStorage {
     shards: Vec<ShardLog>,
     dir: Option<PathBuf>,
-    sim_now: AtomicU64,
     metrics: RwLock<Option<DurableMetrics>>,
     /// Mutation-path append failures are swallowed (the store API has no
     /// error channel on insert) but never lost: counted and kept here.
@@ -615,7 +610,6 @@ impl DurableStorage {
         DurableStorage {
             shards,
             dir,
-            sim_now: AtomicU64::new(0),
             metrics: RwLock::new(None),
             last_append_error: Mutex::new(None),
         }
@@ -699,19 +693,17 @@ impl DurableStorage {
         self.dir.as_deref()
     }
 
-    /// Resolves `durable.*` instruments into `tele`. Called by
-    /// `DataStore::attach_durability`; idempotent.
+    /// Resolves `durable.*` instruments and the clock from `tele`. Called
+    /// by `DataStore::attach_durability`; idempotent.
     pub fn bind_telemetry(&self, tele: &Telemetry) {
         *self.metrics.write() = Some(DurableMetrics::resolve(tele));
     }
 
-    /// Stamps records with the cluster's simulated clock.
-    pub fn set_sim_now(&self, sim_ms: u64) {
-        self.sim_now.store(sim_ms, Ordering::Relaxed);
-    }
-
-    pub fn sim_now(&self) -> u64 {
-        self.sim_now.load(Ordering::Relaxed)
+    /// The WAL record `lsn` of `op`, stamped with the bound registry's
+    /// clock (0 before one is bound).
+    fn stamp(&self, lsn: u64, op: WalOp) -> WalRecord {
+        let sim_ms = self.metrics.read().as_ref().map_or(0, |m| m.clock.now());
+        WalRecord { lsn, sim_ms, op }
     }
 
     fn shard(&self, shard: u32) -> Result<&ShardLog> {
@@ -763,12 +755,7 @@ impl DurableStorage {
             return;
         };
         let lsn = state.next_lsn.fetch_add(1, Ordering::Relaxed);
-        let record = WalRecord {
-            lsn,
-            sim_ms: self.sim_now(),
-            op,
-        };
-        let bytes = record.encode();
+        let bytes = self.stamp(lsn, op).encode();
         if let Err(err) = state.wal.append(&bytes) {
             self.with_metrics(|m| m.append_errors.inc());
             *self.last_append_error.lock() = Some(err.to_string());
@@ -788,12 +775,8 @@ impl DurableStorage {
     /// Appends an fsync-point marker and syncs the sink.
     pub fn sync_shard(&self, shard: u32) -> Result<()> {
         let state = self.shard(shard)?;
-        let record = WalRecord {
-            lsn: state.next_lsn.fetch_add(1, Ordering::Relaxed),
-            sim_ms: self.sim_now(),
-            op: WalOp::Fsync,
-        };
-        let bytes = record.encode();
+        let lsn = state.next_lsn.fetch_add(1, Ordering::Relaxed);
+        let bytes = self.stamp(lsn, WalOp::Fsync).encode();
         state.wal.append(&bytes)?;
         state.wal.sync()?;
         self.with_metrics(|m| {
@@ -972,11 +955,13 @@ impl DurableStorage {
             m.replayed.add(stats.replayed);
             m.truncated.add(stats.truncated_records);
             let target = format!("durable.shard:{shard}");
+            // the replay is stamped where it ends, counting from now
+            let at = m.clock.now() + stats.sim_ms;
             if stats.snapshot_truncated {
                 m.evlog.event(
                     Level::Warn,
                     &target,
-                    stats.sim_ms,
+                    at,
                     "snapshot truncated, falling back to readable prefix",
                     &[
                         ("declared", stats.snapshot_declared.to_string()),
@@ -988,7 +973,7 @@ impl DurableStorage {
                 m.evlog.event(
                     Level::Info,
                     &target,
-                    stats.sim_ms,
+                    at,
                     "wal replay clean",
                     &[
                         ("entities", stats.recovered_entities.to_string()),
@@ -999,7 +984,7 @@ impl DurableStorage {
                 m.evlog.event(
                     Level::Error,
                     &target,
-                    stats.sim_ms,
+                    at,
                     "wal replay stopped",
                     &[
                         ("last_lsn", stats.last_lsn.to_string()),
@@ -1034,7 +1019,7 @@ impl DurableStorage {
             m.evlog.event(
                 Level::Info,
                 &format!("durable.shard:{shard}"),
-                self.sim_now(),
+                m.clock.now(),
                 "wal repaired to valid prefix",
                 &[
                     ("next_lsn", (recovery.stats.last_lsn + 1).to_string()),
@@ -1155,7 +1140,7 @@ impl DurableStorage {
             m.evlog.event(
                 Level::Warn,
                 &format!("durable.shard:{shard}"),
-                self.sim_now(),
+                m.clock.now(),
                 "corruption injected",
                 &[
                     ("kind", kind.label().to_string()),

@@ -12,18 +12,18 @@
 //! pressure (or refused by a zero-capacity ring), and `kept` is what
 //! the ring still holds.
 //!
-//! **Determinism.** Records are stamped with **simulated** milliseconds
-//! (the same virtual clock as faults, traces, and serving), never wall
-//! time. The token-bucket sampler refills on that clock, so sampling
-//! decisions replay exactly as long as each `(target, level)` key is
-//! emitted from a single logical timeline — which the instrumented hot
-//! paths guarantee by scoping targets per shard (`miner.shard:3`,
-//! `store.shard:0`, `durable.shard:1`) or per single-threaded loop
-//! (`serving.loop`, `bus.svc:search`). Raw trace ids are allocated from
-//! atomics, so exports never print them: [`EvLog::snapshot`] renumbers
-//! traces canonically (ascending raw id — root allocation order, which
-//! is deterministic because top-level operations open on one thread)
-//! and sorts records by `(sim_ms, target, level, message, fields)`.
+//! **Determinism.** Records are stamped on the registry's
+//! [`SimClock`](crate::telemetry::SimClock), never wall time: a traced
+//! one at [`TraceSpan::clock_ms`], an untraced one where its operation
+//! opened plus what it has spent. The token-bucket sampler refills on
+//! that clock, so sampling replays exactly while each `(target, level)`
+//! key is emitted from one logical timeline — targets are scoped per
+//! shard (`miner.shard:3`, `store.shard:0`, `durable.shard:1`) or per
+//! single-threaded loop (`serving.loop`, `bus.svc:search`). Raw trace
+//! ids come from atomics, so exports never print them: [`EvLog::snapshot`]
+//! renumbers traces canonically (ascending raw id — root allocation
+//! order, deterministic because top-level operations open on one
+//! thread) and sorts records by `(sim_ms, target, level, message, fields)`.
 //! Same seed ⇒ byte-identical text and JSON exports.
 
 use crate::trace::{SpanId, TraceId, TraceSpan};
@@ -299,7 +299,7 @@ impl EvLog {
 
     /// Writes one event on a traced path: `label` (when given) becomes a
     /// point event on `span`, and the record carries the span's trace
-    /// and span ids and its current simulated time, so `wfsm trace` and
+    /// and span ids and its time on the clock, so `wfsm trace` and
     /// `wfsm logs` tell the same story. The record's message and fields
     /// are built only once the sampler has admitted it. Returns whether
     /// the record was admitted.
@@ -315,7 +315,7 @@ impl EvLog {
         if let Some(label) = label {
             span.event(label);
         }
-        let sim_ms = span.end_sim_ms();
+        let sim_ms = span.clock_ms();
         if !self.offer(target, level, sim_ms) {
             return false;
         }
@@ -661,7 +661,7 @@ mod tests {
     fn note_writes_the_span_event_and_its_correlated_record() {
         let recorder = FlightRecorder::with_capacity(8);
         let log = EvLog::with_capacity(8);
-        let mut span = recorder.root("op");
+        let mut span = recorder.root("op", 0);
         span.advance(3);
         let label = Some("boom:1".to_string());
         log.note(&mut span, Level::Error, "t", label, "boom", &[("k", &"v")]);
@@ -689,7 +689,7 @@ mod tests {
         }
         let recorder = FlightRecorder::with_capacity(8);
         let log = EvLog::with_capacity(8).with_sampling(1, 1_000);
-        let mut span = recorder.root("op");
+        let mut span = recorder.root("op", 0);
         let built = std::cell::Cell::new(0);
         for _ in 0..3 {
             log.note(

@@ -23,6 +23,7 @@
 use crate::cluster::Cluster;
 use crate::entity::{Entity, SourceKind};
 use crate::evlog::{EvLog, Level};
+use crate::telemetry::{SimClock, Telemetry};
 use crate::trace::TraceSpan;
 use serde::Serialize;
 use std::fmt::Display;
@@ -288,10 +289,12 @@ pub(crate) fn place(
 
 /// Where a faulted operation writes its events: each one is a point
 /// event on the operation's span and a record in the event log, written
-/// together by [`EvLog::note`]. An untraced operation writes only the
-/// record, stamped with the simulated time the operation has spent.
+/// together by [`EvLog::note`]. An untraced operation is a root of its
+/// own: it writes only the record, stamped at the clock's now plus the
+/// time it has spent, and moves the clock by that time when it drops.
 pub(crate) struct Narrator<'a> {
     log: &'a EvLog,
+    clock: &'a SimClock,
     target: &'a str,
     span: Option<&'a mut TraceSpan>,
     /// The document the operation is for (a miner's entity): its labels
@@ -304,17 +307,25 @@ pub(crate) struct Narrator<'a> {
 
 impl<'a> Narrator<'a> {
     pub(crate) fn new(
-        log: &'a EvLog,
+        tele: &'a Telemetry,
         target: &'a str,
         span: Option<&'a mut TraceSpan>,
         doc: Option<DocId>,
     ) -> Self {
         Narrator {
-            log,
+            log: tele.evlog(),
+            clock: tele.clock(),
             target,
             span,
             doc,
             elapsed_ms: 0,
+        }
+    }
+
+    /// A point event on the operation's span alone (untraced: nothing).
+    pub(crate) fn mark(&mut self, label: String) {
+        if let Some(span) = self.span.as_deref_mut() {
+            span.event(label);
         }
     }
 
@@ -350,8 +361,8 @@ impl<'a> Narrator<'a> {
             None if self.log.enabled() => {
                 let owned: Vec<(&str, String)> =
                     all.iter().map(|(k, v)| (*k, v.to_string())).collect();
-                self.log
-                    .event(level, self.target, self.elapsed_ms, message, &owned);
+                let at = self.clock.now() + self.elapsed_ms;
+                self.log.event(level, self.target, at, message, &owned);
             }
             None => {}
         }
@@ -421,6 +432,14 @@ impl<'a> Narrator<'a> {
     }
 }
 
+impl Drop for Narrator<'_> {
+    fn drop(&mut self) {
+        if self.span.is_none() {
+            self.clock.advance_to(self.clock.now() + self.elapsed_ms);
+        }
+    }
+}
+
 /// One step of [`drive`], reported to its caller as it happens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Step {
@@ -461,7 +480,7 @@ pub(crate) fn admit(fault: Option<FaultKind>) -> Result<()> {
 /// off per `policy` and tries again while retries remain, unless the
 /// backoff spent the budget.
 ///
-/// `narrator` keeps the operation's clock and writes every drawn
+/// `narrator` keeps the operation's elapsed time and writes every drawn
 /// fault, backoff, timeout and exhausted retry, so no caller records a
 /// step itself; `step` then sees every attempt and backoff in order for
 /// the caller's own counts.
@@ -718,11 +737,12 @@ mod tests {
         };
         let mut steps = Vec::new();
         let mut ops = 0;
-        let log = EvLog::with_capacity(16);
+        let tele = Telemetry::new();
+        tele.clock().advance_to(100);
         let result = drive(
             Some(&mut stream),
             &policy,
-            &mut Narrator::new(&log, "t", None, None),
+            &mut Narrator::new(&tele, "t", None, None),
             |s| steps.push(s),
             |_| {
                 ops += 1;
@@ -738,8 +758,12 @@ mod tests {
         // 1 + 10 + 1 + 20 = 32 > 25: the second backoff ends the loop
         assert_eq!(steps, [attempt, backoff(1, 10), attempt, backoff(2, 20)]);
         assert_eq!(ops, 2);
-        // untraced, each record is stamped with the time spent so far
-        let records: Vec<(u64, String)> = log
+        // untraced, each record is stamped with the time the operation
+        // opened at plus the time spent so far, and the operation moved
+        // the clock to its end
+        assert_eq!(tele.clock().now(), 132);
+        let records: Vec<(u64, String)> = tele
+            .evlog()
             .records()
             .into_iter()
             .map(|r| (r.sim_ms, r.message))
@@ -748,29 +772,27 @@ mod tests {
         assert_eq!(
             records,
             [
-                at(1, "fault injected"),
-                at(11, "retrying transient failure"),
-                at(12, "fault injected"),
-                at(32, "retrying transient failure"),
-                at(32, "timeout"),
+                at(101, "fault injected"),
+                at(111, "retrying transient failure"),
+                at(112, "fault injected"),
+                at(132, "retrying transient failure"),
+                at(132, "timeout"),
             ]
         );
     }
 
     #[test]
     fn place_writes_each_failover_and_unplaced_shard_once() {
-        use crate::trace::FlightRecorder;
         use NodeHealth::{Down, Up};
-        let recorder = FlightRecorder::with_capacity(8);
-        let log = EvLog::with_capacity(8);
-        let mut span = recorder.root("op");
+        let tele = Telemetry::with_capacities(8, 8);
+        let mut span = tele.trace_root("op");
         let mut place_on = |shard, health: &[NodeHealth]| {
             place(
                 shard,
                 2,
                 health,
                 5,
-                &mut Narrator::new(&log, "t", Some(&mut span), None),
+                &mut Narrator::new(&tele, "t", Some(&mut span), None),
             )
         };
         assert_eq!(place_on(0, &[Up, Up]), Some(0));
@@ -778,13 +800,13 @@ mod tests {
         assert_eq!(place_on(0, &[Down, Down]), None);
         let trace = span.trace_id();
         span.finish();
-        let labels: Vec<String> = recorder.trace(trace)[0]
+        let labels: Vec<String> = tele.recorder().trace(trace)[0]
             .events
             .iter()
             .map(|e| e.label.clone())
             .collect();
         assert_eq!(labels, ["failover:node:1", "unplaced"]);
-        let records = log.records();
+        let records = tele.evlog().records();
         let fields: Vec<_> = records.iter().map(|r| (r.level, &r.fields)).collect();
         assert_eq!(fields.len(), 2);
         assert_eq!(fields[0].0, Level::Warn);

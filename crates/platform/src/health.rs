@@ -477,11 +477,11 @@ pub struct DoctorReport {
 }
 
 impl DoctorReport {
-    /// Assembles the report from a cluster and its health engine at
-    /// simulated time `at_sim_ms`: snapshots the metrics, picks each
+    /// Assembles the report from a cluster and its health engine at the
+    /// cluster's simulated now: snapshots the metrics, picks each
     /// histogram's worst exemplar, and resolves it against the flight
     /// recorder.
-    pub fn build(cluster: &Cluster, engine: &HealthEngine, at_sim_ms: u64) -> DoctorReport {
+    pub fn build(cluster: &Cluster, engine: &HealthEngine) -> DoctorReport {
         let snapshot = cluster.metrics_snapshot();
         let recorder = cluster.telemetry().recorder();
         let mut exemplars = Vec::new();
@@ -496,7 +496,7 @@ impl DoctorReport {
             }
         }
         DoctorReport {
-            at_sim_ms,
+            at_sim_ms: cluster.sim_now(),
             slos: engine.status().to_vec(),
             alerts: engine.alerts().to_vec(),
             exemplars,

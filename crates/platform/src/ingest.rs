@@ -119,7 +119,8 @@ impl<'a> Ingestor<'a> {
     /// recorded under the `ingest` log target. With a `parent` span the
     /// ingest is a `doc:<seq>` child span (`seq` is this ingestor's
     /// running document count) that carries them as events, and the
-    /// parent clock advances by the simulated time the ingest consumed.
+    /// parent span advances by the simulated time the ingest consumed;
+    /// without one the ingest is a root operation on the clock.
     pub fn try_ingest(
         &mut self,
         doc: RawDocument,
@@ -141,8 +142,8 @@ impl<'a> Ingestor<'a> {
                     self.metrics.retries.inc();
                 }
             };
-            let log = self.store.telemetry().evlog();
-            let mut narrator = Narrator::new(log, "ingest", span.as_mut(), None);
+            let tele = self.store.telemetry();
+            let mut narrator = Narrator::new(tele, "ingest", span.as_mut(), None);
             let err = match faults::drive(
                 Some(stream),
                 &self.retry,
@@ -172,9 +173,7 @@ impl<'a> Ingestor<'a> {
                 Ok(id) => span.attr("id", id.0.to_string()),
                 Err(e) => span.event(format!("error: {e}")),
             }
-            let elapsed = span.elapsed_sim_ms();
-            span.finish();
-            parent.advance(elapsed);
+            parent.advance(span.finish());
         }
         result
     }
@@ -208,9 +207,7 @@ impl<'a> Ingestor<'a> {
             .collect();
         span.attr("stored", ids.len().to_string());
         span.attr("documents", self.stats.documents.to_string());
-        let elapsed = span.elapsed_sim_ms();
-        span.finish();
-        parent.advance(elapsed);
+        parent.advance(span.finish());
         ids
     }
 

@@ -124,7 +124,7 @@ pub use serving::{
 pub use stats::{corpus_stats, CorpusStats};
 pub use store::DataStore;
 pub use telemetry::{
-    Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, Telemetry, TelemetrySnapshot,
+    Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, SimClock, Telemetry, TelemetrySnapshot,
 };
 pub use timeseries::{
     CounterWindow, GaugeWindow, HistogramWindow, TimeSeriesStore, Timeline,

@@ -16,9 +16,10 @@
 //! batch-aware miners amortize per-document setup.
 
 use crate::entity::EntityEdit;
-use crate::evlog::{EvLog, Level};
+use crate::evlog::Level;
 use crate::faults::{self, FaultPlan, FaultStream, Halt, Narrator, NodeHealth, Step};
 use crate::store::DataStore;
+use crate::telemetry::Telemetry;
 use crate::trace::TraceSpan;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use wf_types::{DocId, NodeId, Result, RetryPolicy};
@@ -218,7 +219,7 @@ impl MinerPipeline {
         let entities_in = store.len() as u64;
         // every shard span forks from the same instant; the workers run in
         // parallel, so afterwards the run's clock jumps to the slowest one
-        let fork_start = span.start_sim_ms() + span.elapsed_sim_ms();
+        let fork_start = span.end_sim_ms();
         let shard_spans: Vec<TraceSpan> = (0..store.shard_count())
             .map(|s| span.child(format!("shard:{s}")))
             .collect();
@@ -263,8 +264,7 @@ impl MinerPipeline {
         for &sim_ms in &total.shard_sim_ms {
             shard_hist.record_exemplar(sim_ms, trace);
         }
-        let elapsed = span.elapsed_sim_ms();
-        span.finish();
+        let elapsed = span.finish();
         if let Some(parent) = parent {
             parent.advance(elapsed);
         }
@@ -284,14 +284,14 @@ impl MinerPipeline {
         span: &mut TraceSpan,
     ) -> ShardOutcome {
         let ids = store.shard_ids(NodeId(shard as u32));
-        let log = store.telemetry().evlog();
+        let tele = store.telemetry();
         let target = format!("miner.shard:{shard}");
         let placed = faults::place(
             shard,
             store.shard_count(),
             opts.faults.health,
             ids.len(),
-            &mut Narrator::new(log, &target, Some(span), None),
+            &mut Narrator::new(tele, &target, Some(span), None),
         );
         let Some(executor) = placed else {
             return ShardOutcome {
@@ -315,7 +315,7 @@ impl MinerPipeline {
         let mut draws = FaultDraws {
             stream,
             retry: opts.faults.retry,
-            log,
+            tele,
             target: &target,
             retries: 0,
             faults: 0,
@@ -336,7 +336,7 @@ impl MinerPipeline {
                 let label = Some("panicked".to_string());
                 let docs = ids.len();
                 let message = "shard worker panicked";
-                log.note(
+                tele.evlog().note(
                     span,
                     Level::Error,
                     &target,
@@ -494,7 +494,7 @@ impl MinerPipeline {
 struct FaultDraws<'a> {
     stream: Option<FaultStream>,
     retry: RetryPolicy,
-    log: &'a EvLog,
+    tele: &'a Telemetry,
     target: &'a str,
     retries: u64,
     faults: u64,
@@ -520,7 +520,7 @@ impl FaultDraws<'_> {
             }
             Step::Backoff { .. } => self.retries += 1,
         };
-        let mut narrator = Narrator::new(self.log, self.target, Some(span), Some(id));
+        let mut narrator = Narrator::new(self.tele, self.target, Some(span), Some(id));
         let drawn = faults::drive(
             Some(stream),
             &self.retry,

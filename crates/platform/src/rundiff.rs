@@ -7,7 +7,7 @@
 //! artifacts of the same kind —
 //!
 //! - **metrics snapshots** (`wfsm metrics --format json`): per-counter
-//!   and per-gauge deltas;
+//!   and per-gauge deltas, and each histogram's `count`, `p50` and `p99`;
 //! - **profile exports** (`wfsm profile --format json`): per-stage
 //!   self-time deltas over the folded span tree, attributing a
 //!   regression to the exact `serve.query/...` path that grew.
@@ -124,6 +124,9 @@ pub struct RunDiff {
     pub counters: Vec<ValueDelta>,
     /// Changed gauges, by name (metrics artifacts).
     pub gauges: Vec<ValueDelta>,
+    /// Changed histogram values, by name: each histogram's `NAME.count`,
+    /// `NAME.p50` and `NAME.p99` (metrics artifacts).
+    pub histograms: Vec<ValueDelta>,
     /// Changed stages, by path (profile artifacts).
     pub stages: Vec<StageDelta>,
 }
@@ -152,6 +155,18 @@ where
             })
         })
         .collect()
+}
+
+/// Each histogram's count and the p50/p99 its snapshot computes, as
+/// `NAME.count`, `NAME.p50` and `NAME.p99`.
+fn histogram_values(snapshot: &TelemetrySnapshot) -> BTreeMap<String, u64> {
+    let mut out = BTreeMap::new();
+    for (name, h) in &snapshot.histograms {
+        out.insert(format!("{name}.count"), h.count);
+        out.insert(format!("{name}.p50"), h.percentile(50.0));
+        out.insert(format!("{name}.p99"), h.percentile(99.0));
+    }
+    out
 }
 
 /// Every node of a profile as `path -> (self_ms, count)`, the path
@@ -183,12 +198,14 @@ impl RunDiff {
             kind,
             counters: Vec::new(),
             gauges: Vec::new(),
+            histograms: Vec::new(),
             stages: Vec::new(),
         };
         match (a, b) {
             (Artifact::Metrics(a), Artifact::Metrics(b)) => {
                 diff.counters = diff_section(&a.counters, &b.counters);
                 diff.gauges = diff_section(&a.gauges, &b.gauges);
+                diff.histograms = diff_section(&histogram_values(a), &histogram_values(b));
             }
             (Artifact::Profile(a), Artifact::Profile(b)) => {
                 let (flat_a, flat_b) = (profile_stages(a), profile_stages(b));
@@ -235,7 +252,10 @@ impl RunDiff {
 
     /// Any difference at all?
     pub fn changed(&self) -> bool {
-        !(self.counters.is_empty() && self.gauges.is_empty() && self.stages.is_empty())
+        !(self.counters.is_empty()
+            && self.gauges.is_empty()
+            && self.histograms.is_empty()
+            && self.stages.is_empty())
     }
 
     /// `ok` (identical) / `changed` (moved, nothing slower) /
@@ -258,8 +278,12 @@ impl RunDiff {
 
     /// Human-readable report for `wfsm diff` without `--format json`.
     pub fn to_text(&self) -> String {
+        let histograms = match self.kind {
+            ArtifactKind::Metrics => format!("{} histogram value(s), ", self.histograms.len()),
+            ArtifactKind::Profile => String::new(),
+        };
         let mut out = format!(
-            "run diff ({}): {} counter(s), {} gauge(s), {} stage(s) changed; {} regression(s) — {}\n",
+            "run diff ({}): {} counter(s), {} gauge(s), {histograms}{} stage(s) changed; {} regression(s) — {}\n",
             self.kind.label(),
             self.counters.len(),
             self.gauges.len(),
@@ -267,7 +291,12 @@ impl RunDiff {
             self.regressions(),
             self.verdict()
         );
-        for d in self.counters.iter().chain(self.gauges.iter()) {
+        for d in self
+            .counters
+            .iter()
+            .chain(&self.gauges)
+            .chain(&self.histograms)
+        {
             let _ = writeln!(out, "  {} {} -> {} ({:+})", d.name, d.a, d.b, d.delta);
         }
         for s in &self.stages {
@@ -288,17 +317,22 @@ impl RunDiff {
 }
 
 /// Exports the kind's label and the computed `regressions` and
-/// `verdict` beside the changed entries.
+/// `verdict` beside the changed entries; `histograms` only for a metrics
+/// diff, which is the only kind that has them.
 impl Serialize for RunDiff {
     fn to_value(&self) -> Value {
-        json!({
+        let mut value = json!({
             "counters": self.counters,
             "gauges": self.gauges,
             "kind": self.kind.label(),
             "regressions": self.regressions() as u64,
             "stages": self.stages,
             "verdict": self.verdict(),
-        })
+        });
+        if let (ArtifactKind::Metrics, Value::Object(map)) = (self.kind, &mut value) {
+            map.insert("histograms".into(), self.histograms.to_value());
+        }
+        value
     }
 }
 
@@ -366,6 +400,35 @@ mod tests {
     }
 
     #[test]
+    fn a_moved_histogram_is_a_change() {
+        // one 5 ms sample, then a second at 895 ms: p99 5 -> 895
+        let a = r#"{"counters": {}, "histograms": {"h": {"count": 1, "sum": 5,
+            "min": 5, "max": 5, "buckets": [{"le": 8, "count": 1}]}}}"#;
+        let b = r#"{"counters": {}, "histograms": {"h": {"count": 2, "sum": 900,
+            "min": 5, "max": 895,
+            "buckets": [{"le": 8, "count": 1}, {"le": 1024, "count": 1}]}}}"#;
+        let same = RunDiff::between_texts(a, a).unwrap();
+        assert_eq!(same.verdict(), "ok");
+        assert!(same.to_json_string().contains("\"histograms\": []"));
+        let diff = RunDiff::between_texts(a, b).unwrap();
+        assert_eq!(diff.verdict(), "changed");
+        let moved: Vec<(&str, i64, i64)> = diff
+            .histograms
+            .iter()
+            .map(|d| (d.name.as_str(), d.a, d.b))
+            .collect();
+        assert_eq!(
+            moved,
+            [("h.count", 1, 2), ("h.p50", 5, 8), ("h.p99", 5, 895)]
+        );
+        assert!(
+            diff.to_text().contains("h.p99 5 -> 895 (+890)"),
+            "{}",
+            diff.to_text()
+        );
+    }
+
+    #[test]
     fn profile_regressions_attribute_to_stage_paths() {
         let a = profile(&[("serve.query", 100, 10), ("mine", 50, 5)]);
         let b = profile(&[("serve.query", 130, 10), ("mine", 40, 5)]);
@@ -416,5 +479,6 @@ mod tests {
         assert_eq!(d1, d2);
         assert!(d1.contains("\"verdict\": \"regressed\""), "{d1}");
         assert!(d1.contains("\"regressions\": 1"), "{d1}");
+        assert!(!d1.contains("histograms"), "a profile diff has none: {d1}");
     }
 }

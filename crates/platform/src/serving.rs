@@ -401,9 +401,9 @@ impl<'a> ServeLoop<'a> {
         self
     }
 
-    /// Runs to completion; `observer` sees the simulated clock every
-    /// 64 completions and once at the end (for SLO evaluation).
-    pub fn run_observed(mut self, observer: &mut dyn FnMut(u64)) -> Result<ServingReport> {
+    /// Runs to completion on the registry's clock (the report counts from
+    /// the start); `observer` reads it every 64 completions and at the end.
+    pub fn run_observed(mut self, observer: &mut dyn FnMut()) -> Result<ServingReport> {
         if self.workload.is_empty() {
             return Err(Error::Config("serving workload is empty".into()));
         }
@@ -427,6 +427,8 @@ impl<'a> ServeLoop<'a> {
         let gauge_peak = self.telemetry.gauge("serving.queue.peak");
         let latency_hist = self.telemetry.histogram("serving.latency.sim_ms");
         let evlog = Arc::clone(self.telemetry.evlog());
+        let clock = Arc::clone(self.telemetry.clock());
+        let t0 = clock.now();
 
         let mut cache = LruCache::new(self.config.cache_capacity);
         let mut fault_stream: Option<FaultStream> =
@@ -441,7 +443,7 @@ impl<'a> ServeLoop<'a> {
         let mut arrivals: BinaryHeap<std::cmp::Reverse<(u64, u32)>> = (0..self.config.clients)
             .map(|c| {
                 let stagger = client_rngs[c as usize].below(mean_think_ms);
-                std::cmp::Reverse((stagger, c))
+                std::cmp::Reverse((t0 + stagger, c))
             })
             .collect();
 
@@ -450,8 +452,8 @@ impl<'a> ServeLoop<'a> {
         let mut issued: u64 = 0;
         let mut dispatched: u64 = 0;
         let mut completed: u64 = 0;
-        let mut free_at: u64 = 0;
-        let mut end_ms: u64 = 0;
+        let mut free_at = t0;
+        let mut end_ms = t0;
         let mut trigger_idx = 0;
 
         while issued < requests_total || !pending.is_empty() {
@@ -484,9 +486,9 @@ impl<'a> ServeLoop<'a> {
                     end_ms = end_ms.max(free_at);
                     if completed.is_multiple_of(OBSERVE_EVERY) {
                         if let Some(timeline) = &self.timeline {
-                            timeline.tick(free_at, || self.telemetry.snapshot());
+                            timeline.tick(clock.now(), || self.telemetry.snapshot());
                         }
-                        observer(free_at);
+                        observer();
                     }
                     continue;
                 }
@@ -495,6 +497,7 @@ impl<'a> ServeLoop<'a> {
             let std::cmp::Reverse((now, client)) = arrivals.pop().expect("issued < total");
             issued += 1;
             end_ms = end_ms.max(now);
+            clock.advance_to(now); // what a trigger opens follows its arrival
             while trigger_idx < self.triggers.len() && self.triggers[trigger_idx].0 <= issued {
                 (self.triggers[trigger_idx].1)();
                 evlog.event(
@@ -549,10 +552,10 @@ impl<'a> ServeLoop<'a> {
         report.cache_hit_rate_milli = (report.cache_hits * 1000)
             .checked_div(report.cache_hits + report.cache_misses)
             .unwrap_or(0);
-        report.sim_ms = end_ms;
+        report.sim_ms = end_ms - t0;
         let completed_total = report.ok + report.errors;
         report.sustained_qps_milli = (completed_total * 1_000_000)
-            .checked_div(end_ms)
+            .checked_div(report.sim_ms)
             .unwrap_or(0);
         {
             let snapshot = self.telemetry.snapshot();
@@ -563,15 +566,15 @@ impl<'a> ServeLoop<'a> {
             }
         }
         if let Some(timeline) = &self.timeline {
-            timeline.scrape_at(end_ms, self.telemetry.snapshot());
+            timeline.scrape_at(clock.now(), self.telemetry.snapshot());
         }
-        observer(end_ms);
+        observer();
         Ok(report)
     }
 
     /// Runs to completion without an observer.
     pub fn run(self) -> Result<ServingReport> {
-        self.run_observed(&mut |_| {})
+        self.run_observed(&mut || {})
     }
 
     /// Executes one dequeued request at simulated `start`; returns its
@@ -591,7 +594,8 @@ impl<'a> ServeLoop<'a> {
     ) -> u64 {
         // constant root name: the profiler folds every request into one
         // serve.query tree; the sequence number lives in an attr
-        let mut span = self.telemetry.trace_root("serve.query");
+        let recorder = self.telemetry.recorder();
+        let mut span = recorder.root("serve.query", req.arrival_ms);
         span.attr("seq", seq.to_string());
         span.attr("client", req.client.to_string());
         span.attr("request", req.request.clone());
@@ -802,6 +806,35 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn the_loop_runs_on_the_registry_clock() {
+        let run = |t0: u64| {
+            let telemetry = Telemetry::new();
+            telemetry.clock().advance_to(t0);
+            let mut seen = Vec::new();
+            let report = ServeLoop::new(
+                &EchoBackend,
+                Arc::clone(&telemetry),
+                config(150),
+                vec!["q1".into(), "boom".into()],
+            )
+            .run_observed(&mut || seen.push(telemetry.clock().now()))
+            .unwrap();
+            (report, seen, telemetry)
+        };
+        let (at_zero, seen_at_zero, _) = run(0);
+        let (later, seen_later, telemetry) = run(1000);
+        // the report counts from the loop's start; the clock moves on
+        assert_eq!(later.to_json_string(), at_zero.to_json_string());
+        assert_eq!(telemetry.clock().now(), 1000 + later.sim_ms);
+        let shifted: Vec<u64> = seen_at_zero.iter().map(|t| t + 1000).collect();
+        assert_eq!(seen_later, shifted, "observers read the clock");
+        // query roots open at T0 plus their arrival
+        let records = telemetry.evlog().records();
+        assert!(!records.is_empty());
+        assert!(records.iter().all(|r| r.sim_ms >= 1000), "{records:?}");
     }
 
     #[test]

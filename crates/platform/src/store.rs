@@ -7,7 +7,7 @@
 
 use crate::durable::{Annotated, DurableStorage, WalOp};
 use crate::entity::{Entity, EntityEdit};
-use crate::evlog::{EvLog, Level};
+use crate::evlog::Level;
 use crate::telemetry::{Counter, Gauge, Telemetry};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -35,15 +35,11 @@ struct StoreMetrics {
     delete_miss: Arc<Counter>,
     version_bumps: Arc<Counter>,
     entities: Arc<Gauge>,
-    /// Structured event log: CRUD misses narrate under
-    /// `store.shard:<n>` targets.
-    evlog: Arc<EvLog>,
 }
 
 impl StoreMetrics {
     fn resolve(tele: &Telemetry) -> Self {
         StoreMetrics {
-            evlog: Arc::clone(tele.evlog()),
             inserts: tele.counter("store.insert"),
             get_ok: tele.counter("store.get.ok"),
             get_miss: tele.counter("store.get.miss"),
@@ -140,22 +136,16 @@ impl DataStore {
     }
 
     /// Emits a warn-level event for a CRUD miss on `id`'s shard, stamped
-    /// with the durable layer's simulated clock when one is attached
-    /// (the plain store has no clock of its own).
+    /// with the registry's simulated clock.
     fn log_miss(&self, op: &str, id: DocId) {
-        if !self.metrics.evlog.enabled() {
+        let log = self.telemetry.evlog();
+        if !log.enabled() {
             return;
         }
-        let sim_ms = self
-            .durability
-            .read()
-            .as_ref()
-            .map(|d| d.sim_now())
-            .unwrap_or(0);
-        self.metrics.evlog.event(
+        log.event(
             Level::Warn,
             &format!("store.shard:{}", self.shard_index(id)),
-            sim_ms,
+            self.telemetry.clock().now(),
             format!("{op} miss"),
             &[("doc", id.as_u64().to_string())],
         );

@@ -9,10 +9,10 @@
 //! - a [`Telemetry`] registry of named atomic [`Counter`]s, [`Gauge`]s and
 //!   fixed-bucket [`Histogram`]s, shared by every platform component of a
 //!   [`Cluster`](crate::cluster::Cluster);
-//! - histograms of **simulated** milliseconds (the same virtual clock
-//!   the fault subsystem advances), fed by [`TraceSpan`] durations —
-//!   there is no wall-clock read anywhere, so identical seeds give
-//!   byte-identical [`TelemetrySnapshot`]s;
+//! - histograms of **simulated** milliseconds (on one [`SimClock`]),
+//!   fed by [`TraceSpan`] durations — there is no wall-clock read
+//!   anywhere, so identical seeds give byte-identical
+//!   [`TelemetrySnapshot`]s;
 //! - deterministic snapshot export: a human-readable table
 //!   ([`TelemetrySnapshot::to_table`]) and canonical JSON with stable
 //!   field ordering ([`TelemetrySnapshot::to_json_string`], backed by the
@@ -215,12 +215,32 @@ impl Histogram {
     }
 }
 
+/// A [`Telemetry`] registry's simulated time, in ms. Root operations (a
+/// trace root, an untraced bus call or ingest) open at its now and move
+/// it to their end; spans with a parent never touch it. Roots open on
+/// one thread, so same-seed runs replay every stamp taken from it.
+#[derive(Debug, Default)]
+pub struct SimClock(AtomicU64);
+
+impl SimClock {
+    /// The current simulated time.
+    pub fn now(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    /// Moves the clock forward to `at_ms` (no-op when already past it).
+    pub fn advance_to(&self, at_ms: u64) {
+        self.0.fetch_max(at_ms, Ordering::Relaxed);
+    }
+}
+
 /// The metric registry: one per cluster (or per component under test).
 ///
 /// Handles are get-or-create by name and cheap to clone; components
 /// resolve them once at construction so hot paths touch only atomics.
-/// Also owns the cluster's trace [`FlightRecorder`]; the snapshot merges
-/// its `trace.spans` / `trace.evicted` totals into the counter section.
+/// Also owns the cluster's trace [`FlightRecorder`] (which keeps the
+/// [`SimClock`]); the snapshot merges its `trace.spans` /
+/// `trace.evicted` totals into the counter section.
 #[derive(Debug)]
 pub struct Telemetry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
@@ -278,9 +298,14 @@ impl Telemetry {
         &self.evlog
     }
 
+    /// The registry's simulated clock.
+    pub fn clock(&self) -> &Arc<SimClock> {
+        &self.recorder.clock
+    }
+
     /// Opens a new trace rooted at `name` (one per top-level operation).
     pub fn trace_root(&self, name: impl Into<String>) -> TraceSpan {
-        self.recorder.root(name)
+        self.recorder.root(name, self.clock().now())
     }
 
     /// The counter registered under `name` (created on first use).
@@ -596,32 +621,46 @@ impl TelemetrySnapshot {
                     buckets: Vec::new(),
                     exemplars: Vec::new(),
                 };
-                if let Some(Value::Array(buckets)) = h.get("buckets") {
-                    for b in buckets {
-                        let b = need_object(b, "bucket")?;
-                        let le = match b.get("le") {
-                            None | Some(Value::Null) => None,
-                            Some(v) => Some(need_u64(v, "bucket le")?),
-                        };
-                        let count = need_u64(b.get("count").unwrap_or(&Value::Null), "bucket")?;
-                        hs.buckets.push((le, count));
-                        if let Some(ev) = b.get("exemplar") {
-                            let eo = need_object(ev, "exemplar")?;
-                            hs.exemplars.push((
-                                le,
-                                Exemplar {
-                                    value: need_u64(
-                                        eo.get("value").unwrap_or(&Value::Null),
-                                        "exemplar value",
-                                    )?,
-                                    trace: need_u64(
-                                        eo.get("trace").unwrap_or(&Value::Null),
-                                        "exemplar trace",
-                                    )?,
-                                },
-                            ));
-                        }
+                let buckets: &[Value] = match h.get("buckets") {
+                    Some(v) => v.as_array().ok_or_else(|| {
+                        format!("histogram {k} buckets must be an array, got {}", v.kind())
+                    })?,
+                    None => &[],
+                };
+                for b in buckets {
+                    let b = need_object(b, "bucket")?;
+                    let le = match b.get("le") {
+                        None | Some(Value::Null) => None,
+                        Some(v) => Some(need_u64(v, "bucket le")?),
+                    };
+                    let count = need_u64(b.get("count").unwrap_or(&Value::Null), "bucket")?;
+                    hs.buckets.push((le, count));
+                    if let Some(ev) = b.get("exemplar") {
+                        let eo = need_object(ev, "exemplar")?;
+                        hs.exemplars.push((
+                            le,
+                            Exemplar {
+                                value: need_u64(
+                                    eo.get("value").unwrap_or(&Value::Null),
+                                    "exemplar value",
+                                )?,
+                                trace: need_u64(
+                                    eo.get("trace").unwrap_or(&Value::Null),
+                                    "exemplar trace",
+                                )?,
+                            },
+                        ));
                     }
+                }
+                let total = hs
+                    .buckets
+                    .iter()
+                    .try_fold(0u64, |t, &(_, c)| t.checked_add(c));
+                if total != Some(hs.count) {
+                    return Err(format!(
+                        "histogram {k} buckets must sum to its count {}",
+                        hs.count
+                    ));
                 }
                 snap.histograms.insert(k.clone(), hs);
             }

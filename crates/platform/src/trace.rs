@@ -12,11 +12,11 @@
 //! [`Telemetry`](crate::telemetry::Telemetry) registry; eviction is
 //! oldest-first and counted.
 //!
-//! **Determinism.** Spans accumulate **simulated** milliseconds — the
-//! same virtual clock the fault subsystem advances — and never read wall
-//! time. Raw trace/span ids are allocated from atomics (and therefore
-//! interleaving-dependent), so no raw id ever appears in an export:
-//! exporters rebuild each trace as a tree, sort children by
+//! **Determinism.** Spans accumulate **simulated** milliseconds as
+//! offsets inside their trace, which opens at the [`SimClock`], and never
+//! read wall time. Raw trace/span ids are allocated from atomics (and
+//! therefore interleaving-dependent), so no raw id ever appears in an
+//! export: exporters rebuild each trace as a tree, sort children by
 //! `(start_sim_ms, path)`, and assign canonical ids in depth-first
 //! order. Sibling spans are given unique names (`shard:3`,
 //! `store.update:17`, `bus:search#2`) so the sort is total. Consequence:
@@ -24,6 +24,7 @@
 //! `trace_event`, and ASCII-waterfall exports no matter how worker
 //! threads interleaved.
 
+use crate::telemetry::SimClock;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use serde_json::{json, Value};
@@ -60,6 +61,8 @@ pub struct SpanRecord {
     pub name: String,
     /// Stable `/`-joined path from the trace root.
     pub path: String,
+    /// Where the trace opened on the clock (exports keep offsets).
+    pub opened_ms: u64,
     /// Absolute simulated start within the trace.
     pub start_sim_ms: u64,
     pub duration_sim_ms: u64,
@@ -75,10 +78,11 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 /// Pushes claim a slot with one `fetch_add` and overwrite the oldest
 /// record once the ring wraps (eviction is oldest-first and counted).
 /// Capacity 0 disables recording entirely (spans become cheap no-ops on
-/// finish).
+/// finish). It keeps the registry's [`SimClock`].
 #[derive(Debug)]
 pub struct FlightRecorder {
     slots: Vec<Mutex<Option<(u64, SpanRecord)>>>,
+    pub(crate) clock: Arc<SimClock>,
     seq: AtomicU64,
     next_trace: AtomicU64,
     next_span: AtomicU64,
@@ -91,6 +95,7 @@ impl FlightRecorder {
     pub fn with_capacity(capacity: usize) -> Arc<FlightRecorder> {
         Arc::new(FlightRecorder {
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+            clock: Arc::default(),
             seq: AtomicU64::new(0),
             next_trace: AtomicU64::new(0),
             next_span: AtomicU64::new(0),
@@ -114,26 +119,37 @@ impl FlightRecorder {
         self.evicted.load(Ordering::Relaxed)
     }
 
-    /// Opens a new trace rooted at `name`.
-    pub fn root(self: &Arc<Self>, name: impl Into<String>) -> TraceSpan {
-        let name = name.into();
+    /// Opens a new trace rooted at `name` at `opened_ms` on the clock
+    /// (`Telemetry::trace_root` opens one at the clock's now).
+    pub fn root(self: &Arc<Self>, name: impl Into<String>, opened_ms: u64) -> TraceSpan {
+        let trace = TraceId(self.next_trace.fetch_add(1, Ordering::Relaxed) + 1);
+        self.open(trace, None, name.into(), opened_ms, 0)
+    }
+
+    /// A new span of `trace` starting at offset `start_sim_ms`, under
+    /// `parent` (its id and path; none for a root).
+    fn open(
+        self: &Arc<Self>,
+        trace: TraceId,
+        parent: Option<(SpanId, &str)>,
+        name: String,
+        opened_ms: u64,
+        start_sim_ms: u64,
+    ) -> TraceSpan {
         TraceSpan {
             rec: Arc::clone(self),
-            trace: TraceId(self.next_trace.fetch_add(1, Ordering::Relaxed) + 1),
-            id: self.next_span_id(),
-            parent: None,
-            path: name.clone(),
+            trace,
+            id: SpanId(self.next_span.fetch_add(1, Ordering::Relaxed) + 1),
+            parent: parent.map(|(id, _)| id),
+            path: parent.map_or_else(|| name.clone(), |(_, path)| format!("{path}/{name}")),
             name,
-            start_sim_ms: 0,
+            opened_ms,
+            start_sim_ms,
             elapsed_sim_ms: 0,
             events: Vec::new(),
             attrs: BTreeMap::new(),
             finished: false,
         }
-    }
-
-    fn next_span_id(&self) -> SpanId {
-        SpanId(self.next_span.fetch_add(1, Ordering::Relaxed) + 1)
     }
 
     fn push(&self, record: SpanRecord) {
@@ -257,6 +273,8 @@ pub struct TraceSpan {
     parent: Option<SpanId>,
     name: String,
     path: String,
+    /// Where the trace opened on the clock.
+    opened_ms: u64,
     start_sim_ms: u64,
     elapsed_sim_ms: u64,
     events: Vec<SpanEvent>,
@@ -269,20 +287,10 @@ impl TraceSpan {
     /// time. Give siblings unique names (`shard:2`, `doc:17`) — the
     /// canonical export sorts by `(start, path)`.
     pub fn child(&self, name: impl Into<String>) -> TraceSpan {
-        let name = name.into();
-        TraceSpan {
-            rec: Arc::clone(&self.rec),
-            trace: self.trace,
-            id: self.rec.next_span_id(),
-            parent: Some(self.id),
-            path: format!("{}/{}", self.path, name),
-            name,
-            start_sim_ms: self.end_sim_ms(),
-            elapsed_sim_ms: 0,
-            events: Vec::new(),
-            attrs: BTreeMap::new(),
-            finished: false,
-        }
+        let parent = Some((self.id, self.path.as_str()));
+        let start = self.end_sim_ms();
+        self.rec
+            .open(self.trace, parent, name.into(), self.opened_ms, start)
     }
 
     /// Advances the span's simulated clock.
@@ -320,19 +328,6 @@ impl TraceSpan {
         self.id
     }
 
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
-    /// Absolute simulated start within the trace.
-    pub fn start_sim_ms(&self) -> u64 {
-        self.start_sim_ms
-    }
-
     /// Simulated milliseconds accumulated so far.
     pub fn elapsed_sim_ms(&self) -> u64 {
         self.elapsed_sim_ms
@@ -343,6 +338,11 @@ impl TraceSpan {
         self.start_sim_ms + self.elapsed_sim_ms
     }
 
+    /// The span's current time on the clock (event-log stamps).
+    pub fn clock_ms(&self) -> u64 {
+        self.opened_ms + self.end_sim_ms()
+    }
+
     /// The propagation context for this span (what the service bus
     /// carries in the request envelope).
     pub fn context(&self) -> TraceContext {
@@ -350,11 +350,13 @@ impl TraceSpan {
             trace: self.trace,
             span: self.id,
             path: self.path.clone(),
+            opened_ms: self.opened_ms,
             at_sim_ms: self.end_sim_ms(),
         }
     }
 
-    /// Records the span and returns its simulated duration.
+    /// Records the span and returns its simulated duration. A root moves
+    /// the clock forward to its end.
     pub fn finish(mut self) -> u64 {
         self.record();
         self.elapsed_sim_ms
@@ -365,12 +367,16 @@ impl TraceSpan {
             return;
         }
         self.finished = true;
+        if self.parent.is_none() {
+            self.rec.clock.advance_to(self.clock_ms());
+        }
         self.rec.push(SpanRecord {
             trace: self.trace,
             id: self.id,
             parent: self.parent,
             name: std::mem::take(&mut self.name),
             path: std::mem::take(&mut self.path),
+            opened_ms: self.opened_ms,
             start_sim_ms: self.start_sim_ms,
             duration_sim_ms: self.elapsed_sim_ms,
             events: std::mem::take(&mut self.events),
@@ -397,6 +403,8 @@ pub struct TraceContext {
     pub trace: TraceId,
     pub span: SpanId,
     pub path: String,
+    /// Where the trace opened on the clock.
+    pub opened_ms: u64,
     #[serde(rename = "at_ms")]
     pub at_sim_ms: u64,
 }
@@ -424,20 +432,14 @@ impl TraceContext {
     /// Opens a child span of this context in `recorder` — the callee
     /// half of cross-service propagation.
     pub fn child_in(&self, recorder: &Arc<FlightRecorder>, name: impl Into<String>) -> TraceSpan {
-        let name = name.into();
-        TraceSpan {
-            rec: Arc::clone(recorder),
-            trace: self.trace,
-            id: recorder.next_span_id(),
-            parent: Some(self.span),
-            path: format!("{}/{}", self.path, name),
-            name,
-            start_sim_ms: self.at_sim_ms,
-            elapsed_sim_ms: 0,
-            events: Vec::new(),
-            attrs: BTreeMap::new(),
-            finished: false,
-        }
+        let parent = Some((self.span, self.path.as_str()));
+        recorder.open(
+            self.trace,
+            parent,
+            name.into(),
+            self.opened_ms,
+            self.at_sim_ms,
+        )
     }
 }
 
@@ -615,7 +617,7 @@ mod tests {
     #[test]
     fn spans_record_on_finish_and_drop() {
         let rec = FlightRecorder::with_capacity(16);
-        let mut root = rec.root("op");
+        let mut root = rec.root("op", 0);
         root.advance(10);
         {
             let mut child = root.child("step:1");
@@ -635,10 +637,37 @@ mod tests {
     }
 
     #[test]
+    fn roots_open_at_the_clock_and_move_it_children_do_not() {
+        let rec = FlightRecorder::with_capacity(16);
+        rec.clock.advance_to(100);
+        let mut root = rec.root("op", 100);
+        root.advance(5);
+        let mut child = root.child("step");
+        child.advance(20);
+        assert_eq!(child.clock_ms(), 125, "opening time plus offset");
+        child.finish();
+        assert_eq!(rec.clock.now(), 100, "a child never moves the clock");
+        // a continued span keeps its trace's opening time
+        let mut callee = root.context().child_in(&rec, "callee");
+        callee.advance(1);
+        assert_eq!(callee.clock_ms(), 106);
+        callee.finish();
+        root.finish();
+        assert_eq!(rec.clock.now(), 105, "the root moves it to its end");
+        // a root opened behind the clock never moves it back
+        rec.root("late", 50).finish();
+        assert_eq!(rec.clock.now(), 105);
+        // exports keep offsets within the trace
+        let roots = rec.trace(TraceId(1));
+        assert_eq!(roots[0].start_sim_ms, 0);
+        assert_eq!(roots[0].find("op/step").unwrap().start_sim_ms, 5);
+    }
+
+    #[test]
     fn ring_evicts_oldest_first() {
         let rec = FlightRecorder::with_capacity(3);
         for i in 0..5 {
-            rec.root(format!("op:{i}")).finish();
+            rec.root(format!("op:{i}"), 0).finish();
         }
         let names: Vec<String> = rec.records().into_iter().map(|r| r.name).collect();
         assert_eq!(names, vec!["op:2", "op:3", "op:4"], "oldest evicted first");
@@ -649,7 +678,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_recording() {
         let rec = FlightRecorder::with_capacity(0);
-        rec.root("op").finish();
+        rec.root("op", 0).finish();
         assert!(rec.records().is_empty());
         assert_eq!(rec.recorded(), 0);
         assert_eq!(rec.evicted(), 0);
@@ -658,7 +687,7 @@ mod tests {
     #[test]
     fn canonical_tree_sorts_children_by_start_then_path() {
         let rec = FlightRecorder::with_capacity(16);
-        let root = rec.root("run");
+        let root = rec.root("run", 0);
         // create b before a: canonical order must not care
         let mut b = root.child("shard:1");
         let mut a = root.child("shard:0");
@@ -677,7 +706,7 @@ mod tests {
     #[test]
     fn orphans_promote_to_roots() {
         let rec = FlightRecorder::with_capacity(2);
-        let root = rec.root("run");
+        let root = rec.root("run", 0);
         let mut c1 = root.child("a");
         c1.advance(1);
         c1.finish();
@@ -694,7 +723,7 @@ mod tests {
     #[test]
     fn context_round_trips_through_envelope() {
         let rec = FlightRecorder::with_capacity(8);
-        let mut root = rec.root("caller");
+        let mut root = rec.root("caller", 0);
         root.advance(4);
         let ctx = root.context();
         let request = serde_json::json!({"q": "camera"});
@@ -719,7 +748,7 @@ mod tests {
     fn exports_are_deterministic_and_renumbered() {
         let render = || {
             let rec = FlightRecorder::with_capacity(16);
-            let root = rec.root("run");
+            let root = rec.root("run", 0);
             let mut kids: Vec<TraceSpan> = (0..3).map(|i| root.child(format!("w:{i}"))).collect();
             // finish in scrambled order with scrambled raw ids
             kids.swap(0, 2);
@@ -754,7 +783,7 @@ mod tests {
     #[test]
     fn advance_to_syncs_to_slowest_child() {
         let rec = FlightRecorder::with_capacity(8);
-        let mut root = rec.root("run");
+        let mut root = rec.root("run", 0);
         let mut slow = root.child("slow");
         slow.advance(40);
         let end = slow.end_sim_ms();

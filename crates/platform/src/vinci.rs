@@ -13,7 +13,7 @@
 //! timeout budget. [`ServiceBus::call_detailed`] exposes the full
 //! [`CallOutcome`] (attempts, backoffs, injected faults, simulated time).
 
-use crate::evlog::{EvLog, Level};
+use crate::evlog::Level;
 use crate::faults::{self, CallOutcome, FaultKind, FaultPlan, FaultStream, Halt, Narrator, Step};
 use crate::telemetry::{Counter, Histogram, Telemetry};
 use crate::trace::TraceSpan;
@@ -84,15 +84,11 @@ struct BusMetrics {
     /// Slots follow [`FaultKind`]'s variant order.
     faults: [Arc<Counter>; 4],
     call_sim_ms: Arc<Histogram>,
-    /// Structured event log: call anomalies narrate under
-    /// `bus.svc:<name>` targets.
-    evlog: Arc<EvLog>,
 }
 
 impl BusMetrics {
     fn resolve(tele: &Telemetry) -> Self {
         BusMetrics {
-            evlog: Arc::clone(tele.evlog()),
             calls: tele.counter("bus.calls"),
             ok: tele.counter("bus.ok"),
             errors: tele.counter("bus.errors"),
@@ -247,7 +243,7 @@ impl ServiceBus {
     /// the trace via `TraceContext::from_request`), records injected
     /// faults, retries and timeouts as span events at their exact
     /// simulated offsets, and advances `parent` by the call's simulated
-    /// duration.
+    /// duration; without one the call is a root operation on the clock.
     pub fn call_detailed(
         &self,
         name: &str,
@@ -256,12 +252,12 @@ impl ServiceBus {
     ) -> (Result<Value>, CallOutcome) {
         let mut outcome = CallOutcome::start(name);
         self.metrics.calls.inc();
-        let log = &self.metrics.evlog;
+        let tele = &self.telemetry;
         let Some(entry) = self.services.read().get(name).cloned() else {
             let mut span = parent.map(|p| p.child(format!("bus:{name}#0")));
             let label = Some("error: no such service".to_string());
             let target = format!("bus.svc:{name}");
-            Narrator::new(log, &target, span.as_mut(), None).note(
+            Narrator::new(tele, &target, span.as_mut(), None).note(
                 Level::Error,
                 label,
                 "no such service",
@@ -289,16 +285,14 @@ impl ServiceBus {
             }
             None => request,
         };
-        let mut narrator = Narrator::new(log, &entry.target, span.as_mut(), None);
+        let mut narrator = Narrator::new(tele, &entry.target, span.as_mut(), None);
         let result = self.drive_call(name, &entry, request, &mut outcome, &mut narrator);
         if let Err(err) = &result {
             entry.errors.fetch_add(1, Ordering::Relaxed);
             let label = format!("error: {err}");
             // the retry loop already recorded timeouts and exhausted retries
             if err.is_transient() || matches!(err, Error::Timeout(_)) {
-                if let Some(span) = span.as_mut() {
-                    span.event(label);
-                }
+                narrator.mark(label);
             } else {
                 narrator.note(
                     Level::Error,
@@ -309,6 +303,7 @@ impl ServiceBus {
                 );
             }
         }
+        drop(narrator); // an untraced call moves the clock to its end
         outcome.ok = result.is_ok();
         self.metrics.retries.add(outcome.retries as u64);
         for &kind in &outcome.injected {

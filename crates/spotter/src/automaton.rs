@@ -187,11 +187,6 @@ impl AhoCorasick {
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
-
-    /// Number of patterns.
-    pub fn pattern_count(&self) -> usize {
-        self.pattern_lens.len()
-    }
 }
 
 #[cfg(test)]

@@ -248,14 +248,7 @@ fn mid_serve_crash_restart_conserves_and_converges() {
                     backend.set_shard_health(2, NodeHealth::Up);
                 });
         }
-        let report = {
-            let cluster = &cluster;
-            serve_loop
-                .run_observed(&mut |now_sim_ms| {
-                    cluster.advance_clock(now_sim_ms.saturating_sub(cluster.sim_now()));
-                })
-                .unwrap()
-        };
+        let report = serve_loop.run().unwrap();
         let bytes = store_bytes(cluster.store());
         let snap = cluster.metrics_snapshot();
         (report, bytes, snap)

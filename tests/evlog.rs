@@ -18,13 +18,21 @@
 //! 4. **Trace correlation** — every `error`-level record emitted from a
 //!    traced path carries a trace ID that resolves in the flight
 //!    recorder (`wfsm trace` can dump the owning trace).
+//! 5. **One clock** — records are stamped on the registry's simulated
+//!    clock: untraced calls stamp in emission order across the whole
+//!    run (so the sampler refills), and a failure caused by a chaos
+//!    trigger is never stamped before the trigger.
 
 mod common;
 
 use common::{assert_golden, chaos_backend, chaos_serve_loop, CHAOS_SEED};
 use proptest::prelude::*;
 use std::sync::Arc;
-use wf_platform::{EvLog, EvLogSnapshot, Level, LogFilter, Telemetry, TimeSeriesStore};
+use wf_platform::{
+    EvLog, EvLogSnapshot, FaultPlan, FaultRates, Level, LogFilter, ServiceBus, Telemetry,
+    TimeSeriesStore, DEFAULT_SAMPLE_BURST,
+};
+use wf_types::RetryPolicy;
 
 /// Chaos serving run: returns the telemetry registry whose event log
 /// observed the shed / fault / shard-loss decisions.
@@ -204,4 +212,82 @@ fn error_records_resolve_in_flight_recorder() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// 5. one clock: records land on the registry's simulated clock
+// ---------------------------------------------------------------------
+
+/// Untraced bus calls are root operations: each opens at the registry's
+/// clock and moves it to its end. 400 of them at a 30% node-down rate
+/// stamp their records in emission order across the whole run, not in
+/// the first milliseconds of each call, so the token bucket refills and
+/// a busy `(target, level)` key keeps more than one burst.
+#[test]
+fn untraced_calls_stamp_records_in_order_on_the_clock() {
+    let telemetry = Telemetry::new();
+    let bus = ServiceBus::with_telemetry(Arc::clone(&telemetry));
+    bus.register(
+        "svc",
+        Arc::new(|_: &serde_json::Value| Ok(serde_json::json!(1))),
+    );
+    bus.set_fault_plan(Some(FaultPlan::new(CHAOS_SEED).with_rates(FaultRates {
+        node_down: 0.3,
+        ..FaultRates::default()
+    })));
+    bus.set_retry_policy(RetryPolicy::default());
+    let mut spent = 0;
+    for _ in 0..400 {
+        spent += bus
+            .call_detailed("svc", &serde_json::json!({}), None)
+            .1
+            .sim_elapsed_ms;
+    }
+    assert_eq!(telemetry.clock().now(), spent, "each call moved the clock");
+    let records = telemetry.evlog().records();
+    let stamps: Vec<u64> = records.iter().map(|r| r.sim_ms).collect();
+    assert!(
+        stamps.windows(2).all(|w| w[0] <= w[1]),
+        "stamps decrease in emission order"
+    );
+    let last = *stamps.last().expect("faults were logged");
+    assert!(last > 80, "the last record is stamped at {last} ms");
+    let mut kept_per_key = std::collections::BTreeMap::new();
+    for r in &records {
+        *kept_per_key.entry((&r.target, r.level)).or_insert(0u64) += 1;
+    }
+    let busiest = kept_per_key.values().copied().max().unwrap_or(0);
+    assert!(
+        busiest > DEFAULT_SAMPLE_BURST,
+        "no key kept more than one burst: {kept_per_key:?}"
+    );
+}
+
+/// In the pinned chaos scenario every query that fails because a shard
+/// is down is stamped at or after the `chaos trigger fired` record that
+/// precedes it, so `wfsm logs` prints the cause before its effects.
+#[test]
+fn shard_loss_failures_are_stamped_after_their_trigger() {
+    let telemetry = observed_chaos_run();
+    let mut trigger_at = None;
+    let mut failures = 0;
+    for r in telemetry.evlog().records() {
+        if r.message == "chaos trigger fired" {
+            trigger_at = Some(r.sim_ms);
+        }
+        let shard_down = r
+            .fields
+            .get("error")
+            .is_some_and(|e| e.contains("shard(s) down"));
+        if r.message == "query failed" && shard_down {
+            let at = trigger_at.expect("a shard goes down only at a trigger");
+            assert!(
+                r.sim_ms >= at,
+                "failure at {} ms precedes its trigger at {at} ms: {r:?}",
+                r.sim_ms
+            );
+            failures += 1;
+        }
+    }
+    assert!(failures > 0, "the node loss must fail some queries");
 }

@@ -454,7 +454,8 @@ fn batch_size_never_changes_a_chaos_run() {
 /// (traced), a faulted ingestor, the miner and two index rebuilds (one
 /// Down node, then none up). Every `fault:`, `retry:`, `timeout`,
 /// `unplaced` and `failover:` span event has exactly one record with its
-/// trace, span and simulated time, and every record those paths write
+/// trace, span and time on the clock (the trace's opening time plus the
+/// event's offset), and every record those paths write
 /// stands at a span event: a `retries exhausted` record at its final
 /// fault, a bus `call failed` at the call's `error:` event.
 #[test]
@@ -519,15 +520,18 @@ fn every_fault_event_has_exactly_one_log_record() {
                 .find(|(prefix, _)| label.starts_with(prefix))
                 .map(|(_, message)| message.to_string())
         };
-        // (trace, span, sim ms, message) → how many events / records
+        // (trace, span, clock ms, message) → how many events / records;
+        // an event stands on the clock at its trace's opening time plus
+        // its offset in the trace
         let mut events: BTreeMap<_, usize> = BTreeMap::new();
         let mut instants = std::collections::BTreeSet::new();
         for span in tele.recorder().records() {
             for e in &span.events {
-                instants.insert((span.trace, span.id, e.at_sim_ms));
+                let at = span.opened_ms + e.at_sim_ms;
+                instants.insert((span.trace, span.id, at));
                 if let Some(message) = message_of(&e.label) {
                     *events
-                        .entry((span.trace, span.id, e.at_sim_ms, message))
+                        .entry((span.trace, span.id, at, message))
                         .or_default() += 1;
                 }
             }

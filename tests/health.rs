@@ -70,7 +70,6 @@ fn drive(cluster: &Cluster, engine: &mut HealthEngine, rounds: usize) -> Vec<Ale
                 .bus()
                 .call_detailed("annotate", &serde_json::json!(i), Some(&mut root));
         }
-        cluster.advance_clock(root.elapsed_sim_ms());
         root.finish();
         observe(cluster, engine);
         cluster.run_pipeline(&MinerPipeline::new().add(Box::new(TouchMiner)));
@@ -123,7 +122,7 @@ fn alert_transitions_land_in_the_telemetry_snapshot() {
 fn every_exemplar_resolves_to_a_live_trace() {
     let (cluster, mut engine) = chaos_fixture(20050405);
     drive(&cluster, &mut engine, 2);
-    let report = DoctorReport::build(&cluster, &engine, cluster.sim_now());
+    let report = DoctorReport::build(&cluster, &engine);
     assert!(
         !report.exemplars.is_empty(),
         "traced bus calls and pipeline shards must pin exemplars"
@@ -153,7 +152,7 @@ fn doctor_json_is_byte_identical_across_runs() {
     let render = || {
         let (cluster, mut engine) = chaos_fixture(20050405);
         drive(&cluster, &mut engine, 2);
-        DoctorReport::build(&cluster, &engine, cluster.sim_now()).to_json_string()
+        DoctorReport::build(&cluster, &engine).to_json_string()
     };
     assert_eq!(render(), render());
 }
@@ -168,8 +167,7 @@ fn golden_doctor_report() {
     );
     let (cluster, mut engine) = chaos_fixture(20050405);
     drive(&cluster, &mut engine, 2);
-    let rendered =
-        DoctorReport::build(&cluster, &engine, cluster.sim_now()).to_json_string() + "\n";
+    let rendered = DoctorReport::build(&cluster, &engine).to_json_string() + "\n";
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(golden_path, &rendered).unwrap();
         return;
@@ -210,7 +208,7 @@ fn scoreboard_tracks_chaos_topology() {
         board[0].faults
     );
     // text renderings share the scoreboard
-    let report = DoctorReport::build(&cluster, &engine, cluster.sim_now());
+    let report = DoctorReport::build(&cluster, &engine);
     let table = report.to_table();
     assert!(table.contains("NODES"), "{table}");
     assert!(table.contains("Down"), "{table}");

@@ -298,9 +298,10 @@ fn chaos_run(
         *engine = HealthEngine::with_telemetry(default_slos(), Arc::clone(&telemetry));
     }
     let telemetry_for_observer = Arc::clone(&telemetry);
-    let mut observe = |now_sim_ms: u64| {
+    let mut observe = || {
         if let Some(engine) = engine.as_deref_mut() {
-            engine.observe(now_sim_ms, &telemetry_for_observer.snapshot());
+            let now = telemetry_for_observer.clock().now();
+            engine.observe(now, &telemetry_for_observer.snapshot());
         }
     };
     let report = chaos_serve_loop(&backend, Arc::clone(&telemetry), seed)

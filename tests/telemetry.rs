@@ -178,6 +178,33 @@ fn snapshot_parse_rejects_malformed_input() {
     )
     .unwrap_err();
     assert!(err.contains("exemplar value"), "{err}");
+    // buckets must be an array; the message names the histogram and field
+    let err = TelemetrySnapshot::from_json_str(
+        r#"{"histograms": {"h": {"count": 3, "sum": 3, "min": 1, "max": 1,
+            "buckets": "lots"}}}"#,
+    )
+    .unwrap_err();
+    assert!(err.contains("histogram h buckets"), "{err}");
+    // bucket counts must sum to the histogram's count
+    let err = TelemetrySnapshot::from_json_str(
+        r#"{"histograms": {"h": {"count": 3, "sum": 3, "min": 1, "max": 1,
+            "buckets": [{"le": 1, "count": 2}]}}}"#,
+    )
+    .unwrap_err();
+    assert!(err.contains("histogram h buckets"), "{err}");
+    assert!(err.contains("count 3"), "{err}");
+    let err = TelemetrySnapshot::from_json_str(
+        r#"{"histograms": {"h": {"count": 1, "sum": 1, "min": 1, "max": 1}}}"#,
+    )
+    .unwrap_err();
+    assert!(err.contains("histogram h buckets"), "{err}");
+    let err = TelemetrySnapshot::from_json_str(
+        r#"{"histograms": {"h": {"count": 1, "sum": 1, "min": 1, "max": 1,
+            "buckets": [{"le": 1, "count": 18446744073709551615},
+                        {"le": null, "count": 2}]}}}"#,
+    )
+    .unwrap_err();
+    assert!(err.contains("histogram h buckets"), "{err}");
 }
 
 /// Unknown keys are ignored (old readers accept newer exports), and

@@ -127,7 +127,7 @@ def check_diff_verdict(path, failures):
             f"{stage.get('self_ms_a')}ms -> {stage.get('self_ms_b')}ms "
             f"({stage.get('delta_ms'):+}ms)"
         )
-    for section in ("counters", "gauges"):
+    for section in ("counters", "gauges", "histograms"):
         for delta in diff.get(section, []):
             failures.append(
                 f"{path}: {section[:-1]} {delta.get('name')!r} "

@@ -8,15 +8,21 @@
 # each run, and the two copies are compared with `diff -r`, so a data dir
 # is compared WAL by WAL and snapshot by snapshot.
 #
-# Usage: tools/determinism.sh [PATH_TO_WFSM]
+# Usage: tools/determinism.sh [WFSM_A [WFSM_B]]
 #   default binary: target/release/wfsm (`cargo build --release -p wf-cli`)
+#   With a second binary, run 1 of each row uses WFSM_A and run 2 uses
+#   WFSM_B, so the rows compare two builds (say, a change and its parent)
+#   and the script ends by listing the rows that differ. Everything else
+#   (the shared fixtures, the closing checks) runs WFSM_A.
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 wfsm=${1:-$root/target/release/wfsm}
+wfsm_b=${2:-$wfsm}
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 failed=0
+differ=()
 
 docs2=$work/docs2.txt
 docs4=$work/docs4.txt
@@ -39,17 +45,21 @@ row() {
     local args=()
     for arg in "$@"; do args+=("${arg//@ART@/$art}"); done
     for run in 1 2; do
+        local bin=$wfsm
+        if [ "$run" = 2 ]; then bin=$wfsm_b; fi
         rm -rf "$art"
-        "$wfsm" "${args[@]}" > "$work/$name.$run"
+        "$bin" "${args[@]}" > "$work/$name.$run"
         if [ -e "$art" ]; then mv "$art" "$work/$name.$run.art"; fi
     done
     if ! cmp -s "$work/$name.1" "$work/$name.2"; then
         echo "FAIL $name: stdout differs between runs"
         diff -u "$work/$name.1" "$work/$name.2" | head -20 || true
         failed=1
+        differ+=("$name")
     elif [ -e "$work/$name.1.art" ] && ! diff -r "$work/$name.1.art" "$work/$name.2.art" > /dev/null; then
         echo "FAIL $name: $* wrote different files between runs"
         failed=1
+        differ+=("$name")
     else
         echo "ok   $name"
     fi
@@ -123,6 +133,21 @@ python3 "$root/tools/bench_gate.py" --baseline "$root/artifacts" --current "$roo
 if grep -q '"verdict": "ok"' "$work/perturbed-verdict.json"; then
     echo "FAIL perturbed run unexpectedly diffed clean"
     failed=1
+fi
+
+# a latency histogram whose p99 moved from 5 to 895 ms fails the gate
+printf '{"counters": {}, "histograms": {"h": {"count": 1, "sum": 5, "min": 5, "max": 5, "buckets": [{"le": 8, "count": 1}]}}}\n' > "$work/hist-a.json"
+printf '{"counters": {}, "histograms": {"h": {"count": 2, "sum": 900, "min": 5, "max": 895, "buckets": [{"le": 8, "count": 1}, {"le": 1024, "count": 1}]}}}\n' > "$work/hist-b.json"
+"$wfsm" diff "$work/hist-a.json" "$work/hist-b.json" --format json > "$work/hist-verdict.json"
+python3 "$root/tools/bench_gate.py" --baseline "$root/artifacts" --current "$root/artifacts" \
+    --diff-verdict "$work/hist-verdict.json" > "$work/hist-gate.txt" || true
+if ! grep -q "histogram 'h.p99' 5 -> 895" "$work/hist-gate.txt"; then
+    echo "FAIL a moved histogram p99 passed the diff-verdict gate"
+    failed=1
+fi
+
+if [ "$wfsm_b" != "$wfsm" ]; then
+    echo "rows that differ between the two binaries: ${differ[*]:-none}"
 fi
 
 exit $failed
