@@ -184,11 +184,11 @@ fn analyze_one<T: TokenAccess>(
     // Main verb: the VP head (last verb token). Passive when a be/get form
     // precedes a final past participle inside the VP.
     let head_token = vp_chunk.head;
-    let lemma = lemmatize_verb(tokens.lower(head_token));
+    let lemma = lemmatize_verb(tokens.lower(head_token)).into_owned();
     let mut passive = false;
     if tags[head_token] == PosTag::VBN {
         passive = (vp_chunk.start..head_token).any(|ti| {
-            tags[ti].is_verb() && matches!(lemmatize_verb(tokens.lower(ti)).as_str(), "be" | "get")
+            tags[ti].is_verb() && matches!(&*lemmatize_verb(tokens.lower(ti)), "be" | "get")
         });
     }
 

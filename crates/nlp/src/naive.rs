@@ -704,12 +704,11 @@ fn analyze_one(
     let vp_chunk = &chunks[vp];
 
     let head_token = vp_chunk.head;
-    let lemma = lemmatize_verb(&tokens[head_token].lower());
+    let lemma = lemmatize_verb(&tokens[head_token].lower()).into_owned();
     let mut passive = false;
     if tags[head_token] == PosTag::VBN {
         passive = (vp_chunk.start..head_token).any(|ti| {
-            matches!(lemmatize_verb(&tokens[ti].lower()).as_str(), "be" | "get")
-                && tags[ti].is_verb()
+            matches!(&*lemmatize_verb(&tokens[ti].lower()), "be" | "get") && tags[ti].is_verb()
         });
     }
 

@@ -314,11 +314,18 @@ impl DataStore {
     /// Runs `f` over a read-only snapshot reference of every entity, in id
     /// order within each shard. Avoids cloning the whole store.
     pub fn for_each<F: FnMut(&Entity)>(&self, mut f: F) {
-        for shard in &self.shards {
-            let guard = shard.entities.read();
-            for entity in guard.values() {
-                f(entity);
-            }
+        for node in 0..self.shards.len() {
+            self.for_each_in(NodeId(node as u32), &mut f);
+        }
+    }
+
+    /// Runs `f` over every entity one shard owns, by reference and in
+    /// ascending id order, under that shard's read lock: one worker per
+    /// shard can read the store in parallel. A node with no shard has no
+    /// entities.
+    pub fn for_each_in<F: FnMut(&Entity)>(&self, node: NodeId, f: F) {
+        if let Some(shard) = self.shards.get(node.0 as usize) {
+            shard.entities.read().values().for_each(f);
         }
     }
 
@@ -456,6 +463,32 @@ mod tests {
         let mut seen = 0;
         store.for_each(|_| seen += 1);
         assert_eq!(seen, 7);
+    }
+
+    #[test]
+    fn for_each_in_visits_exactly_one_shards_ids_ascending() {
+        let store = DataStore::new(3).unwrap();
+        for i in 0..11 {
+            store.insert(entity(&format!("{i}")));
+        }
+        // a restored entity lands out of insertion order
+        let mut late = entity("late");
+        late.id = DocId(30);
+        store.restore_entity(late);
+        for node in 0..3 {
+            let mut seen = Vec::new();
+            store.for_each_in(NodeId(node), |e| seen.push(e.id));
+            let owned: Vec<DocId> = store
+                .ids()
+                .into_iter()
+                .filter(|&id| store.node_of(id) == NodeId(node))
+                .collect();
+            assert!(!owned.is_empty());
+            assert_eq!(seen, owned, "node {node}");
+        }
+        let mut none = 0;
+        store.for_each_in(NodeId(3), |_| none += 1);
+        assert_eq!(none, 0, "a node with no shard has no entities");
     }
 
     #[test]

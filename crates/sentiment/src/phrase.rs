@@ -40,8 +40,10 @@ fn word_polarity(
     class: PosClass,
     lexicon: &SentimentLexicon,
 ) -> Option<Polarity> {
-    if tag.is_verb() || tag == PosTag::NNS {
-        lexicon.polarity(&lemma::lemmatize(lower, tag), class)
+    if tag.is_verb() {
+        lexicon.polarity(&lemma::lemmatize_verb(lower), class)
+    } else if tag == PosTag::NNS {
+        lexicon.polarity(&lemma::singularize(lower), class)
     } else {
         lexicon.polarity(lower, class)
     }

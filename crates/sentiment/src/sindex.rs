@@ -4,7 +4,9 @@
 //! with per-(subject, sentence) `sentiment` annotations; this module
 //! folds those annotations into polarity **postings** sharded the same
 //! way the [`wf_platform::DataStore`] shards documents, so each cluster
-//! node holds the sentiment postings for exactly the documents it owns.
+//! node holds the sentiment postings for exactly the documents it owns,
+//! and a bulk build reads each store shard on a worker of its own. A
+//! posting locates its sentence by span and keeps no copy of the text.
 //! Each shard also keeps a `[positive, negative, neutral]` tally per
 //! subject, updated as postings land. Query time then never touches the
 //! NLP stack or the postings themselves: "sentiment of X" sums one tally
@@ -16,9 +18,13 @@
 //! over an N-shard store and merging per-shard postings yields exactly
 //! the postings of a single-shard build of the same corpus.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::{panic, thread};
 use wf_platform::{DataStore, Entity};
-use wf_types::{DocId, Polarity, Span};
+use wf_types::{DocId, NodeId, Polarity, Span};
 
 /// One precomputed (subject, sentence) polarity observation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,10 +35,9 @@ pub struct SentimentPosting {
     /// Canonical lowercased subject, as the miners annotate it.
     pub subject: String,
     pub polarity: Polarity,
-    /// The sentiment-bearing sentence, located in the document…
+    /// The sentiment-bearing sentence's span in the document: slice the
+    /// stored entity's text with it to read the sentence.
     pub sentence_span: Span,
-    /// …and materialized so serving never loads the entity.
-    pub sentence: String,
 }
 
 /// Deterministic postings order: document, then position in it.
@@ -43,12 +48,11 @@ fn sort_key(doc: DocId, span: Span, polarity: Polarity) -> (u64, usize, usize, i
 /// A posting as a shard stores it: its subject is the key of the list
 /// holding it and its shard is the shard holding that list, so neither
 /// is stored per posting.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ShardPosting {
     doc: DocId,
     polarity: Polarity,
     sentence_span: Span,
-    sentence: Box<str>,
 }
 
 impl ShardPosting {
@@ -136,10 +140,42 @@ impl SentimentIndexShard {
         self.posting_count
     }
 
+    /// Folds one entity's `sentiment` annotations into this shard: the
+    /// one path of incremental adds, shard rebuilds and bulk builds.
+    fn add_entity(&mut self, entity: &Entity) {
+        for ann in entity.annotations_of("sentiment") {
+            let (Some(subject), Some(polarity)) = (ann.attr("subject"), ann.attr("polarity"))
+            else {
+                continue;
+            };
+            let Some(polarity) = Polarity::parse(polarity) else {
+                continue;
+            };
+            self.add(
+                subject,
+                ShardPosting {
+                    doc: entity.id,
+                    polarity,
+                    sentence_span: ann.span,
+                },
+            );
+        }
+    }
+
     /// Inserts keeping each subject's postings sorted, so incremental
-    /// adds and bulk builds produce identical layouts.
-    fn add(&mut self, subject: String, posting: ShardPosting) {
-        let list = self.postings.entry(subject).or_default();
+    /// adds and bulk builds produce identical layouts. The subject is
+    /// looked up as given, lowercased only when it is not already, and
+    /// copied into a key only the first time this shard sees it.
+    fn add(&mut self, subject: &str, posting: ShardPosting) {
+        let subject = subject_key(subject);
+        if !self.postings.contains_key(&*subject) {
+            self.postings
+                .insert(subject.to_string(), SubjectPostings::default());
+        }
+        let list = self
+            .postings
+            .get_mut(&*subject)
+            .expect("the subject's list exists");
         let at = list
             .postings
             .binary_search_by_key(&posting.sort_key(), ShardPosting::sort_key)
@@ -155,6 +191,33 @@ impl SentimentIndexShard {
             list.postings.shrink_to_fit();
         }
     }
+}
+
+/// The canonical (lowercased) form of a subject, borrowed when the
+/// subject has no uppercase or non-ASCII byte and so is its own
+/// lowercase.
+fn subject_key(subject: &str) -> Cow<'_, str> {
+    if subject
+        .bytes()
+        .any(|b| b.is_ascii_uppercase() || !b.is_ascii())
+    {
+        Cow::Owned(subject.to_lowercase())
+    } else {
+        Cow::Borrowed(subject)
+    }
+}
+
+/// The contiguous runs of shard ids that the workers of a bulk build
+/// take, one run per worker, covering `0..shards` in order: at most
+/// `min(shards, parallelism)` runs, so never more workers than shards
+/// or hardware threads.
+fn worker_runs(shards: usize, parallelism: usize) -> Vec<Range<usize>> {
+    let workers = shards.min(parallelism).max(1);
+    let per_worker = shards.div_ceil(workers).max(1);
+    (0..shards)
+        .step_by(per_worker)
+        .map(|first| first..shards.min(first + per_worker))
+        .collect()
 }
 
 /// The cluster-wide sentiment index: one [`SentimentIndexShard`] per
@@ -175,17 +238,37 @@ impl ShardedSentimentIndex {
 
     /// Builds the index from every mined entity in the store, placing
     /// postings on the shard that owns the document (`store.node_of`).
+    ///
+    /// Each index shard is built from its own store shard, read by
+    /// reference under that shard's read lock. The shards are split into
+    /// contiguous runs over `min(shards, available_parallelism)` workers:
+    /// the calling thread builds the first run and one scoped thread
+    /// builds each other run, so a one-shard store starts no thread.
     pub fn build_from_store(store: &DataStore) -> Self {
-        let mut index = ShardedSentimentIndex::new(store.shard_count());
-        store.for_each(|entity| {
-            let shard = store.node_of(entity.id).0;
-            index.add_entity(entity, shard);
+        let parallelism = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let runs = worker_runs(store.shard_count(), parallelism);
+        let build_run = |run: Range<usize>| {
+            run.map(|node| {
+                let mut shard = SentimentIndexShard::default();
+                store.for_each_in(NodeId(node as u32), |entity| shard.add_entity(entity));
+                shard.shrink_to_fit();
+                shard
+            })
+            .collect::<Vec<_>>()
+        };
+        let (first, others) = runs.split_first().expect("a store has at least one shard");
+        let shards = thread::scope(|scope| {
+            let others: Vec<_> = others
+                .iter()
+                .map(|run| scope.spawn(move || build_run(run.clone())))
+                .collect();
+            let mut shards = build_run(first.clone());
+            for worker in others {
+                shards.extend(worker.join().unwrap_or_else(|e| panic::resume_unwind(e)));
+            }
+            shards
         });
-        index
-            .shards
-            .iter_mut()
-            .for_each(SentimentIndexShard::shrink_to_fit);
-        index
+        ShardedSentimentIndex { shards }
     }
 
     /// The shard slot for a shard id: out-of-range ids clamp to the last
@@ -198,24 +281,7 @@ impl ShardedSentimentIndex {
     /// incremental-ingest path: call it as freshly mined documents land.
     pub fn add_entity(&mut self, entity: &Entity, shard: u32) {
         let slot = self.slot(shard);
-        for ann in entity.annotations_of("sentiment") {
-            let (Some(subject), Some(polarity)) = (ann.attr("subject"), ann.attr("polarity"))
-            else {
-                continue;
-            };
-            let Some(polarity) = Polarity::parse(polarity) else {
-                continue;
-            };
-            self.shards[slot].add(
-                subject.to_lowercase(),
-                ShardPosting {
-                    doc: entity.id,
-                    polarity,
-                    sentence_span: ann.span,
-                    sentence: ann.span.slice(&entity.text).trim().into(),
-                },
-            );
-        }
+        self.shards[slot].add_entity(entity);
     }
 
     /// Drops one shard's postings (its node crashed), returning how
@@ -232,12 +298,13 @@ impl ShardedSentimentIndex {
     /// shard's posting count after the rebuild.
     pub fn rebuild_shard(&mut self, shard: u32, entities: &[Entity]) -> usize {
         self.clear_shard(shard);
-        for entity in entities {
-            self.add_entity(entity, shard);
-        }
         let slot = self.slot(shard);
-        self.shards[slot].shrink_to_fit();
-        self.shards[slot].posting_count
+        let rebuilt = &mut self.shards[slot];
+        entities
+            .iter()
+            .for_each(|entity| rebuilt.add_entity(entity));
+        rebuilt.shrink_to_fit();
+        rebuilt.posting_count
     }
 
     pub fn shard_count(&self) -> usize {
@@ -282,7 +349,6 @@ impl ShardedSentimentIndex {
                 subject: subject.to_string(),
                 polarity: p.polarity,
                 sentence_span: p.sentence_span,
-                sentence: p.sentence.to_string(),
             }));
         }
         merged.sort_by_key(|p| sort_key(p.doc, p.sentence_span, p.polarity));
@@ -439,6 +505,38 @@ mod tests {
                 index.merged_postings(&subject),
                 "subject {subject}"
             );
+        }
+    }
+
+    #[test]
+    fn worker_runs_cover_every_shard_with_bounded_workers() {
+        for shards in 1..9 {
+            for parallelism in 1..6 {
+                let runs = worker_runs(shards, parallelism);
+                assert!(!runs.is_empty());
+                assert!(
+                    runs.len() <= shards.min(parallelism),
+                    "{shards}/{parallelism}"
+                );
+                let covered: Vec<usize> = runs.into_iter().flatten().collect();
+                assert_eq!(covered, (0..shards).collect::<Vec<_>>());
+            }
+        }
+        // one shard: the caller's run only, so no thread is started
+        assert_eq!(worker_runs(1, 8), vec![0..1]);
+        assert_eq!(worker_runs(2, 2), vec![0..1, 1..2]);
+        assert_eq!(worker_runs(5, 2), vec![0..3, 3..5]);
+    }
+
+    #[test]
+    fn subject_keys_are_lowercase_and_borrowed_when_already_so() {
+        for subject in ["canon", "nikon d70", "sony-pda 2", ""] {
+            assert!(matches!(subject_key(subject), Cow::Borrowed(s) if s == subject));
+        }
+        for subject in ["Canon", "NIKON", "Ünïcode", "straße"] {
+            let key = subject_key(subject);
+            assert!(matches!(key, Cow::Owned(_)), "{subject}");
+            assert_eq!(key, subject.to_lowercase());
         }
     }
 

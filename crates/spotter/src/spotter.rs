@@ -45,9 +45,10 @@ impl SubjectList {
         self.synsets.is_empty()
     }
 
-    /// Looks up a synset by id.
+    /// Looks up a synset by id. The builder gives each synset its
+    /// position as its id, so this indexes directly.
     pub fn get(&self, id: SynsetId) -> Option<&Synset> {
-        self.synsets.iter().find(|s| s.id == id)
+        self.synsets.get(id.0 as usize)
     }
 
     /// Looks up a synset id by canonical name.
@@ -206,6 +207,18 @@ mod tests {
             subjects.get(SynsetId(2)).unwrap().canonical,
             "T series CLIEs"
         );
+    }
+
+    #[test]
+    fn get_by_position_equals_a_linear_find_by_id() {
+        let subjects = camera_subjects();
+        let linear = |id: SynsetId| subjects.synsets().iter().find(|s| s.id == id);
+        for id in (0..5).map(SynsetId) {
+            assert_eq!(subjects.get(id), linear(id), "{id:?}");
+        }
+        assert!(subjects.get(SynsetId(3)).is_none());
+        assert!(subjects.get(SynsetId(u32::MAX)).is_none());
+        assert!(SubjectList::default().get(SynsetId(0)).is_none());
     }
 
     #[test]

@@ -71,14 +71,18 @@ fn store_bytes(store: &DataStore) -> String {
 }
 
 /// Canonical bytes of a sentiment index: every subject's merged
-/// postings in merge order.
-fn sindex_bytes(index: &ShardedSentimentIndex) -> String {
+/// postings in merge order, each with the trimmed sentence it locates in
+/// `store`.
+fn sindex_bytes(index: &ShardedSentimentIndex, store: &DataStore) -> String {
     let mut out = String::new();
     for subject in index.subjects() {
         for p in index.merged_postings(&subject) {
+            let sentence = store
+                .read(p.doc, |e| p.sentence_span.slice(&e.text).trim().to_string())
+                .unwrap();
             out.push_str(&format!(
-                "{subject} {} {} {}..{} {}\n",
-                p.doc.0, p.polarity, p.sentence_span.start, p.sentence_span.end, p.sentence
+                "{subject} {} {} {}..{} {sentence}\n",
+                p.doc.0, p.polarity, p.sentence_span.start, p.sentence_span.end
             ));
         }
     }
@@ -172,7 +176,10 @@ fn crash_restart_converges_with_uninterrupted_run() {
     }
 
     // sentiment-index layer: identical postings and rankings
-    assert_eq!(sindex_bytes(&clean_index), sindex_bytes(&crashed_index));
+    assert_eq!(
+        sindex_bytes(&clean_index, clean.store()),
+        sindex_bytes(&crashed_index, crashed.store())
+    );
     for polarity in [Polarity::Positive, Polarity::Negative, Polarity::Neutral] {
         assert_eq!(
             clean_index.top_k(3, polarity),

@@ -27,12 +27,16 @@ use common::{
     CHAOS_SEED, POLARITIES,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
 use wf_platform::{
-    default_slos, Annotation, Entity, HealthEngine, RunDiff, ServeLoop, ServingBackend,
+    default_slos, Annotation, DataStore, Entity, HealthEngine, RunDiff, ServeLoop, ServingBackend,
     ServingConfig, SourceKind, Telemetry, TelemetrySnapshot,
 };
-use wf_sentiment::{SentimentServingBackend, ShardedSentimentIndex, SubjectSummary};
+use wf_sentiment::{
+    SentimentPosting, SentimentServingBackend, ShardedSentimentIndex, SubjectSummary,
+};
 use wf_types::{DocId, Polarity, Span};
 
 /// Renders only the `serving.*` slice of a telemetry snapshot, so the
@@ -136,6 +140,26 @@ fn recounted_answer(index: &ShardedSentimentIndex, request: &str) -> Option<(Str
         .map(|subject| index.merged_postings(subject).len())
         .sum();
     Some((body, postings as u64))
+}
+
+/// The trimmed sentence a posting locates, read from the store that
+/// holds its document.
+fn sentence_text(store: &DataStore, posting: &SentimentPosting) -> String {
+    store
+        .read(posting.doc, |e| {
+            posting.sentence_span.slice(&e.text).trim().to_string()
+        })
+        .expect("a posting's document is stored")
+}
+
+/// A posting with its subject left out, for comparing merged lists.
+fn located(posting: SentimentPosting) -> (DocId, u32, Span, Polarity) {
+    (
+        posting.doc,
+        posting.shard,
+        posting.sentence_span,
+        posting.polarity,
+    )
 }
 
 /// An entity carrying one sentiment annotation per mark, each over its
@@ -261,8 +285,9 @@ proptest! {
     fn sharded_index_merges_to_single_shard_build(
         marks in prop::collection::vec(0usize..12, 1..40),
     ) {
-        let sharded = ShardedSentimentIndex::build_from_store(&seeded_store(4, &marks));
-        let single = ShardedSentimentIndex::build_from_store(&seeded_store(1, &marks));
+        let (sharded_store, single_store) = (seeded_store(4, &marks), seeded_store(1, &marks));
+        let sharded = ShardedSentimentIndex::build_from_store(&sharded_store);
+        let single = ShardedSentimentIndex::build_from_store(&single_store);
         prop_assert_eq!(sharded.shard_count(), 4);
         prop_assert_eq!(single.shard_count(), 1);
         prop_assert_eq!(sharded.posting_count(), single.posting_count());
@@ -276,12 +301,61 @@ proptest! {
                 prop_assert_eq!(m.subject.clone(), f.subject.clone());
                 prop_assert_eq!(m.polarity, f.polarity);
                 prop_assert_eq!(m.sentence_span, f.sentence_span);
-                prop_assert_eq!(m.sentence.clone(), f.sentence.clone());
+                prop_assert_eq!(
+                    sentence_text(&sharded_store, m),
+                    sentence_text(&single_store, f)
+                );
             }
             prop_assert_eq!(sharded.summary(&subject), single.summary(&subject));
         }
         for polarity in POLARITIES {
             prop_assert_eq!(sharded.top_k(3, polarity), single.top_k(3, polarity));
+        }
+    }
+
+    /// The bulk build, one worker per run of store shards, equals a
+    /// sequential fold of `add_entity` over the same entities in a
+    /// shuffled order, at every shard count from 1 to 6 (more shards
+    /// than hardware threads included): the same per-shard postings,
+    /// tallies and top-k.
+    #[test]
+    fn threaded_build_equals_a_shuffled_sequential_fold(
+        shards in 1usize..7,
+        docs in prop::collection::vec(prop::collection::vec(0usize..12, 1..4), 1..40),
+        seed in 0u64..1_000_000,
+    ) {
+        let store = DataStore::new(shards).unwrap();
+        for (i, marks) in docs.iter().enumerate() {
+            store.insert(marked_entity(i as u64, marks));
+        }
+        let built = ShardedSentimentIndex::build_from_store(&store);
+
+        let mut entities: Vec<Entity> = Vec::new();
+        store.for_each(|e| entities.push(e.clone()));
+        let mut rng = StdRng::seed_from_u64(seed);
+        for i in (1..entities.len()).rev() {
+            entities.swap(i, rng.random_range(0..i + 1));
+        }
+        let mut folded = ShardedSentimentIndex::new(shards);
+        for entity in &entities {
+            folded.add_entity(entity, store.node_of(entity.id).0);
+        }
+
+        prop_assert_eq!(built.shard_count(), shards);
+        for shard in 0..shards {
+            prop_assert_eq!(built.shard(shard).posting_count(), folded.shard(shard).posting_count());
+        }
+        prop_assert_eq!(built.subjects(), folded.subjects());
+        for subject in built.subjects() {
+            prop_assert_eq!(built.summary(&subject), folded.summary(&subject));
+            let merged: Vec<_> = built.merged_postings(&subject).into_iter().map(located).collect();
+            let expected: Vec<_> = folded.merged_postings(&subject).into_iter().map(located).collect();
+            prop_assert_eq!(merged, expected);
+        }
+        for polarity in POLARITIES {
+            for k in [1, 3, 12] {
+                prop_assert_eq!(built.top_k(k, polarity), folded.top_k(k, polarity));
+            }
         }
     }
 }
